@@ -134,7 +134,7 @@ def _out_dir(cfg: dict) -> str:
     return path
 
 
-def _print_summary(summary, mean_gap=None):
+def _print_summary(summary):
     print("slots", summary.slots)
     print("packets_total", _fmt(summary.packets_total))
     print("throughput", _fmt(summary.throughput))
@@ -206,7 +206,10 @@ def cmd_analytic(args, cfg) -> int:
 
 
 def cmd_compare(args, cfg) -> int:
-    params, horizon, warmup, mode, batteries, active, profile = _run_setup(cfg)
+    if cfg.get("profile"):
+        raise ConfigError("compare simulates the static parameters; "
+                          "it takes no profile")
+    params, horizon, warmup, mode, batteries, active, _ = _run_setup(cfg)
     if horizon is None:
         raise ConfigError("compare needs a horizon")
     pred = _predict(params)

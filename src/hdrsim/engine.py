@@ -10,15 +10,23 @@ levels before and after the control exchange, the handover decision) plus
 the traffic of slot ``k`` itself (packets moved by the node that ended up
 active).  The next record's ``battery_pre`` is the result of that slot.
 
+The slot rules live in one function (``_slot_rule``) that takes and returns
+plain values; ``step``, ``run`` (and through it the feedback runs) and
+``verify_trace`` all call it.  A run stores its trace as columns, one per
+quantity and per node (see ``Trace``), not as one object per slot: float
+runs fill ``array`` columns, while exact inputs fill plain lists.
 Arithmetic is duck-typed; feeding ``fractions.Fraction`` levels in gives
 exact trajectories, which the golden tests rely on.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
-from typing import Optional, Sequence
+import operator
+from itertools import chain, compress, pairwise, repeat
+from typing import Callable, Optional, Sequence
 
 from .model import (
     FRACTIONAL,
@@ -30,6 +38,10 @@ from .model import (
     SlotRecord,
     SystemParams,
     Trace,
+    _all_floats,
+    _flag_column,
+    _level_column,
+    _slot_column,
     default_state,
 )
 
@@ -45,17 +57,73 @@ __all__ = [
 ]
 
 
-def _pick_switch(params: SystemParams, batteries, active: int) -> Optional[int]:
-    """Index of the node taking over, or None.  Largest lead wins a same-slot
-    tie, remaining ties go to the lower index."""
-    bar = params.thresholds.threshold_from(active)
-    best = None
-    best_lead = None
-    for u in params.thresholds.candidates(active):
-        lead = batteries[u] - batteries[active]
-        if lead >= bar and (best is None or lead > best_lead):
-            best, best_lead = u, lead
-    return best
+def _slot_rule(params: SystemParams, whole: bool):
+    """The model's rules for one slot, as a function
+    ``slot(pre, v, e, g) -> (post, nxt, active, switched, packets, quiet)``.
+
+    ``pre`` holds the levels before the slot-end exchange, ``v`` is the node
+    forwarding into it, ``e`` and ``g`` are the slot's harvest rates and
+    offered load.  The function returns the levels right after the exchange
+    and at the end of the slot (lists), the node forwarding in the slot,
+    whether the exchange handed over, the packets carried, and whether ``v``
+    withheld its status message.  Of several idle nodes that qualify for a
+    handover the largest lead wins, remaining ties go to the lower index.
+    """
+    n = params.n_nodes
+    policy = params.thresholds
+    bars = [policy.threshold_from(u) for u in range(n)]
+    successors = [policy.candidates(u) for u in range(n)]
+    c = params.packet_energy
+    status = params.status_energy
+    switch = params.switch_energy
+    floor = params.control_floor
+    cap = params.battery_capacity
+
+    def slot(pre, v, e, g):
+        pv = pre[v]
+        bar = bars[v]
+        target = None
+        for u in successors[v]:
+            lead = pre[u] - pv
+            if lead >= bar and (target is None or lead > best):
+                target, best = u, lead
+
+        # status messages: idle nodes always report, the forwarding node
+        # stays quiet when its battery cannot cover a full control exchange
+        quiet = not pv >= floor
+        post = [x - status for x in pre]
+        if quiet:
+            post[v] = pv
+        switched = target is not None
+        if switched:
+            post = [x - switch for x in post]
+            v = target
+        nxt = list(map(operator.add, post, e))
+        if switched:
+            packets = math.floor(g) if whole else g
+            nxt[v] = nxt[v] - c * packets
+        elif post[v] < floor:
+            # broke relay: the slot is spent recharging, nothing is forwarded
+            packets = 0
+        else:
+            ev = e[v]
+            demand = c * g
+            if demand <= ev:
+                share = 1
+            else:
+                share = (post[v] - floor) / (demand - ev)
+                share = 0 if share < 0 else (1 if share > 1 else share)
+            packets = share * g + (1 - share) * ev / c
+            if whole:
+                packets = math.floor(packets)
+                nxt[v] = nxt[v] - c * packets
+            else:
+                cut = nxt[v] - demand
+                nxt[v] = cut if cut > floor else floor
+        return (post, [cap if x > cap else x for x in nxt], v, switched,
+                packets, quiet)
+
+    return slot
 
 
 def step(params: SystemParams, state: SimState, harvest=None, input_rate=None):
@@ -64,79 +132,26 @@ def step(params: SystemParams, state: SimState, harvest=None, input_rate=None):
     ``harvest``/``input_rate`` override the static parameters for this slot
     (used by profile-driven runs).
     """
-    n = params.n_nodes
     e = params.harvest_rates if harvest is None else tuple(harvest)
     g = params.input_rate if input_rate is None else input_rate
-    c = params.packet_energy
-    floor = params.control_floor
-    cap = params.battery_capacity
-    pre = state.battery_pre
     v = state.active
-
-    target = _pick_switch(params, pre, v)
-    switched = target is not None
-
-    # status messages: idle nodes always report, the forwarding node stays
-    # quiet when its battery cannot cover a full control exchange
-    paid = [True] * n
-    paid[v] = pre[v] >= floor
-    post = [pre[u] - (params.status_energy if paid[u] else 0) for u in range(n)]
-    if switched:
-        for u in range(n):
-            post[u] = post[u] - params.switch_energy
-        v = target
-
-    whole = state.packet_mode == WHOLE
-    nxt = [None] * n
-    if switched:
-        packets = math.floor(g) if whole else g
-        for u in range(n):
-            if u == v:
-                nxt[u] = post[u] + e[u] - c * packets
-            else:
-                nxt[u] = post[u] + e[u]
-    elif post[v] < floor:
-        # broke relay: the slot is spent recharging, nothing is forwarded
-        packets = 0
-        for u in range(n):
-            nxt[u] = post[u] + e[u]
-    else:
-        demand = c * g
-        if demand <= e[v]:
-            share = 1
-        else:
-            share = (post[v] - floor) / (demand - e[v])
-            share = 0 if share < 0 else (1 if share > 1 else share)
-        packets = share * g + (1 - share) * e[v] / c
-        if whole:
-            packets = math.floor(packets)
-            nxt[v] = post[v] + e[v] - c * packets
-        else:
-            cut = post[v] + e[v] - demand
-            nxt[v] = cut if cut > floor else floor
-        for u in range(n):
-            if u != v:
-                nxt[u] = post[u] + e[u]
-
-    for u in range(n):
-        if nxt[u] > cap:
-            nxt[u] = cap
-
+    post, nxt, active, switched, packets, quiet = _slot_rule(
+        params, state.packet_mode == WHOLE)(state.battery_pre, v, e, g)
     record = SlotRecord(
         slot=state.slot,
-        battery_pre=tuple(pre),
+        battery_pre=tuple(state.battery_pre),
         battery_post=tuple(post),
-        active=v,
+        active=active,
         switched=switched,
         packets=packets,
-        suppressed=tuple(not p for p in paid),
+        suppressed=tuple(quiet and u == v for u in range(params.n_nodes)),
     )
     forwarded = list(state.forwarded)
-    forwarded[v] = forwarded[v] + packets
+    forwarded[active] = forwarded[active] + packets
     new_state = SimState(
         slot=state.slot + 1,
         battery_pre=tuple(nxt),
-        active=v,
+        active=active,
         forwarded=tuple(forwarded),
         battery_post=tuple(post),
         packet_mode=state.packet_mode,
@@ -144,16 +159,34 @@ def step(params: SystemParams, state: SimState, harvest=None, input_rate=None):
     return new_state, record
 
 
+def _float_inputs(params: SystemParams, batteries, profile) -> bool:
+    """Whether every number a run stores comes out a float: the levels,
+    energies and loads it starts from are all floats or ints."""
+    values = [params.input_rate, params.packet_energy, params.status_energy,
+              params.switch_energy, params.battery_capacity,
+              *params.harvest_rates, *batteries]
+    if profile is not None:
+        values = chain(values, profile.input_rate,
+                       chain.from_iterable(profile.harvest))
+    return _all_floats(values)
+
+
 def run(params: SystemParams, n_slots: Optional[int] = None,
         state: Optional[SimState] = None,
         profile: Optional[Profile] = None,
         packet_mode: str = FRACTIONAL,
         initial_batteries: Optional[Sequence] = None,
-        initial_active: int = 0) -> Trace:
+        initial_active: int = 0,
+        steer: Optional[Callable] = None) -> Trace:
     """Simulate ``n_slots`` slots and return the trace.
 
     With a profile, slot ``k`` uses profile row ``k`` and ``n_slots``
-    defaults to the profile length.
+    defaults to the profile length.  With ``steer`` the offered load is a
+    controller's: ``steer(k, active, switched, harvest)`` is called after
+    slot ``k`` with that slot's outcome and harvest rates and returns the
+    load from slot ``k + 1`` on (slot 0 gets ``params.input_rate``).  The
+    profile's input-rate column is then ignored, and the trace carries the
+    effective profile: the harvest used and the load actually offered.
     """
     if state is None:
         state = default_state(params, packet_mode=packet_mode,
@@ -171,66 +204,108 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     if n_slots < 1:
         raise ValueError("n_slots must be at least 1")
 
-    first_active = state.active
-    records = []
+    n = params.n_nodes
+    whole = state.packet_mode == WHOLE
+    floats = _float_inputs(params, state.battery_pre, profile)
+    slot = _slot_rule(params, whole)
+    e, g = params.harvest_rates, params.input_rate
+    harvest = rates = None
+    if profile is not None:
+        harvest = profile.harvest
+        if steer is None:
+            rates = profile.input_rate
+    offered = []
+
+    # levels go in node-interleaved, one extend per slot, and are split
+    # into per-node columns at the end
+    pre_flat = _level_column((), floats)
+    post_flat = _level_column((), floats)
+    packets = _level_column((), floats and not whole)
+    active, switched, suppressed = (_flag_column() for _ in range(3))
+    add_pre, add_post, add_packets = (pre_flat.extend, post_flat.extend,
+                                      packets.append)
+    add_active, add_switched, add_suppressed = (
+        active.append, switched.append, suppressed.append)
+
+    pre, v = state.battery_pre, state.active
     for k in range(n_slots):
-        if profile is None:
-            state, rec = step(params, state)
-        else:
-            state, rec = step(params, state, harvest=profile.harvest[k],
-                              input_rate=profile.input_rate[k])
-        records.append(rec)
-    return Trace(records=records, n_nodes=params.n_nodes,
-                 packet_mode=state.packet_mode, initial_active=first_active,
-                 params=params, profile=profile)
+        if harvest is not None:
+            e = harvest[k]
+        if rates is not None:
+            g = rates[k]
+        add_pre(pre)
+        post, pre, w, sw, pk, quiet = slot(pre, v, e, g)
+        add_post(post)
+        add_packets(pk)
+        add_active(w)
+        add_switched(sw)
+        add_suppressed(quiet << v)
+        v = w
+        if steer is not None:
+            offered.append(g)
+            g = steer(k, v, sw, e)
+
+    if steer is not None:
+        rows = (profile.harvest[:n_slots] if profile is not None
+                else (params.harvest_rates,) * n_slots)
+        profile = Profile(harvest=tuple(rows), input_rate=tuple(offered))
+    return Trace(n_nodes=n, packet_mode=state.packet_mode,
+                 initial_active=state.active, params=params, profile=profile,
+                 slots=range(state.slot, state.slot + n_slots),
+                 battery_pre=tuple(pre_flat[u::n] for u in range(n)),
+                 battery_post=tuple(post_flat[u::n] for u in range(n)),
+                 active=active, switched=switched, packets=packets,
+                 suppressed=suppressed)
 
 
 # ---------------------------------------------------------------------------
 # trace statistics
 # ---------------------------------------------------------------------------
 
+def _node_totals(active, packets, n) -> list:
+    """Packets per node, each summed in slot order from 0."""
+    totals = [0] * n
+    for a, p in zip(active, packets):
+        totals[a] = totals[a] + p
+    return totals
+
+
 def detect_cycles(trace: Trace, node: int = 0, warmup: int = 0) -> list[CycleStats]:
     """Split the trace at handovers to ``node`` and measure each full
     rotation of the forwarding role."""
-    bounds = [i for i, r in enumerate(trace.records)
-              if r.switched and r.active == node and r.slot >= warmup]
+    first = bisect.bisect_left(trace.slots, warmup)
+    active, slots = trace.active, trace.slots
+    bounds = [i for i in compress(range(first, len(slots)),
+                                  trace.switched[first:])
+              if active[i] == node]
     cycles = []
     n = trace.n_nodes
-    for a, b in zip(bounds, bounds[1:]):
-        ra, rb = trace.records[a], trace.records[b]
-        active_slots = [0] * n
-        packets = [0] * n
-        for r in trace.records[a:b]:
-            active_slots[r.active] += 1
-            packets[r.active] = packets[r.active] + r.packets
+    for a, b in pairwise(bounds):
+        cycle_active = active[a:b]
         cycles.append(CycleStats(
-            length=rb.slot - ra.slot,
-            active_slots=tuple(active_slots),
-            packets=tuple(packets),
-            drift=tuple(rb.battery_pre[u] - ra.battery_pre[u] for u in range(n)),
-            start_slot=ra.slot,
+            length=slots[b] - slots[a],
+            active_slots=tuple(cycle_active.count(u) for u in range(n)),
+            packets=tuple(_node_totals(cycle_active, trace.packets[a:b], n)),
+            drift=tuple(col[b] - col[a] for col in trace.battery_pre),
+            start_slot=slots[a],
         ))
     return cycles
 
 
 def summarize(trace: Trace, warmup: int = 0) -> RunSummary:
-    recs = [r for r in trace.records if r.slot >= warmup]
-    n = trace.n_nodes
-    per_node = [0] * n
-    switches = 0
-    for r in recs:
-        per_node[r.active] = per_node[r.active] + r.packets
-        if r.switched:
-            switches += 1
+    first = bisect.bisect_left(trace.slots, warmup)
+    slots = len(trace) - first
+    per_node = _node_totals(trace.active[first:], trace.packets[first:],
+                            trace.n_nodes)
     total = sum(per_node)
     cycles = detect_cycles(trace, warmup=warmup)
     mean_len = (sum(c.length for c in cycles) / len(cycles)) if cycles else None
     return RunSummary(
-        slots=len(recs),
+        slots=slots,
         packets_total=total,
-        throughput=total / len(recs) if recs else 0.0,
+        throughput=total / slots if slots else 0.0,
         per_node_packets=tuple(per_node),
-        switch_count=switches,
+        switch_count=sum(trace.switched[first:]),
         cycle_count=len(cycles),
         mean_cycle_length=mean_len,
     )
@@ -250,18 +325,23 @@ def energy_ledger(trace: Trace, params: Optional[SystemParams] = None):
     p = params or trace.params
     if p is None:
         raise ValueError("parameters required to audit a bare trace")
+    c, status, switch = p.packet_energy, p.status_energy, p.switch_energy
+    cap = p.battery_capacity
+    nodes = range(p.n_nodes)
+    harvest, _ = trace.inputs(p)
     out = []
-    for i in range(len(trace.records) - 1):
-        r, r2 = trace.records[i], trace.records[i + 1]
-        e = trace.harvest(i) if (trace.profile or trace.params) else p.harvest_rates
-        for u in range(p.n_nodes):
-            spent = p.packet_energy * r.packets if u == r.active else 0
+    append = out.append
+    for slot, (a, b), v, switched, packets, mask, e in zip(
+            trace.slots, pairwise(zip(*trace.battery_pre)), trace.active,
+            trace.switched, trace.packets, trace.suppressed, harvest):
+        handover = switch if switched else 0
+        for u in nodes:
+            spent = c * packets if u == v else 0
             expect = (e[u]
-                      - (0 if r.suppressed[u] else p.status_energy)
-                      - (p.switch_energy if r.switched else 0)
+                      - (0 if mask >> u & 1 else status)
+                      - handover
                       - spent)
-            resid = (r2.battery_pre[u] - r.battery_pre[u]) - expect
-            out.append((r.slot, u, resid, r2.battery_pre[u] == p.battery_capacity))
+            append((slot, u, (b[u] - a[u]) - expect, b[u] == cap))
     return out
 
 
@@ -269,69 +349,62 @@ def verify_trace(trace: Trace, params: Optional[SystemParams] = None,
                  tol: float = 1e-9) -> list[str]:
     """Audit a finished trace against the model rules.
 
-    Recomputes every slot from its own battery snapshot and checks the
-    handover decision, control charges, packet count and resulting levels,
-    plus battery bounds and the energy balance.  Returns human-readable
+    Replays every slot from its own recorded levels and checks the handover
+    decision, control charges, packet count and resulting levels, plus
+    battery bounds and the energy balance.  Returns human-readable
     violation strings; an empty list means the trace is consistent.
     """
     p = params or trace.params
     if p is None:
         raise ValueError("parameters required to audit a bare trace")
     problems = []
-
-    def close(a, b):
-        return abs(a - b) <= tol
+    report = problems.append
+    nodes = range(p.n_nodes)
+    low, high = -tol, p.battery_capacity + tol
+    slot_rule = _slot_rule(p, trace.packet_mode == WHOLE)
 
     prev_active = trace.initial_active
-    if prev_active is None and trace.records:
+    if prev_active is None and len(trace):
         # best effort for re-read traces: a switch in the first record means
         # the run began on some other node, which we cannot recover
-        prev_active = trace.records[0].active
-
-    for i, r in enumerate(trace.records):
-        for u in range(p.n_nodes):
-            if r.battery_pre[u] < -tol or r.battery_pre[u] > p.battery_capacity + tol:
-                problems.append(f"slot {r.slot}: node {u + 1} level "
-                                f"{r.battery_pre[u]} outside [0, capacity]")
-        state = SimState(slot=r.slot, battery_pre=r.battery_pre,
-                         active=prev_active, forwarded=(0,) * p.n_nodes,
-                         packet_mode=trace.packet_mode)
-        if trace.profile is not None:
-            _, expect = step(p, state, harvest=trace.profile.harvest[i],
-                             input_rate=trace.profile.input_rate[i])
-        else:
-            _, expect = step(p, state)
-        if expect.switched != r.switched or expect.active != r.active:
-            problems.append(f"slot {r.slot}: handover decision does not "
-                            f"follow from the recorded levels")
-        if expect.suppressed != r.suppressed:
-            problems.append(f"slot {r.slot}: status suppression flags differ")
-        if not close(expect.packets, r.packets):
-            problems.append(f"slot {r.slot}: packets {r.packets} != "
-                            f"recomputed {expect.packets}")
-        for u in range(p.n_nodes):
-            if not close(expect.battery_post[u], r.battery_post[u]):
-                problems.append(f"slot {r.slot}: node {u + 1} post-exchange "
-                                f"level mismatch")
-        prev_active = r.active
+        prev_active = trace.active[0]
+    harvest, rates = trace.inputs(p)
+    for slot, pre, post, v, switched, packets, mask, e, g in zip(
+            trace.slots, zip(*trace.battery_pre), zip(*trace.battery_post),
+            trace.active, trace.switched, trace.packets, trace.suppressed,
+            harvest, rates):
+        for u in nodes:
+            if pre[u] < low or pre[u] > high:
+                report(f"slot {slot}: node {u + 1} level {pre[u]} outside "
+                       f"[0, capacity]")
+        want_post, _, want_v, want_switched, want_packets, want_quiet = \
+            slot_rule(pre, prev_active, e, g)
+        if want_switched != switched or want_v != v:
+            report(f"slot {slot}: handover decision does not follow from "
+                   f"the recorded levels")
+        if want_quiet << prev_active != mask:
+            report(f"slot {slot}: status suppression flags differ")
+        if not abs(want_packets - packets) <= tol:
+            report(f"slot {slot}: packets {packets} != recomputed "
+                   f"{want_packets}")
+        for u in nodes:
+            if not abs(want_post[u] - post[u]) <= tol:
+                report(f"slot {slot}: node {u + 1} post-exchange level "
+                       f"mismatch")
+        prev_active = v
 
     for slot, u, resid, at_cap in energy_ledger(trace, p):
         if abs(resid) <= tol:
             continue
         if at_cap and resid < 0:
             continue          # surplus harvest discarded at the ceiling
-        problems.append(f"slot {slot}: node {u + 1} energy balance off by "
-                        f"{resid}")
+        report(f"slot {slot}: node {u + 1} energy balance off by {resid}")
     return problems
 
 
 # ---------------------------------------------------------------------------
 # trace persistence
 # ---------------------------------------------------------------------------
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
 
 def write_trace_csv(trace: Trace, path) -> None:
     """Node indices are 1-based in the file; floats keep full precision."""
@@ -340,32 +413,49 @@ def write_trace_csv(trace: Trace, path) -> None:
     header += [f"battery_pre{u + 1}" for u in range(n)]
     header += [f"battery_post{u + 1}" for u in range(n)]
     header += [f"suppressed{u + 1}" for u in range(n)]
+    # one %-template per row, the same text as csv.writer with %.17g floats
+    row = ",".join(["%d"] * 3 + ["%.17g"] * (1 + 2 * n)) + ",%s\r\n"
+    flags = [",".join(str(m >> u & 1) for u in range(n))
+             for m in range(1 << n)]
+    rows = zip(trace.slots, map(operator.add, trace.active, repeat(1)),
+               trace.switched, trace.packets, *trace.battery_pre,
+               *trace.battery_post, map(flags.__getitem__, trace.suppressed))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for r in trace.records:
-            row = [r.slot, r.active + 1, int(r.switched), _fmt(r.packets)]
-            row += [_fmt(x) for x in r.battery_pre]
-            row += [_fmt(x) for x in r.battery_post]
-            row += [int(s) for s in r.suppressed]
-            w.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(map(row.__mod__, rows))
 
 
 def read_trace_csv(path) -> Trace:
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: empty trace")
-    n = sum(1 for k in rows[0] if k.startswith("battery_pre"))
-    records = []
-    for row in rows:
-        records.append(SlotRecord(
-            slot=int(row["slot"]),
-            battery_pre=tuple(float(row[f"battery_pre{u + 1}"]) for u in range(n)),
-            battery_post=tuple(float(row[f"battery_post{u + 1}"]) for u in range(n)),
-            active=int(row["active"]) - 1,
-            switched=bool(int(row["switched"])),
-            packets=float(row["packets"]),
-            suppressed=tuple(bool(int(row[f"suppressed{u + 1}"])) for u in range(n)),
-        ))
-    return Trace(records=records, n_nodes=n)
+    columns = dict(zip(header, zip(*rows)))
+    n = sum(1 for k in header if k.startswith("battery_pre"))
+    try:
+        active = list(map(operator.sub, map(int, columns["active"]),
+                          repeat(1)))
+        if min(active) < 0 or max(active) >= n:
+            raise ValueError(f"{path}: active node number out of range")
+        slots = _slot_column(map(int, columns["slot"]))
+        pre = tuple(_level_column(map(float, columns[f"battery_pre{u + 1}"]))
+                    for u in range(n))
+        post = tuple(_level_column(map(float, columns[f"battery_post{u + 1}"]))
+                     for u in range(n))
+        # bit u of each slot's mask is node u's suppressed flag
+        suppressed = [0] * len(rows)
+        for u in range(n):
+            bits = map(bool, map(int, columns[f"suppressed{u + 1}"]))
+            suppressed = map(operator.or_, suppressed,
+                             map(operator.lshift, bits, repeat(u)))
+        trace = Trace(
+            n_nodes=n, slots=slots, battery_pre=pre, battery_post=post,
+            active=_flag_column(active),
+            switched=_flag_column(map(bool, map(int, columns["switched"]))),
+            packets=_level_column(map(float, columns["packets"])),
+            suppressed=_flag_column(suppressed))
+    except KeyError as exc:
+        raise ValueError(f"{path}: no column {exc.args[0]!r}") from None
+    return trace

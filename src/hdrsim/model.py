@@ -13,7 +13,9 @@ only ever add, subtract, multiply, divide and compare, so exact types such as
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
+from itertools import chain, compress
 from typing import Optional, Sequence, Union
 
 __all__ = [
@@ -293,7 +295,8 @@ class SimState:
 def default_state(params: SystemParams, packet_mode: str = FRACTIONAL,
                   batteries: Optional[Sequence] = None,
                   active: int = 0) -> SimState:
-    """Half-full batteries, node 1 forwarding, nothing sent yet."""
+    """Half-full batteries, node 1 forwarding, nothing sent yet.  Given
+    levels must be finite and inside ``[0, battery_capacity]``."""
     n = params.n_nodes
     if batteries is None:
         batteries = tuple(params.battery_capacity / 2 for _ in range(n))
@@ -301,6 +304,11 @@ def default_state(params: SystemParams, packet_mode: str = FRACTIONAL,
         batteries = tuple(batteries)
         if len(batteries) != n:
             raise ValueError("one initial battery level per node required")
+        cap = params.battery_capacity
+        for u, b in enumerate(batteries):
+            if not math.isfinite(float(b)) or not 0 <= b <= cap:
+                raise ValueError(f"initial battery level of node {u + 1} "
+                                 f"must lie in [0, {cap}], got {b!r}")
     if not 0 <= active < n:
         raise ValueError(f"active node index {active} out of range")
     return SimState(slot=0, battery_pre=batteries, active=active,
@@ -333,43 +341,153 @@ class SlotRecord:
         return self.battery_pre[0] - self.battery_pre[1]
 
 
-@dataclass
-class Trace:
-    """A finished run: the record list plus enough context to re-derive
-    statistics.  ``params``/``profile`` are None for traces re-read from CSV."""
+def _all_floats(values) -> bool:
+    """True when every value is a float or an int: the values an
+    ``array('d')`` column holds exactly (ints come back as floats)."""
+    return set(map(type, values)) <= {float, int}
 
-    records: list
+
+def _level_column(values=(), floats: bool = True):
+    """A column of battery levels or packet counts: ``array('d')`` for
+    floats, a list for anything else (``Fraction``, ``Decimal``, or whole
+    packet counts, which stay ints)."""
+    return array("d", values) if floats else list(values)
+
+
+def _slot_column(values):
+    """Slot numbers as a ``range`` when they run consecutively, as they do
+    in every trace a run or the CSV writer makes, else as a list."""
+    slots = list(values)
+    start = slots[0] if slots else 0
+    if slots == list(range(start, start + len(slots))):
+        return range(start, start + len(slots))
+    return slots
+
+
+def _flag_column(values=()):
+    """A column of small ints: node indices, 0/1 flags, suppression bits."""
+    return array("B", values)
+
+
+@dataclass(init=False)
+class Trace:
+    """A finished run, one column per quantity rather than one object per
+    slot.
+
+    slots         slot number of each entry (a ``range`` for a run)
+    battery_pre   per node, a column of levels before the slot-end exchange
+    battery_post  per node, a column of levels right after it
+    active        forwarding node after any handover, 0-based
+    switched      1 where the exchange handed the role over, else 0
+    packets       packets the active node carries in the following slot
+    suppressed    bit ``u`` set where node ``u`` withheld its status message
+
+    Float runs keep levels and packets in ``array('d')`` columns and the
+    flags in ``array('B')`` columns (so at most 8 nodes).  Exact inputs
+    (``Fraction``, ``Decimal``) get lists for levels and packets, so exact
+    values pass through untouched, and so do whole-packet counts, which
+    stay ints.  ``slots`` ascend.
+
+    ``records`` shows the same data as one ``SlotRecord`` per slot.
+    ``Trace(records=...)`` builds the columns from records; records given
+    that way replace any columns passed alongside them, which is what
+    ``dataclasses.replace(trace, records=...)`` relies on.
+    ``params``/``profile`` are None for traces re-read from CSV.
+    """
+
     n_nodes: int
+    slots: Sequence
+    battery_pre: tuple
+    battery_post: tuple
+    active: Sequence
+    switched: Sequence
+    packets: Sequence
+    suppressed: Sequence
     packet_mode: str = FRACTIONAL
     initial_active: Optional[int] = None
     params: Optional[SystemParams] = None
     profile: Optional["Profile"] = None
     feedback_log: list = field(default_factory=list)
 
+    def __init__(self, records=None, n_nodes=None, packet_mode=FRACTIONAL,
+                 initial_active=None, params=None, profile=None,
+                 feedback_log=None, *, slots=None, battery_pre=None,
+                 battery_post=None, active=None, switched=None, packets=None,
+                 suppressed=None):
+        if records is not None:
+            records = list(records)
+            if n_nodes is None:
+                n_nodes = len(records[0].battery_pre) if records else 0
+            (slots, battery_pre, battery_post, active, switched, packets,
+             suppressed) = _record_columns(records, n_nodes,
+                                           packet_mode == WHOLE)
+        elif battery_pre is None:
+            raise TypeError("a trace needs records or columns")
+        self.n_nodes = n_nodes
+        self.slots = slots
+        self.battery_pre = battery_pre
+        self.battery_post = battery_post
+        self.active = active
+        self.switched = switched
+        self.packets = packets
+        self.suppressed = suppressed
+        self.packet_mode = packet_mode
+        self.initial_active = initial_active
+        self.params = params
+        self.profile = profile
+        self.feedback_log = [] if feedback_log is None else feedback_log
+        self._records = None
+
     def __len__(self):
-        return len(self.records)
+        return len(self.slots)
+
+    @property
+    def records(self) -> list:
+        """The trace as a list of ``SlotRecord``, built on first access and
+        kept; the library's own functions read the columns instead."""
+        if self._records is None:
+            flags = [tuple(bool(m >> u & 1) for u in range(self.n_nodes))
+                     for m in range(1 << self.n_nodes)]
+            self._records = list(map(
+                SlotRecord, self.slots, zip(*self.battery_pre),
+                zip(*self.battery_post), self.active,
+                map(bool, self.switched), self.packets,
+                map(flags.__getitem__, self.suppressed)))
+        return self._records
 
     def switch_slots(self) -> list[int]:
-        return [r.slot for r in self.records if r.switched]
+        return list(compress(self.slots, self.switched))
 
-    def activation_slots(self, node: int = 0) -> list[int]:
-        """Slots whose exchange handed forwarding to ``node``."""
-        return [r.slot for r in self.records if r.switched and r.active == node]
-
-    def offered(self, index: int):
-        """Offered load during the slot that follows record ``index``."""
+    def inputs(self, params: Optional[SystemParams] = None) -> tuple:
+        """Harvest rates and offered load of every slot, as two sequences:
+        the profile's columns, else the constants of ``params`` (default:
+        the trace's own parameters) repeated."""
         if self.profile is not None:
-            return self.profile.input_rate[index]
-        if self.params is not None:
-            return self.params.input_rate
-        raise ValueError("trace carries no offered-load information")
+            if self.profile.length < len(self):
+                raise ValueError("profile shorter than the trace")
+            return self.profile.harvest, self.profile.input_rate
+        p = params or self.params
+        if p is None:
+            raise ValueError("trace carries no harvest or offered-load "
+                             "information")
+        return (p.harvest_rates,) * len(self), (p.input_rate,) * len(self)
 
-    def harvest(self, index: int) -> tuple:
-        if self.profile is not None:
-            return self.profile.harvest[index]
-        if self.params is not None:
-            return self.params.harvest_rates
-        raise ValueError("trace carries no harvest information")
+
+def _record_columns(records, n, whole):
+    """The columns of ``Trace`` from a list of ``SlotRecord``."""
+    pre = [[r.battery_pre[u] for r in records] for u in range(n)]
+    post = [[r.battery_post[u] for r in records] for u in range(n)]
+    packets = [r.packets for r in records]
+    floats = _all_floats(chain(packets, *pre, *post))
+    masks = [sum(bool(s) << u for u, s in enumerate(r.suppressed))
+             for r in records]
+    return (_slot_column(r.slot for r in records),
+            tuple(_level_column(col, floats) for col in pre),
+            tuple(_level_column(col, floats) for col in post),
+            _flag_column(r.active for r in records),
+            _flag_column(bool(r.switched) for r in records),
+            _level_column(packets, floats and not whole),
+            _flag_column(masks))
 
 
 @dataclass(frozen=True)

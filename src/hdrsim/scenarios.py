@@ -4,19 +4,15 @@ and the closed-loop input-rate controller."""
 from __future__ import annotations
 
 import csv
+import math
+import operator
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Optional
 
 from .analytic import feedback_input_rate
-from .engine import step
-from .model import (
-    FRACTIONAL,
-    Profile,
-    SystemParams,
-    Trace,
-    constant_profile,
-    default_state,
-)
+from .engine import run
+from .model import FRACTIONAL, Profile, SystemParams, Trace
 
 __all__ = [
     "WindowStats",
@@ -24,7 +20,6 @@ __all__ = [
     "windowed_stats",
     "write_window_stats_csv",
     "run_with_feedback",
-    "constant_profile",
 ]
 
 
@@ -84,6 +79,8 @@ def load_profile(source) -> Profile:
             values = [float(cell) for cell in row[1:]]
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric value") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"line {lineno}: non-finite value")
         if any(x < 0 for x in values):
             raise ValueError(f"line {lineno}: negative value")
         pieces.append((lo, hi, tuple(values[:n]), values[n]))
@@ -115,27 +112,25 @@ def windowed_stats(trace: Trace, window: int) -> list[WindowStats]:
     shorter and is reported with its true length."""
     if window < 1:
         raise ValueError("window must be at least one slot")
+    harvest, rates = trace.inputs()
     n = trace.n_nodes
     out = []
-    for start in range(0, len(trace.records), window):
-        block = trace.records[start:start + window]
-        offered = sum(trace.offered(start + j) for j in range(len(block)))
-        delivered = sum(r.packets for r in block)
+    for start in range(0, len(trace), window):
+        stop = min(start + window, len(trace))
+        length = stop - start
         harvested = [0] * n
-        level_sum = [0] * n
-        for j, r in enumerate(block):
-            row = trace.harvest(start + j)
+        for row in harvest[start:stop]:
             for u in range(n):
                 harvested[u] = harvested[u] + row[u]
-                level_sum[u] = level_sum[u] + r.battery_pre[u]
         out.append(WindowStats(
             window=len(out),
-            start_slot=block[0].slot,
-            length=len(block),
-            offered=offered,
-            delivered=delivered,
+            start_slot=trace.slots[start],
+            length=length,
+            offered=sum(rates[start:stop]),
+            delivered=sum(trace.packets[start:stop]),
             harvested=tuple(harvested),
-            mean_battery=tuple(s / len(block) for s in level_sum),
+            mean_battery=tuple(reduce(operator.add, col[start:stop], 0)
+                               / length for col in trace.battery_pre),
         ))
     return out
 
@@ -178,37 +173,19 @@ def run_with_feedback(params: SystemParams, horizon: Optional[int] = None,
     """
     if estimator_window < 1:
         raise ValueError("estimator window must be at least one cycle")
-    if profile is not None:
-        if profile.n_nodes != params.n_nodes:
-            raise ValueError("profile node count does not match parameters")
-        if horizon is None:
-            horizon = profile.length
-        elif horizon > profile.length:
-            raise ValueError("profile shorter than requested run")
-    elif horizon is None:
+    if profile is None and horizon is None:
         raise ValueError("horizon required when no profile is given")
-
-    state = default_state(params, packet_mode=packet_mode,
-                          batteries=initial_batteries, active=initial_active)
-    first_active = state.active
     g = params.input_rate
-    records = []
-    used_harvest = []
-    used_rate = []
     feedback_log = []
     cycle_lengths = []
     last_activation = None
 
-    for k in range(horizon):
-        harvest = params.harvest_rates if profile is None else profile.harvest[k]
-        state, rec = step(params, state, harvest=harvest, input_rate=g)
-        records.append(rec)
-        used_harvest.append(tuple(harvest))
-        used_rate.append(g)
-        if rec.switched and rec.active == 0:
+    def steer(k, active, switched, harvest):
+        nonlocal g, last_activation
+        if switched and active == 0:
             if last_activation is not None:
-                cycle_lengths.append(rec.slot - last_activation)
-            last_activation = rec.slot
+                cycle_lengths.append(k - last_activation)
+            last_activation = k
             if len(cycle_lengths) >= estimator_window:
                 recent = cycle_lengths[-estimator_window:]
                 estimate = sum(recent) / len(recent)
@@ -218,9 +195,11 @@ def run_with_feedback(params: SystemParams, horizon: Optional[int] = None,
                     flagged = False
                 except ValueError:
                     flagged = True
-                feedback_log.append((rec.slot, estimate, g, flagged))
+                feedback_log.append((k, estimate, g, flagged))
+        return g
 
-    effective = Profile(harvest=tuple(used_harvest), input_rate=tuple(used_rate))
-    return Trace(records=records, n_nodes=params.n_nodes,
-                 packet_mode=packet_mode, initial_active=first_active,
-                 params=params, profile=effective, feedback_log=feedback_log)
+    trace = run(params, n_slots=horizon, profile=profile,
+                packet_mode=packet_mode, initial_batteries=initial_batteries,
+                initial_active=initial_active, steer=steer)
+    trace.feedback_log = feedback_log
+    return trace

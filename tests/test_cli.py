@@ -117,6 +117,16 @@ def test_bad_initial_active(tmp_path):
                  write_config(tmp_path / "c.json", initial_active=3)]) == 1
 
 
+@pytest.mark.parametrize("levels", [["NaN", 50.0], [500.0, -30.0]])
+def test_bad_initial_batteries(tmp_path, capsys, levels):
+    path = tmp_path / "c.json"
+    write_config(path, initial_batteries=levels, out=str(tmp_path / "out"))
+    # strict JSON has no NaN, but Python's json module reads the literal
+    path.write_text(path.read_text().replace('"NaN"', "NaN"))
+    assert main(["run", "--config", str(path)]) == 1
+    assert "initial battery level" in capsys.readouterr().err
+
+
 def test_bad_policy_name(tmp_path):
     assert main(["run", "--config",
                  write_config(tmp_path / "c.json", policy="lru")]) == 1
@@ -189,6 +199,13 @@ def test_compare_without_cycles_is_a_runtime_failure(tmp_path, capsys):
                        horizon=300)
     assert main(["compare", "--config", cfg]) == 2
     capsys.readouterr()
+
+
+def test_compare_rejects_a_profile(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", profile=FLAT,
+                       out=str(tmp_path / "out"))
+    assert main(["compare", "--config", cfg]) == 1
+    assert "profile" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

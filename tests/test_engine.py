@@ -1,6 +1,9 @@
 """Slot-level dynamics: switching, charging clips, packet accounting."""
 
 import dataclasses
+import gc
+import tracemalloc
+from array import array
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hdrsim import (
     SimState,
+    Trace,
     constant_profile,
     default_state,
     detect_cycles,
@@ -236,6 +240,18 @@ def test_trace_csv_round_trip(tmp_path):
         assert a.packets == b.packets
 
 
+@pytest.mark.parametrize("value", ["0", "3", "300"])
+def test_read_trace_csv_rejects_unknown_nodes(tmp_path, value):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run(diamond(), n_slots=5), path)
+    header, first, *rest = path.read_text().splitlines()
+    cells = dict(zip(header.split(","), first.split(",")))
+    cells["active"] = value
+    path.write_text("\n".join([header, ",".join(cells.values()), *rest]))
+    with pytest.raises(ValueError, match="out of range"):
+        read_trace_csv(path)
+
+
 @given(
     e1=st.floats(0.1, 1.0), e2=st.floats(0.1, 1.0),
     g=st.floats(2.0, 30.0), h1=st.floats(0.5, 20.0), h2=st.floats(0.5, 20.0),
@@ -263,3 +279,151 @@ def test_invariants_hold_with_control_costs(e1, e2, e3, g, h, es, whole):
     trace = run(params, n_slots=250,
                 packet_mode="whole" if whole else "fractional")
     assert verify_trace(trace, params) == []
+
+
+# ---------------------------------------------------------------------------
+# columnar trace
+# ---------------------------------------------------------------------------
+
+# write_trace_csv output, byte for byte, for a 14-slot es3 run in whole
+# packets with control costs: a broke relay in slot 0, a partial slot in
+# slot 1, handovers and ceiling clips afterwards.
+GOLDEN_TRACE_CSV = (
+    'slot,active,switched,packets,battery_pre1,battery_pre2,battery_pre3,'
+    'battery_post1,battery_post2,battery_post3,suppressed1,suppressed2,'
+    'suppressed3\r\n'
+    '0,1,0,0,0.050000000000000003,1.25,1.5,0.050000000000000003,1.24,1.49,1,0,'
+    '0\r\n'
+    '1,1,0,2,0.15000000000000002,1.9399999999999999,2.29,0.14000000000000001,'
+    '1.9299999999999999,2.2800000000000002,0,0,0\r\n'
+    '2,3,1,17,0.080000000000000016,2.6299999999999999,3.0800000000000001,'
+    '0.020000000000000018,2.5700000000000003,3.0200000000000005,0,0,0\r\n'
+    '3,3,0,17,0.12000000000000002,3.2700000000000005,2.46,0.11000000000000003,'
+    '3.2600000000000007,2.4500000000000002,0,0,0\r\n'
+    '4,3,0,17,0.21000000000000002,3.9600000000000009,1.8899999999999999,'
+    '0.20000000000000001,3.9500000000000011,1.8799999999999999,0,0,0\r\n'
+    '5,3,0,17,0.30000000000000004,4,1.3199999999999996,0.29000000000000004,'
+    '3.9900000000000002,1.3099999999999996,0,0,0\r\n'
+    '6,2,1,17,0.39000000000000001,4,0.74999999999999933,0.33000000000000002,'
+    '3.9400000000000004,0.68999999999999928,0,0,0\r\n'
+    '7,2,0,17,0.43000000000000005,3.2800000000000002,1.4899999999999993,'
+    '0.42000000000000004,3.2700000000000005,1.4799999999999993,0,0,0\r\n'
+    '8,2,0,17,0.52000000000000002,2.6100000000000003,2.2799999999999994,'
+    '0.51000000000000001,2.6000000000000005,2.2699999999999996,0,0,0\r\n'
+    '9,2,0,17,0.60999999999999999,1.9400000000000006,3.0699999999999994,'
+    '0.59999999999999998,1.9300000000000006,3.0599999999999996,0,0,0\r\n'
+    '10,2,0,17,0.69999999999999996,1.2700000000000007,3.8599999999999994,'
+    '0.68999999999999995,1.2600000000000007,3.8499999999999996,0,0,0\r\n'
+    '11,3,1,17,0.78999999999999992,0.60000000000000053,4,0.72999999999999987,'
+    '0.54000000000000048,3.9400000000000004,0,0,0\r\n'
+    '12,3,0,17,0.82999999999999985,1.2400000000000004,3.3799999999999999,'
+    '0.81999999999999984,1.2300000000000004,3.3700000000000001,0,0,0\r\n'
+    '13,3,0,17,0.91999999999999982,1.9300000000000004,2.8099999999999996,'
+    '0.90999999999999981,1.9200000000000004,2.7999999999999998,0,0,0\r\n'
+)
+
+
+def test_trace_csv_golden_bytes(tmp_path):
+    params = three(g=17.5, ct=0.01, cr=0.05, cap=4.0, h=(3.0, 3.0, 3.0),
+                   es=True)
+    trace = run(params, n_slots=14, packet_mode="whole",
+                initial_batteries=(0.05, 1.25, 1.5))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    assert path.read_bytes() == "".join(GOLDEN_TRACE_CSV).encode()
+    back = read_trace_csv(path)
+    assert back.records == [dataclasses.replace(r, packets=float(r.packets))
+                            for r in trace.records]
+
+
+def dyadic_diamond(v):
+    """Parameters whose trajectory stays on a grid of 1/64 mJ, so float
+    arithmetic is exact and must match Fraction arithmetic bit for bit."""
+    return diamond(e=(v("0.25"), v("0.75")), g=v("20"), c=v("0.0625"),
+                   h=(v("56"), v("40")), ct=v("0.015625"), cr=v("0.03125"),
+                   cap=v("64"))
+
+
+def slot_kind(r):
+    if r.switched:
+        return "handover"
+    if r.packets == 0:
+        return "broke"
+    return "full" if r.packets == 20 else "partial"
+
+
+@pytest.mark.parametrize("mode", ["fractional", "whole"])
+def test_float_and_fraction_runs_agree(mode):
+    # the array path (floats) against the list path (Fractions)
+    floats, exact = dyadic_diamond(float), dyadic_diamond(F)
+    seen = set()
+    for start in ((F(12), F(63)), (F(1, 64), F(50))):
+        a = run(floats, n_slots=3000, packet_mode=mode,
+                initial_batteries=tuple(map(float, start)))
+        b = run(exact, n_slots=3000, packet_mode=mode,
+                initial_batteries=start)
+        assert isinstance(a.battery_pre[0], array)
+        assert isinstance(b.battery_pre[0], list)
+        assert a.records == b.records
+        assert detect_cycles(a) == detect_cycles(b)
+        assert summarize(a).per_node_packets == summarize(b).per_node_packets
+        assert verify_trace(a, tol=0) == []
+        assert verify_trace(b, tol=0) == []
+        seen |= {slot_kind(r) for r in b.records}
+        seen |= {"status withheld" for r in b.records if any(r.suppressed)}
+        seen |= {"clipped" for r in b.records if 64 in r.battery_pre}
+    assert seen == {"handover", "broke", "full", "partial",
+                    "status withheld", "clipped"}
+
+
+def test_float_trace_memory_is_bounded():
+    params = diamond(ct=0.01, cr=0.05)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run(params, n_slots=10_000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 10_000
+    assert held / 10_000 <= 64
+
+
+def test_records_view_round_trip():
+    params = three(g=20.0, ct=0.01, cr=0.05)
+    trace = run(params, n_slots=300, packet_mode="whole")
+    assert trace.records is trace.records          # built once
+    assert isinstance(trace.records[0].switched, bool)
+    assert isinstance(trace.records[0].packets, int)
+    rebuilt = Trace(records=trace.records, n_nodes=3, packet_mode="whole",
+                    initial_active=0, params=params)
+    assert rebuilt.records == trace.records
+    assert rebuilt.slots == range(300)
+    assert verify_trace(rebuilt) == []
+    assert summarize(rebuilt) == summarize(trace)
+    copy = dataclasses.replace(trace, feedback_log=[])
+    assert copy.records == trace.records
+    assert trace.switch_slots() == [r.slot for r in trace.records
+                                    if r.switched]
+
+
+def test_run_starts_from_a_given_state():
+    params = diamond(ct=0.01, cr=0.05)
+    full = run(params, n_slots=60)
+    state = default_state(params)
+    for _ in range(20):
+        state, _ = step(params, state)
+    tail = run(params, n_slots=40, state=state)
+    assert tail.slots == range(20, 60)
+    assert tail.records == full.records[20:]
+    assert detect_cycles(tail, warmup=30) == detect_cycles(full, warmup=30)
+
+
+@pytest.mark.parametrize("levels", [
+    (float("nan"), 50.0), (50.0, float("inf")), (500.0, -30.0),
+    (100.5, 50.0), (50.0, -1e-9),
+])
+def test_run_rejects_bad_initial_levels(levels):
+    with pytest.raises(ValueError, match="initial battery level"):
+        run(diamond(), n_slots=10, initial_batteries=levels)

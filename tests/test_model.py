@@ -116,6 +116,20 @@ def test_default_state_rejects_bad_mode(diamond_params):
         default_state(diamond_params, packet_mode="half")
 
 
+@pytest.mark.parametrize("levels", [
+    (float("nan"), 50.0), (50.0, float("-inf")), (500.0, -30.0),
+    (-0.5, 50.0), (50.0, 100.000001),
+])
+def test_default_state_rejects_bad_levels(diamond_params, levels):
+    with pytest.raises(ValueError, match="initial battery level"):
+        default_state(diamond_params, batteries=levels)
+
+
+def test_default_state_accepts_the_range_ends(diamond_params):
+    s = default_state(diamond_params, batteries=(0.0, 100.0))
+    assert s.battery_pre == (0.0, 100.0)
+
+
 def test_slot_record_gap():
     r = SlotRecord(slot=0, battery_pre=(5.0, 3.0), battery_post=(4.0, 3.5),
                    active=0, switched=False, packets=1.0,

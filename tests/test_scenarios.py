@@ -65,6 +65,13 @@ def test_load_profile_rejects_malformed_input(text, fragment):
         load_profile(io.StringIO(text))
 
 
+@pytest.mark.parametrize("cells", ["nan,0.2,6", "0.1,inf,6", "0.1,0.2,-inf",
+                                   "0.1,0.2,NaN"])
+def test_load_profile_rejects_non_finite_values(cells):
+    with pytest.raises(ValueError, match="non-finite"):
+        load_profile(io.StringIO(f"slot_range,e1,e2,g\n0-3,{cells}\n"))
+
+
 def test_bundled_profiles_share_the_harvest_budget():
     flat = load_profile(FLAT)
     sched = load_profile(SCHEDULED)

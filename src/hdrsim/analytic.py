@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import SystemParams
+from .model import CycleStats, SystemParams
 
 __all__ = [
     "SteadyStateSummary",
@@ -433,8 +433,6 @@ def cycle_step_three(state: CycleStepState, params: SystemParams):
 
 
 def _phase_result(state, params, v, x, u, slots, new_v, new_x, new_u, packets):
-    from .model import CycleStats
-
     n = params.n_nodes
     levels = [None] * n
     levels[v] = new_v

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from . import analytic, engine, scenarios
@@ -22,9 +21,9 @@ from .model import (
     EarliestSwitch3,
     Hysteresis2,
     PACKET_MODES,
-    Profile,
     RoundRobin3,
     SystemParams,
+    ThresholdPolicy,
     validate,
 )
 
@@ -82,22 +81,17 @@ def _build_params(cfg: dict) -> SystemParams:
         )
     except KeyError as exc:
         raise ConfigError(f"config missing required key {exc.args[0]!r}") from None
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
 
 def _effective(cfg: dict, args) -> dict:
     """Config with command-line overrides folded in."""
     out = dict(cfg)
-    for key in ("policy", "horizon", "warmup", "out"):
+    for key in ("policy", "horizon", "warmup", "out", "packet_mode"):
         value = getattr(args, key, None)
         if value is not None:
             out[key] = value
-    mode = getattr(args, "packet_mode", None)
-    if mode is not None:
-        out["packet_mode"] = mode
     return out
 
 
@@ -266,10 +260,8 @@ def _with_axis(params: SystemParams, name: str, value) -> SystemParams:
         # scale all thresholds, preserving their ratios
         ths = params.thresholds
         total = ths.total
-        fields = {f: getattr(ths, f) * value / total
-                  for f in ("threshold1", "threshold2", "threshold3")
-                  if hasattr(ths, f)}
-        return replace(params, thresholds=type(ths)(**fields))
+        return replace(params, thresholds=ThresholdPolicy(
+            tuple(t * value / total for t in ths.values), ths.rule))
     raise ConfigError(f"unsupported sweep axis {name!r}; use h or g")
 
 
@@ -283,9 +275,7 @@ def cmd_sweep(args, cfg) -> int:
         return [v, analytic.steady_input_rate(local), pred.cycle_length,
                 _split_text(pred), pred.drift]
 
-    with ThreadPoolExecutor(max_workers=min(8, len(values))) as pool:
-        rows = list(pool.map(point, values))
-
+    rows = [point(v) for v in values]
     lines = [f"{name},steady_input_rate,cycle_length,split,drift"]
     for v, gs, length, split, drift in rows:
         lines.append(",".join([_fmt(v), _fmt(gs), _fmt(length), split,
@@ -386,10 +376,7 @@ def main(argv=None) -> int:
     try:
         cfg = _effective(_load_config(args.config), args)
         return args.func(args, cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:      # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

@@ -127,7 +127,8 @@ def _slot_rule(params: SystemParams, whole: bool):
 
 
 def step(params: SystemParams, state: SimState, harvest=None, input_rate=None):
-    """Advance one slot.  Returns (new_state, record).
+    """Advance one slot.  Returns (new_state, record): the state the next
+    step starts from and the ``SlotRecord`` of slot ``state.slot``.
 
     ``harvest``/``input_rate`` override the static parameters for this slot
     (used by profile-driven runs).
@@ -146,14 +147,10 @@ def step(params: SystemParams, state: SimState, harvest=None, input_rate=None):
         packets=packets,
         suppressed=tuple(quiet and u == v for u in range(params.n_nodes)),
     )
-    forwarded = list(state.forwarded)
-    forwarded[active] = forwarded[active] + packets
     new_state = SimState(
         slot=state.slot + 1,
         battery_pre=tuple(nxt),
         active=active,
-        forwarded=tuple(forwarded),
-        battery_post=tuple(post),
         packet_mode=state.packet_mode,
     )
     return new_state, record
@@ -325,12 +322,15 @@ def energy_ledger(trace: Trace, params: Optional[SystemParams] = None):
     p = params or trace.params
     if p is None:
         raise ValueError("parameters required to audit a bare trace")
+    return list(_ledger_rows(trace, p, trace.inputs(p)[0]))
+
+
+def _ledger_rows(trace: Trace, p: SystemParams, harvest):
+    """The rows of ``energy_ledger``, one at a time; ``harvest`` holds the
+    slots' harvest rates."""
     c, status, switch = p.packet_energy, p.status_energy, p.switch_energy
     cap = p.battery_capacity
     nodes = range(p.n_nodes)
-    harvest, _ = trace.inputs(p)
-    out = []
-    append = out.append
     for slot, (a, b), v, switched, packets, mask, e in zip(
             trace.slots, pairwise(zip(*trace.battery_pre)), trace.active,
             trace.switched, trace.packets, trace.suppressed, harvest):
@@ -341,8 +341,7 @@ def energy_ledger(trace: Trace, params: Optional[SystemParams] = None):
                       - (0 if mask >> u & 1 else status)
                       - handover
                       - spent)
-            append((slot, u, (b[u] - a[u]) - expect, b[u] == cap))
-    return out
+            yield slot, u, (b[u] - a[u]) - expect, b[u] == cap
 
 
 def verify_trace(trace: Trace, params: Optional[SystemParams] = None,
@@ -393,7 +392,7 @@ def verify_trace(trace: Trace, params: Optional[SystemParams] = None,
                        f"mismatch")
         prev_active = v
 
-    for slot, u, resid, at_cap in energy_ledger(trace, p):
+    for slot, u, resid, at_cap in _ledger_rows(trace, p, harvest):
         if abs(resid) <= tol:
             continue
         if at_cap and resid < 0:

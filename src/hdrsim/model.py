@@ -16,7 +16,7 @@ import math
 from array import array
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 __all__ = [
     "FRACTIONAL",
@@ -54,94 +54,72 @@ def _check_thresholds(*values):
             raise ValueError(f"thresholds must be positive, got {v!r}")
 
 
-@dataclass(frozen=True)
-class Hysteresis2:
-    """Two-relay hysteresis rule.
-
-    ``threshold1`` guards the handover away from node 1: while node 1
-    forwards, the roles swap at the first slot end where the idle node's
-    battery leads by at least ``threshold1``.  ``threshold2`` plays the same
-    role while node 2 forwards.
-    """
-
-    threshold1: float
-    threshold2: float
-
-    n_nodes = 2
-
-    def __post_init__(self):
-        _check_thresholds(self.threshold1, self.threshold2)
-
-    @property
-    def total(self):
-        return self.threshold1 + self.threshold2
-
-    def threshold_from(self, active: int):
-        return self.threshold1 if active == 0 else self.threshold2
-
-    def candidates(self, active: int) -> tuple[int, ...]:
-        return (1 - active,)
+_RULES = ("rr", "es")
 
 
 @dataclass(frozen=True)
-class RoundRobin3:
-    """Three-relay rule with a fixed successor order 1 -> 2 -> 3 -> 1.
+class ThresholdPolicy:
+    """The hysteresis rule: while node ``u`` forwards, the role moves to an
+    idle candidate whose battery leads by at least ``values[u]``.
 
-    Only the designated successor is examined: while node u forwards, the
-    swap fires when the successor's battery leads by ``threshold_u``.
+    ``rule`` picks the candidates.  Under ``"rr"`` (round robin) the only
+    candidate is the successor ``(u + 1) % n``; under ``"es"`` (earliest
+    switch) every idle node is one, and of several that qualify in the same
+    slot the larger lead wins, remaining ties going to the lower index.
+    With two nodes both rules name the other node.
     """
 
-    threshold1: float
-    threshold2: float
-    threshold3: float
-
-    n_nodes = 3
+    values: tuple
+    rule: str = "rr"
 
     def __post_init__(self):
-        _check_thresholds(self.threshold1, self.threshold2, self.threshold3)
+        object.__setattr__(self, "values", tuple(self.values))
+        _check_thresholds(*self.values)
+        if self.rule not in _RULES:
+            raise ValueError(f"unknown successor rule {self.rule!r}; "
+                             f"expected one of {_RULES}")
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.values)
 
     @property
     def total(self):
-        return self.threshold1 + self.threshold2 + self.threshold3
-
-    def threshold_from(self, active: int):
-        return (self.threshold1, self.threshold2, self.threshold3)[active]
-
-    def candidates(self, active: int) -> tuple[int, ...]:
-        return ((active + 1) % 3,)
-
-
-@dataclass(frozen=True)
-class EarliestSwitch3:
-    """Three-relay rule that hands over to whichever idle node first
-    qualifies.
-
-    The threshold depends only on the node handing off (same bar for both
-    idle nodes).  If both qualify in the same slot the larger lead wins and
-    remaining ties go to the lower node index.
-    """
-
-    threshold1: float
-    threshold2: float
-    threshold3: float
-
-    n_nodes = 3
-
-    def __post_init__(self):
-        _check_thresholds(self.threshold1, self.threshold2, self.threshold3)
+        return sum(self.values)
 
     @property
-    def total(self):
-        return self.threshold1 + self.threshold2 + self.threshold3
+    def threshold1(self):
+        return self.values[0]
+
+    @property
+    def threshold2(self):
+        return self.values[1]
 
     def threshold_from(self, active: int):
-        return (self.threshold1, self.threshold2, self.threshold3)[active]
+        return self.values[active]
 
     def candidates(self, active: int) -> tuple[int, ...]:
-        return tuple(u for u in range(3) if u != active)
+        n = len(self.values)
+        if self.rule == "rr":
+            return ((active + 1) % n,)
+        return tuple(u for u in range(n) if u != active)
 
 
-ThresholdPolicy = Union[Hysteresis2, RoundRobin3, EarliestSwitch3]
+def Hysteresis2(threshold1, threshold2) -> ThresholdPolicy:
+    """The two-relay rule: ``threshold1`` guards the handover away from
+    node 1, ``threshold2`` the one away from node 2."""
+    return ThresholdPolicy((threshold1, threshold2), "rr")
+
+
+def RoundRobin3(threshold1, threshold2, threshold3) -> ThresholdPolicy:
+    """Three relays with the fixed successor order 1 -> 2 -> 3 -> 1."""
+    return ThresholdPolicy((threshold1, threshold2, threshold3), "rr")
+
+
+def EarliestSwitch3(threshold1, threshold2, threshold3) -> ThresholdPolicy:
+    """Three relays; the role goes to whichever idle node first leads the
+    forwarding node by that node's threshold."""
+    return ThresholdPolicy((threshold1, threshold2, threshold3), "es")
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +138,8 @@ class SystemParams:
                       is under the control floor)
     switch_energy     handover command cost, mJ, paid by every node at a swap
     battery_capacity  storage ceiling per node, mJ
-    thresholds        switching policy; its arity must match harvest_rates
+    thresholds        ``ThresholdPolicy``, one threshold per node, so its
+                      arity must match harvest_rates
     """
 
     harvest_rates: tuple
@@ -270,21 +249,17 @@ def validate(params: SystemParams, strict: bool = False) -> ValidationReport:
 
 @dataclass(frozen=True)
 class SimState:
-    """Snapshot taken just before the end of ``slot``.
+    """Where a run stands just before the end of ``slot``: all a step
+    needs to go on.
 
     battery_pre   per-node level just before the slot-end control exchange
-    battery_post  per-node level right after the previous exchange (None
-                  before the first step)
     active        0-based index of the forwarding node for the current slot
-    forwarded     cumulative packets credited per node
     packet_mode   "fractional" or "whole"
     """
 
     slot: int
     battery_pre: tuple
     active: int
-    forwarded: tuple
-    battery_post: Optional[tuple] = None
     packet_mode: str = FRACTIONAL
 
     def __post_init__(self):
@@ -295,7 +270,7 @@ class SimState:
 def default_state(params: SystemParams, packet_mode: str = FRACTIONAL,
                   batteries: Optional[Sequence] = None,
                   active: int = 0) -> SimState:
-    """Half-full batteries, node 1 forwarding, nothing sent yet.  Given
+    """Half-full batteries, node 1 forwarding, slot 0.  Given
     levels must be finite and inside ``[0, battery_capacity]``."""
     n = params.n_nodes
     if batteries is None:
@@ -312,7 +287,6 @@ def default_state(params: SystemParams, packet_mode: str = FRACTIONAL,
     if not 0 <= active < n:
         raise ValueError(f"active node index {active} out of range")
     return SimState(slot=0, battery_pre=batteries, active=active,
-                    forwarded=tuple(0 for _ in range(n)),
                     packet_mode=packet_mode)
 
 

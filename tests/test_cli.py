@@ -6,7 +6,7 @@ import json
 import pytest
 
 from hdrsim import read_trace_csv
-from hdrsim.cli import main
+from hdrsim.cli import _build_params, _with_axis, main
 
 FLAT = str(importlib.resources.files("hdrsim") / "data"
            / "harvest_flat_input.csv")
@@ -236,6 +236,69 @@ def test_sweep_rejects_bad_axes(config, capsys):
     assert main(["sweep", "--config", config, "--axis", "h=5:1:1"]) == 1
     assert main(["sweep", "--config", config, "--axis", "cap=1:9:1"]) == 1
     capsys.readouterr()
+
+
+# `hdrsim sweep --axis h=12:31:1.9` stdout, byte for byte, for the
+# three-node config of test_sweep_h_axis_three_nodes_golden_stdout; both
+# successor rules share the closed form, so both print this.
+GOLDEN_SWEEP_H_THREE = (
+    "h,steady_input_rate,cycle_length,split,drift\n"
+    "12,22.8515738771,14.451382694,0.196428571429:0.732142857143:1,"
+    "1.92136485281\n"
+    "13.9,22.9214863975,16.7395182872,0.196428571429:0.732142857143:1,"
+    "2.2493309545\n"
+    "15.8,22.974923914,19.0276538805,0.196428571429:0.732142857143:1,"
+    "2.5772970562\n"
+    "17.7,23.0170960178,21.3157894737,0.196428571429:0.732142857143:1,"
+    "2.90526315789\n"
+    "19.6,23.0512253291,23.6039250669,0.196428571429:0.732142857143:1,"
+    "3.23322925959\n"
+    "21.5,23.0794123237,25.8920606601,0.196428571429:0.732142857143:1,"
+    "3.56119536128\n"
+    "23.4,23.1030846395,28.1801962533,0.196428571429:0.732142857143:1,"
+    "3.88916146298\n"
+    "25.3,23.1232465081,30.4683318466,0.196428571429:0.732142857143:1,"
+    "4.21712756467\n"
+    "27.2,23.140624885,32.7564674398,0.196428571429:0.732142857143:1,"
+    "4.54509366637\n"
+    "29.1,23.1557589673,35.044603033,0.196428571429:0.732142857143:1,"
+    "4.87305976806\n"
+    "31,23.1690571345,37.3327386262,0.196428571429:0.732142857143:1,"
+    "5.20102586976\n"
+)
+
+
+@pytest.mark.parametrize("policy", ["rr3", "es3"])
+def test_sweep_h_axis_three_nodes_golden_stdout(tmp_path, capsys, policy):
+    cfg = write_config(tmp_path / "c.json", policy=policy,
+                       harvest_rates=[0.3, 0.7, 0.9], input_rate=18.0,
+                       thresholds=[4.5, 7.25, 11.0])
+    assert main(["sweep", "--config", cfg, "--axis", "h=12:31:1.9"]) == 0
+    assert capsys.readouterr().out == GOLDEN_SWEEP_H_THREE
+
+
+@pytest.mark.parametrize("policy, rule", [("hyst2", "rr"), ("rr3", "rr"),
+                                          ("es3", "es")])
+def test_sweep_h_axis_scales_thresholds_and_keeps_the_rule(policy, rule):
+    ths = (6.2, 5.0) if policy == "hyst2" else (4.5, 7.25, 11.0)
+    params = _build_params({"harvest_rates": [0.3, 0.7, 0.9][:len(ths)],
+                            "input_rate": 18.0, "packet_energy": 0.08,
+                            "policy": policy, "thresholds": list(ths)})
+    scaled = _with_axis(params, "h", 29.1).thresholds
+    assert scaled.rule == rule
+    assert scaled.values == tuple(t * 29.1 / sum(ths) for t in ths)
+
+
+@pytest.mark.parametrize("policy, thresholds", [
+    ("hyst2", [6.2, 5.0, 4.0]), ("rr3", [6.2, 5.0]), ("es3", [6.2, 5.0])])
+def test_threshold_count_must_match_the_policy(tmp_path, capsys, policy,
+                                               thresholds):
+    # as many harvest rates as thresholds: only the policy name objects
+    cfg = write_config(tmp_path / "c.json", policy=policy,
+                       harvest_rates=[0.3, 0.7, 0.9][:len(thresholds)],
+                       thresholds=thresholds)
+    assert main(["analytic", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

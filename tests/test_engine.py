@@ -10,7 +10,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hdrsim import (
+    Hysteresis2,
     SimState,
+    ThresholdPolicy,
     Trace,
     constant_profile,
     default_state,
@@ -67,8 +69,7 @@ def test_fractional_duty_midpoint():
     # level exactly halfway between the floor and a full slot of draining:
     # half the slot at full rate, half at the recharge rate
     params = diamond(e=(0.8, 0.6), g=17.5, h=(60, 60))
-    state = SimState(slot=0, battery_pre=(0.3, 50.0), active=0,
-                     forwarded=(0.0, 0.0))
+    state = SimState(slot=0, battery_pre=(0.3, 50.0), active=0)
     nxt, rec = step(params, state)
     assert rec.packets == pytest.approx(0.5 * 17.5 + 0.5 * 0.8 / 0.08)
     assert nxt.battery_pre[0] == pytest.approx(0.0)
@@ -76,8 +77,7 @@ def test_fractional_duty_midpoint():
 
 def test_active_below_floor_idles_and_charges():
     params = diamond(e=(0.8, 0.6), g=17.5, h=(60, 60), ct=0.01, cr=0.05)
-    state = SimState(slot=0, battery_pre=(0.05, 50.0), active=0,
-                     forwarded=(0.0, 0.0))
+    state = SimState(slot=0, battery_pre=(0.05, 50.0), active=0)
     nxt, rec = step(params, state)
     assert rec.packets == 0
     assert rec.suppressed == (True, False)
@@ -88,8 +88,7 @@ def test_active_below_floor_idles_and_charges():
 
 def test_handover_costs_and_full_slot():
     params = diamond(e=(0.8, 0.6), g=17.5, h=(5, 5), ct=0.01, cr=0.05)
-    state = SimState(slot=0, battery_pre=(40.0, 50.0), active=0,
-                     forwarded=(0.0, 0.0))
+    state = SimState(slot=0, battery_pre=(40.0, 50.0), active=0)
     nxt, rec = step(params, state)
     assert rec.switched and rec.active == 1
     assert rec.packets == pytest.approx(17.5)
@@ -101,8 +100,7 @@ def test_handover_costs_and_full_slot():
 
 def test_charging_clips_at_capacity():
     params = diamond(e=(0.8, 0.6), g=17.5, h=(60, 60), cap=50.0)
-    state = SimState(slot=0, battery_pre=(30.0, 49.9), active=0,
-                     forwarded=(0.0, 0.0))
+    state = SimState(slot=0, battery_pre=(30.0, 49.9), active=0)
     nxt, _ = step(params, state)
     assert nxt.battery_pre[1] == 50.0
 
@@ -111,13 +109,12 @@ def test_whole_packets_floor_without_carry():
     # entitlement 12.7 -> 12 packets, energy for exactly 12
     params = diamond(e=(0.8, 0.6), g=17.5, h=(60, 60))
     state = SimState(slot=0, battery_pre=(0.216, 50.0), active=0,
-                     forwarded=(0.0, 0.0), packet_mode="whole")
+                     packet_mode="whole")
     nxt, rec = step(params, state)
     assert rec.packets == 12
     assert nxt.battery_pre[0] == pytest.approx(0.216 + 0.8 - 12 * 0.08)
     # and the shortfall is forgotten: fractional mode sends the full 12.7
-    frac = SimState(slot=0, battery_pre=(0.216, 50.0), active=0,
-                    forwarded=(0.0, 0.0))
+    frac = SimState(slot=0, battery_pre=(0.216, 50.0), active=0)
     _, frec = step(params, frac)
     assert frec.packets == pytest.approx(12.7)
 
@@ -166,16 +163,14 @@ def test_detect_cycles_without_switches():
 
 def test_earliest_switch_prefers_larger_excess():
     params = three(h=(2.0, 2.0, 2.0), es=True)
-    state = SimState(slot=0, battery_pre=(10.0, 13.0, 14.0), active=0,
-                     forwarded=(0.0, 0.0, 0.0))
+    state = SimState(slot=0, battery_pre=(10.0, 13.0, 14.0), active=0)
     _, rec = step(params, state)
     assert rec.switched and rec.active == 2
 
 
 def test_earliest_switch_tie_takes_lower_index():
     params = three(h=(2.0, 2.0, 2.0), es=True)
-    state = SimState(slot=0, battery_pre=(10.0, 14.0, 14.0), active=0,
-                     forwarded=(0.0, 0.0, 0.0))
+    state = SimState(slot=0, battery_pre=(10.0, 14.0, 14.0), active=0)
     _, rec = step(params, state)
     assert rec.switched and rec.active == 1
 
@@ -388,6 +383,38 @@ def test_float_trace_memory_is_bounded():
         tracemalloc.stop()
     assert len(trace) == 10_000
     assert held / 10_000 <= 64
+
+
+def test_verify_trace_memory_is_bounded():
+    # the audit streams its energy-ledger rows instead of listing them
+    trace = run(diamond(ct=0.01, cr=0.05), n_slots=10_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert verify_trace(trace) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 10_000 <= 64
+
+
+def test_two_node_rules_give_the_same_trace():
+    # hyst2 is round robin with n = 2, and earliest switch names the same
+    # single candidate
+    params = diamond(h=(6.2, 5.0), ct=0.01, cr=0.05)
+    traces = [run(dataclasses.replace(params, thresholds=policy),
+                  n_slots=3000, packet_mode="whole",
+                  initial_batteries=(0.05, 60.0))
+              for policy in (Hysteresis2(6.2, 5.0),
+                             ThresholdPolicy((6.2, 5.0), "rr"),
+                             ThresholdPolicy((6.2, 5.0), "es"))]
+    assert sum(traces[0].switched) > 100
+
+    def columns(t):
+        return (t.slots, t.battery_pre, t.battery_post, t.active, t.switched,
+                t.packets, t.suppressed)
+
+    assert columns(traces[0]) == columns(traces[1]) == columns(traces[2])
 
 
 def test_records_view_round_trip():

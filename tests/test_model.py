@@ -12,6 +12,7 @@ from hdrsim import (
     RoundRobin3,
     SlotRecord,
     SystemParams,
+    ThresholdPolicy,
     WHOLE,
     constant_profile,
     default_state,
@@ -43,6 +44,31 @@ def test_earliest_switch_candidates_are_both_others():
     assert set(pol.candidates(0)) == {1, 2}
     assert set(pol.candidates(1)) == {0, 2}
     assert set(pol.candidates(2)) == {0, 1}
+
+
+def test_named_policies_are_one_type_with_a_successor_rule():
+    assert Hysteresis2(4.0, 0.8) == ThresholdPolicy((4.0, 0.8), "rr")
+    assert RoundRobin3(5, 10, 10) == ThresholdPolicy((5, 10, 10), "rr")
+    assert EarliestSwitch3(5, 10, 10) == ThresholdPolicy((5, 10, 10), "es")
+    pol = ThresholdPolicy([0.1, 0.2, 0.7], "es")
+    assert pol.values == (0.1, 0.2, 0.7)
+    assert hash(pol) == hash(EarliestSwitch3(0.1, 0.2, 0.7))
+    assert (pol.threshold1, pol.threshold2) == (0.1, 0.2)
+    assert pol.total == 0.1 + 0.2 + 0.7            # the sum, bit for bit
+
+
+def test_named_policies_take_their_own_threshold_count():
+    with pytest.raises(TypeError):
+        Hysteresis2(1.0, 2.0, 3.0)
+    with pytest.raises(TypeError):
+        RoundRobin3(1.0, 2.0)
+    with pytest.raises(TypeError):
+        EarliestSwitch3(1.0, 2.0)
+
+
+def test_unknown_successor_rule():
+    with pytest.raises(ValueError, match="successor rule"):
+        ThresholdPolicy((1.0, 2.0), "lru")
 
 
 def test_threshold_must_be_positive():

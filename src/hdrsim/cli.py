@@ -17,15 +17,7 @@ import sys
 from dataclasses import replace
 
 from . import analytic, engine, scenarios
-from .model import (
-    EarliestSwitch3,
-    Hysteresis2,
-    PACKET_MODES,
-    RoundRobin3,
-    SystemParams,
-    ThresholdPolicy,
-    validate,
-)
+from .model import PACKET_MODES, SystemParams, ThresholdPolicy, validate
 
 __all__ = ["main"]
 
@@ -34,7 +26,8 @@ class ConfigError(ValueError):
     pass
 
 
-_POLICIES = {"hyst2": Hysteresis2, "rr3": RoundRobin3, "es3": EarliestSwitch3}
+# policy name -> (successor rule, number of thresholds)
+_POLICIES = {"hyst2": ("rr", 2), "rr3": ("rr", 3), "es3": ("es", 3)}
 
 _PARAM_KEYS = ("harvest_rates", "input_rate", "packet_energy", "status_energy",
                "switch_energy", "battery_capacity", "policy", "thresholds")
@@ -69,7 +62,13 @@ def _build_params(cfg: dict) -> SystemParams:
             raise ConfigError(f"unknown policy {policy_name!r}; "
                               f"expected one of {sorted(_POLICIES)}")
         thresholds = cfg["thresholds"]
-        policy = _POLICIES[policy_name](*thresholds)
+        rule, count = _POLICIES[policy_name]
+        listed = isinstance(thresholds, (list, tuple))
+        if not listed or len(thresholds) != count:
+            raise ConfigError(
+                f"policy {policy_name!r} takes {count} thresholds, got "
+                f"{len(thresholds) if listed else repr(thresholds)}")
+        policy = ThresholdPolicy(thresholds, rule)
         return SystemParams(
             harvest_rates=tuple(cfg["harvest_rates"]),
             input_rate=cfg["input_rate"],

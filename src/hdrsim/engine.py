@@ -17,6 +17,25 @@ quantity and per node (see ``Trace``), not as one object per slot: float
 runs fill ``array`` columns, while exact inputs fill plain lists.
 Arithmetic is duck-typed; feeding ``fractions.Fraction`` levels in gives
 exact trajectories, which the golden tests rely on.
+
+Three shortcuts skip operations whose result is known, and only where the
+operation is an identity on the operands in hand, so every value, type and
+repr stays as the full arithmetic makes it:
+
+1. ``_slot_rule`` does not subtract a control cost (or floor) of int 0.
+2. ``_slot_rule`` returns ``g`` for a full-duty slot, ``1 * g + 0 * ev /
+   c``, when ``g``, ``ev`` and ``c`` are all Fractions.
+3. The audit (``verify_trace``, ``_ledger_rows``) leaves int-zero terms
+   out of the energy balance, and passes equal values at ``tol >= 0``
+   without computing ``abs(want - got)`` when they are ints or Fractions.
+
+``x - 0`` is ``x`` for int, float and Fraction values (``_PLAIN``), but
+not for Decimal: ``Decimal('8E+1') - 0 == Decimal('80')``, which has
+another repr.  So shortcuts 1 and 3 are decided once per run or audit from
+the types of every number it starts from, and a Decimal anywhere keeps the
+full arithmetic.  Floats keep the full tolerance check since ``inf - inf``
+is nan, and so does a negative ``tol``, at which the full check fails even
+for equal values.
 """
 
 from __future__ import annotations
@@ -25,7 +44,9 @@ import bisect
 import csv
 import math
 import operator
-from itertools import chain, compress, pairwise, repeat
+from array import array
+from fractions import Fraction
+from itertools import chain, compress, islice, pairwise, repeat
 from typing import Callable, Optional, Sequence
 
 from .model import (
@@ -38,7 +59,6 @@ from .model import (
     SlotRecord,
     SystemParams,
     Trace,
-    _all_floats,
     _flag_column,
     _level_column,
     _slot_column,
@@ -57,17 +77,48 @@ __all__ = [
 ]
 
 
-def _slot_rule(params: SystemParams, whole: bool):
+# types for which x - 0 is x, type and repr included (see above)
+_PLAIN = frozenset((int, float, Fraction))
+# types whose values are always finite, so that want == got makes
+# want - got an exact zero
+_FINITE = frozenset((int, Fraction))
+
+
+def _int_zero(x) -> bool:
+    return type(x) is int and x == 0
+
+
+def _number_types(params: SystemParams, profile, *columns) -> set:
+    """The types of the numbers in ``params``, ``profile`` and the level or
+    packet ``columns`` (an ``array`` column holds floats)."""
+    kinds = {type(x) for _, x in params._scalars()}
+    if profile is not None:
+        kinds.update(map(type, profile.input_rate))
+        kinds.update(map(type, chain.from_iterable(profile.harvest)))
+    for col in columns:
+        if isinstance(col, array):
+            kinds.add(float)
+        else:
+            kinds.update(map(type, col))
+    return kinds
+
+
+def _slot_rule(params: SystemParams, whole: bool, plain: bool):
     """The model's rules for one slot, as a function
     ``slot(pre, v, e, g) -> (post, nxt, active, switched, packets, quiet)``.
 
     ``pre`` holds the levels before the slot-end exchange, ``v`` is the node
     forwarding into it, ``e`` and ``g`` are the slot's harvest rates and
     offered load.  The function returns the levels right after the exchange
-    and at the end of the slot (lists), the node forwarding in the slot,
-    whether the exchange handed over, the packets carried, and whether ``v``
+    (a sequence, ``pre`` itself when the exchange charged nothing) and at
+    the end of the slot (a list), the node forwarding in the slot, whether
+    the exchange handed over, the packets carried, and whether ``v``
     withheld its status message.  Of several idle nodes that qualify for a
     handover the largest lead wins, remaining ties go to the lower index.
+
+    ``plain`` promises that every level and rate the slot sees is an int, a
+    float or a Fraction (see ``_PLAIN``); only then is a control cost of
+    int 0 left out instead of subtracted.
     """
     n = params.n_nodes
     policy = params.thresholds
@@ -78,6 +129,13 @@ def _slot_rule(params: SystemParams, whole: bool):
     switch = params.switch_energy
     floor = params.control_floor
     cap = params.battery_capacity
+    # a cost of int 0 (and so a floor of int 0) is not subtracted
+    pay_status = not (plain and _int_zero(status))
+    pay_switch = not (plain and _int_zero(switch))
+    pay_floor = not (plain and _int_zero(floor))
+    # a full-duty slot (share int 1) carries 1 * g + 0 * ev / c, which is g
+    # itself when g, ev and c are all Fractions
+    fraction = Fraction if type(c) is Fraction else None
 
     def slot(pre, v, e, g):
         pv = pre[v]
@@ -91,12 +149,16 @@ def _slot_rule(params: SystemParams, whole: bool):
         # status messages: idle nodes always report, the forwarding node
         # stays quiet when its battery cannot cover a full control exchange
         quiet = not pv >= floor
-        post = [x - status for x in pre]
-        if quiet:
-            post[v] = pv
+        if pay_status:
+            post = [x - status for x in pre]
+            if quiet:
+                post[v] = pv
+        else:
+            post = pre
         switched = target is not None
         if switched:
-            post = [x - switch for x in post]
+            if pay_switch:
+                post = [x - switch for x in post]
             v = target
         nxt = list(map(operator.add, post, e))
         if switched:
@@ -111,9 +173,14 @@ def _slot_rule(params: SystemParams, whole: bool):
             if demand <= ev:
                 share = 1
             else:
-                share = (post[v] - floor) / (demand - ev)
+                spare = post[v] - floor if pay_floor else post[v]
+                share = spare / (demand - ev)
                 share = 0 if share < 0 else (1 if share > 1 else share)
-            packets = share * g + (1 - share) * ev / c
+            if (fraction and type(share) is int and share == 1
+                    and type(g) is type(ev) is fraction):
+                packets = g          # 1 * g + 0 * ev / c
+            else:
+                packets = share * g + (1 - share) * ev / c
             if whole:
                 packets = math.floor(packets)
                 nxt[v] = nxt[v] - c * packets
@@ -136,8 +203,9 @@ def step(params: SystemParams, state: SimState, harvest=None, input_rate=None):
     e = params.harvest_rates if harvest is None else tuple(harvest)
     g = params.input_rate if input_rate is None else input_rate
     v = state.active
+    plain = _number_types(params, None, state.battery_pre, e, (g,)) <= _PLAIN
     post, nxt, active, switched, packets, quiet = _slot_rule(
-        params, state.packet_mode == WHOLE)(state.battery_pre, v, e, g)
+        params, state.packet_mode == WHOLE, plain)(state.battery_pre, v, e, g)
     record = SlotRecord(
         slot=state.slot,
         battery_pre=tuple(state.battery_pre),
@@ -154,18 +222,6 @@ def step(params: SystemParams, state: SimState, harvest=None, input_rate=None):
         packet_mode=state.packet_mode,
     )
     return new_state, record
-
-
-def _float_inputs(params: SystemParams, batteries, profile) -> bool:
-    """Whether every number a run stores comes out a float: the levels,
-    energies and loads it starts from are all floats or ints."""
-    values = [params.input_rate, params.packet_energy, params.status_energy,
-              params.switch_energy, params.battery_capacity,
-              *params.harvest_rates, *batteries]
-    if profile is not None:
-        values = chain(values, profile.input_rate,
-                       chain.from_iterable(profile.harvest))
-    return _all_floats(values)
 
 
 def run(params: SystemParams, n_slots: Optional[int] = None,
@@ -203,8 +259,14 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
 
     n = params.n_nodes
     whole = state.packet_mode == WHOLE
-    floats = _float_inputs(params, state.battery_pre, profile)
-    slot = _slot_rule(params, whole)
+    # every number a run stores comes out a float when the levels, energies
+    # and loads it starts from are all floats or ints
+    kinds = _number_types(params, profile, state.battery_pre)
+    floats = kinds <= {float, int}
+    # steered loads are not known up front: a steered run keeps the full
+    # arithmetic
+    plain = steer is None and kinds <= _PLAIN
+    slot = _slot_rule(params, whole, plain)
     e, g = params.harvest_rates, params.input_rate
     harvest = rates = None
     if profile is not None:
@@ -322,25 +384,38 @@ def energy_ledger(trace: Trace, params: Optional[SystemParams] = None):
     p = params or trace.params
     if p is None:
         raise ValueError("parameters required to audit a bare trace")
-    return list(_ledger_rows(trace, p, trace.inputs(p)[0]))
+    plain = _number_types(p, trace.profile, trace.packets) <= _PLAIN
+    return list(_ledger_rows(trace, p, trace.inputs(p)[0], plain))
 
 
-def _ledger_rows(trace: Trace, p: SystemParams, harvest):
+def _ledger_rows(trace: Trace, p: SystemParams, harvest, plain: bool):
     """The rows of ``energy_ledger``, one at a time; ``harvest`` holds the
-    slots' harvest rates."""
+    slots' harvest rates.  An absent charge (the status of a suppressed
+    node, the handover of a slot without one, the spend of an idle node, a
+    cost of int 0) subtracts int 0, or with ``plain`` numbers (see
+    ``_PLAIN``) is left out."""
     c, status, switch = p.packet_energy, p.status_energy, p.switch_energy
     cap = p.battery_capacity
     nodes = range(p.n_nodes)
+    nil = None if plain else 0
+    if _int_zero(status):
+        status = nil
+    if _int_zero(switch):
+        switch = nil
     for slot, (a, b), v, switched, packets, mask, e in zip(
             trace.slots, pairwise(zip(*trace.battery_pre)), trace.active,
             trace.switched, trace.packets, trace.suppressed, harvest):
-        handover = switch if switched else 0
+        handover = switch if switched else nil
         for u in nodes:
-            spent = c * packets if u == v else 0
-            expect = (e[u]
-                      - (0 if mask >> u & 1 else status)
-                      - handover
-                      - spent)
+            charge = nil if mask >> u & 1 else status
+            spent = c * packets if u == v else nil
+            expect = e[u]
+            if charge is not None:
+                expect = expect - charge
+            if handover is not None:
+                expect = expect - handover
+            if spent is not None:
+                expect = expect - spent
             yield slot, u, (b[u] - a[u]) - expect, b[u] == cap
 
 
@@ -360,7 +435,13 @@ def verify_trace(trace: Trace, params: Optional[SystemParams] = None,
     report = problems.append
     nodes = range(p.n_nodes)
     low, high = -tol, p.battery_capacity + tol
-    slot_rule = _slot_rule(p, trace.packet_mode == WHOLE)
+    plain = _number_types(p, trace.profile, *trace.battery_pre,
+                          *trace.battery_post, trace.packets) <= _PLAIN
+    slot_rule = _slot_rule(p, trace.packet_mode == WHOLE, plain)
+    # equal values pass a tol >= 0 without computing abs(want - got) = 0,
+    # for types whose values are finite
+    exact = plain and tol >= 0
+    finite = _FINITE if exact else ()
 
     prev_active = trace.initial_active
     if prev_active is None and len(trace):
@@ -383,17 +464,22 @@ def verify_trace(trace: Trace, params: Optional[SystemParams] = None,
                    f"the recorded levels")
         if want_quiet << prev_active != mask:
             report(f"slot {slot}: status suppression flags differ")
-        if not abs(want_packets - packets) <= tol:
+        if not (type(packets) in finite
+                and (want_packets is packets or want_packets == packets)
+                or abs(want_packets - packets) <= tol):
             report(f"slot {slot}: packets {packets} != recomputed "
                    f"{want_packets}")
         for u in nodes:
-            if not abs(want_post[u] - post[u]) <= tol:
+            want, got = want_post[u], post[u]
+            if not (type(got) in finite and (want is got or want == got)
+                    or abs(want - got) <= tol):
                 report(f"slot {slot}: node {u + 1} post-exchange level "
                        f"mismatch")
         prev_active = v
 
-    for slot, u, resid, at_cap in _ledger_rows(trace, p, harvest):
-        if abs(resid) <= tol:
+    for slot, u, resid, at_cap in _ledger_rows(trace, p, trace.inputs(p)[0],
+                                               plain):
+        if resid == 0 and exact or abs(resid) <= tol:
             continue
         if at_cap and resid < 0:
             continue          # surplus harvest discarded at the ceiling
@@ -404,6 +490,9 @@ def verify_trace(trace: Trace, params: Optional[SystemParams] = None,
 # ---------------------------------------------------------------------------
 # trace persistence
 # ---------------------------------------------------------------------------
+
+_CSV_CHUNK = 1024       # rows read_trace_csv holds as text at once
+
 
 def write_trace_csv(trace: Trace, path) -> None:
     """Node indices are 1-based in the file; floats keep full precision."""
@@ -425,36 +514,46 @@ def write_trace_csv(trace: Trace, path) -> None:
 
 
 def read_trace_csv(path) -> Trace:
+    """Read a trace written by ``write_trace_csv``.  The rows are turned
+    into columns ``_CSV_CHUNK`` at a time, so the file's text is never held
+    whole."""
+    slots, packets = [], _level_column()
+    active, switched, suppressed = (_flag_column() for _ in range(3))
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        rows = list(reader)
-    if not rows:
+        n = sum(1 for k in header if k.startswith("battery_pre"))
+        pre = tuple(_level_column() for _ in range(n))
+        post = tuple(_level_column() for _ in range(n))
+        for rows in iter(lambda: list(islice(reader, _CSV_CHUNK)), []):
+            columns = dict(zip(header, zip(*rows)))
+            try:
+                nodes = list(map(operator.sub, map(int, columns["active"]),
+                                 repeat(1)))
+                if min(nodes) < 0 or max(nodes) >= n:
+                    raise ValueError(f"{path}: active node number out of "
+                                     f"range")
+                active.extend(nodes)
+                slots.extend(map(int, columns["slot"]))
+                for u in range(n):
+                    pre[u].extend(map(float, columns[f"battery_pre{u + 1}"]))
+                for u in range(n):
+                    post[u].extend(map(float,
+                                       columns[f"battery_post{u + 1}"]))
+                # bit u of each slot's mask is node u's suppressed flag
+                masks = repeat(0, len(rows))
+                for u in range(n):
+                    bits = map(bool, map(int, columns[f"suppressed{u + 1}"]))
+                    masks = map(operator.or_, masks,
+                                map(operator.lshift, bits, repeat(u)))
+                suppressed.extend(masks)
+                switched.extend(map(bool, map(int, columns["switched"])))
+                packets.extend(map(float, columns["packets"]))
+            except KeyError as exc:
+                raise ValueError(f"{path}: no column {exc.args[0]!r}") \
+                    from None
+    if not slots:
         raise ValueError(f"{path}: empty trace")
-    columns = dict(zip(header, zip(*rows)))
-    n = sum(1 for k in header if k.startswith("battery_pre"))
-    try:
-        active = list(map(operator.sub, map(int, columns["active"]),
-                          repeat(1)))
-        if min(active) < 0 or max(active) >= n:
-            raise ValueError(f"{path}: active node number out of range")
-        slots = _slot_column(map(int, columns["slot"]))
-        pre = tuple(_level_column(map(float, columns[f"battery_pre{u + 1}"]))
-                    for u in range(n))
-        post = tuple(_level_column(map(float, columns[f"battery_post{u + 1}"]))
-                     for u in range(n))
-        # bit u of each slot's mask is node u's suppressed flag
-        suppressed = [0] * len(rows)
-        for u in range(n):
-            bits = map(bool, map(int, columns[f"suppressed{u + 1}"]))
-            suppressed = map(operator.or_, suppressed,
-                             map(operator.lshift, bits, repeat(u)))
-        trace = Trace(
-            n_nodes=n, slots=slots, battery_pre=pre, battery_post=post,
-            active=_flag_column(active),
-            switched=_flag_column(map(bool, map(int, columns["switched"]))),
-            packets=_level_column(map(float, columns["packets"])),
-            suppressed=_flag_column(suppressed))
-    except KeyError as exc:
-        raise ValueError(f"{path}: no column {exc.args[0]!r}") from None
-    return trace
+    return Trace(n_nodes=n, slots=_slot_column(slots), battery_pre=pre,
+                 battery_post=post, active=active, switched=switched,
+                 packets=packets, suppressed=suppressed)

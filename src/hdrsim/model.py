@@ -13,9 +13,10 @@ only ever add, subtract, multiply, divide and compare, so exact types such as
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress
+from itertools import chain, compress, count, repeat
 from typing import Optional, Sequence
 
 __all__ = [
@@ -333,7 +334,7 @@ def _slot_column(values):
     in every trace a run or the CSV writer makes, else as a list."""
     slots = list(values)
     start = slots[0] if slots else 0
-    if slots == list(range(start, start + len(slots))):
+    if all(map(operator.eq, slots, count(start))):
         return range(start, start + len(slots))
     return slots
 
@@ -433,9 +434,10 @@ class Trace:
         return list(compress(self.slots, self.switched))
 
     def inputs(self, params: Optional[SystemParams] = None) -> tuple:
-        """Harvest rates and offered load of every slot, as two sequences:
+        """Harvest rates and offered load of every slot, as two iterables:
         the profile's columns, else the constants of ``params`` (default:
-        the trace's own parameters) repeated."""
+        the trace's own parameters) repeated, in O(1) memory.  Take fresh
+        ones for each pass; the repeated constants can be walked once."""
         if self.profile is not None:
             if self.profile.length < len(self):
                 raise ValueError("profile shorter than the trace")
@@ -444,7 +446,8 @@ class Trace:
         if p is None:
             raise ValueError("trace carries no harvest or offered-load "
                              "information")
-        return (p.harvest_rates,) * len(self), (p.input_rate,) * len(self)
+        n = len(self)
+        return repeat(p.harvest_rates, n), repeat(p.input_rate, n)
 
 
 def _record_columns(records, n, whole):

@@ -8,6 +8,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import reduce
+from itertools import islice
 from typing import Optional
 
 from .analytic import feedback_input_rate
@@ -112,25 +113,27 @@ def windowed_stats(trace: Trace, window: int) -> list[WindowStats]:
     shorter and is reported with its true length."""
     if window < 1:
         raise ValueError("window must be at least one slot")
-    harvest, rates = trace.inputs()
+    # every column is walked once, window after window
+    harvest, rates = map(iter, trace.inputs())
+    packets = iter(trace.packets)
+    levels = [iter(col) for col in trace.battery_pre]
     n = trace.n_nodes
     out = []
     for start in range(0, len(trace), window):
-        stop = min(start + window, len(trace))
-        length = stop - start
+        length = min(window, len(trace) - start)
         harvested = [0] * n
-        for row in harvest[start:stop]:
+        for row in islice(harvest, length):
             for u in range(n):
                 harvested[u] = harvested[u] + row[u]
         out.append(WindowStats(
             window=len(out),
             start_slot=trace.slots[start],
             length=length,
-            offered=sum(rates[start:stop]),
-            delivered=sum(trace.packets[start:stop]),
+            offered=sum(islice(rates, length)),
+            delivered=sum(islice(packets, length)),
             harvested=tuple(harvested),
-            mean_battery=tuple(reduce(operator.add, col[start:stop], 0)
-                               / length for col in trace.battery_pre),
+            mean_battery=tuple(reduce(operator.add, islice(col, length), 0)
+                               / length for col in levels),
         ))
     return out
 

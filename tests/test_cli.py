@@ -290,15 +290,21 @@ def test_sweep_h_axis_scales_thresholds_and_keeps_the_rule(policy, rule):
 
 
 @pytest.mark.parametrize("policy, thresholds", [
-    ("hyst2", [6.2, 5.0, 4.0]), ("rr3", [6.2, 5.0]), ("es3", [6.2, 5.0])])
+    ("hyst2", [6.2, 5.0, 4.0]), ("rr3", [6.2, 5.0]), ("es3", [6.2, 5.0]),
+    ("hyst2", 6.2)])
 def test_threshold_count_must_match_the_policy(tmp_path, capsys, policy,
                                                thresholds):
     # as many harvest rates as thresholds: only the policy name objects
+    listed = isinstance(thresholds, list)
     cfg = write_config(tmp_path / "c.json", policy=policy,
-                       harvest_rates=[0.3, 0.7, 0.9][:len(thresholds)],
+                       harvest_rates=[0.3, 0.7, 0.9][:len(thresholds)
+                                                     if listed else 2],
                        thresholds=thresholds)
     assert main(["analytic", "--config", cfg]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    count = 2 if policy == "hyst2" else 3
+    got = len(thresholds) if listed else thresholds
+    assert capsys.readouterr().err == (
+        f"error: policy {policy!r} takes {count} thresholds, got {got}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -386,7 +386,8 @@ def test_float_trace_memory_is_bounded():
 
 
 def test_verify_trace_memory_is_bounded():
-    # the audit streams its energy-ledger rows instead of listing them
+    # the audit streams its energy-ledger rows instead of listing them, and
+    # repeats the constant inputs of a run without a profile
     trace = run(diamond(ct=0.01, cr=0.05), n_slots=10_000)
     gc.collect()
     tracemalloc.start()
@@ -395,7 +396,24 @@ def test_verify_trace_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 10_000 <= 64
+    assert peak / 10_000 <= 4
+
+
+def test_read_trace_csv_memory_is_bounded(tmp_path):
+    # rows are converted a chunk at a time: the peak is the finished
+    # columns plus one chunk of text, not the whole file as text
+    n_slots = 30_000
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run(diamond(ct=0.01, cr=0.05), n_slots=n_slots), path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        back = read_trace_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(back) == n_slots
+    assert peak / n_slots <= 200
 
 
 def test_two_node_rules_give_the_same_trace():

@@ -117,6 +117,26 @@ def test_windowed_stats_short_final_window():
         windowed_stats(trace, 0)
 
 
+def test_windowed_stats_without_a_profile_repeat_the_constants():
+    # a trace without a profile takes its inputs from the parameters; the
+    # windows must come out as for the same run on a constant profile
+    params = scenario_params()
+    trace = run(params, n_slots=2500, initial_batteries=(5.0, 5.0))
+    assert trace.profile is None
+    stats = windowed_stats(trace, 1000)
+    profiled = run(params, profile=constant_profile(params, 2500),
+                   initial_batteries=(5.0, 5.0))
+    assert stats == windowed_stats(profiled, 1000)
+    for w in stats:
+        window = slice(w.start_slot, w.start_slot + w.length)
+        assert w.offered == sum([params.input_rate] * w.length)
+        assert w.harvested == tuple(sum([e] * w.length)
+                                    for e in params.harvest_rates)
+        assert w.delivered == sum(trace.packets[window])
+        assert w.mean_battery == tuple(sum(col[window]) / w.length
+                                       for col in trace.battery_pre)
+
+
 def test_first_window_is_harvest_starved():
     # node 1 has nothing to harvest for 1000 slots: whatever it forwards
     # must come out of its initial charge

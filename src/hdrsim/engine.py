@@ -45,8 +45,9 @@ import csv
 import math
 import operator
 from array import array
+from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, compress, islice, pairwise, repeat
+from itertools import chain, compress, count, islice, pairwise, repeat
 from typing import Callable, Optional, Sequence
 
 from .model import (
@@ -59,9 +60,6 @@ from .model import (
     SlotRecord,
     SystemParams,
     Trace,
-    _flag_column,
-    _level_column,
-    _slot_column,
     default_state,
 )
 
@@ -101,6 +99,23 @@ def _number_types(params: SystemParams, profile, *columns) -> set:
         else:
             kinds.update(map(type, col))
     return kinds
+
+
+def _level_column(floats: bool = True):
+    """An empty column of battery levels or packet counts: ``array('d')``
+    for floats, a list for anything else (``Fraction``, ``Decimal``, or
+    whole packet counts, which stay ints)."""
+    return array("d") if floats else []
+
+
+def _slot_column(values):
+    """Slot numbers as a ``range`` when they run consecutively, as they do
+    in every trace a run or the CSV writer makes, else as a list."""
+    slots = list(values)
+    start = slots[0] if slots else 0
+    if all(map(operator.eq, slots, count(start))):
+        return range(start, start + len(slots))
+    return slots
 
 
 def _slot_rule(params: SystemParams, whole: bool, plain: bool):
@@ -193,17 +208,14 @@ def _slot_rule(params: SystemParams, whole: bool, plain: bool):
     return slot
 
 
-def step(params: SystemParams, state: SimState, harvest=None, input_rate=None):
-    """Advance one slot.  Returns (new_state, record): the state the next
-    step starts from and the ``SlotRecord`` of slot ``state.slot``.
-
-    ``harvest``/``input_rate`` override the static parameters for this slot
-    (used by profile-driven runs).
+def step(params: SystemParams, state: SimState):
+    """Advance one slot at the constant rates of ``params``.  Returns
+    (new_state, record): the state the next step starts from and the
+    ``SlotRecord`` of slot ``state.slot``.  ``state`` is taken as given,
+    unchecked; ``run`` starts only from a ``default_state``.
     """
-    e = params.harvest_rates if harvest is None else tuple(harvest)
-    g = params.input_rate if input_rate is None else input_rate
-    v = state.active
-    plain = _number_types(params, None, state.battery_pre, e, (g,)) <= _PLAIN
+    e, g, v = params.harvest_rates, params.input_rate, state.active
+    plain = _number_types(params, None, state.battery_pre) <= _PLAIN
     post, nxt, active, switched, packets, quiet = _slot_rule(
         params, state.packet_mode == WHOLE, plain)(state.battery_pre, v, e, g)
     record = SlotRecord(
@@ -225,26 +237,28 @@ def step(params: SystemParams, state: SimState, harvest=None, input_rate=None):
 
 
 def run(params: SystemParams, n_slots: Optional[int] = None,
-        state: Optional[SimState] = None,
         profile: Optional[Profile] = None,
         packet_mode: str = FRACTIONAL,
         initial_batteries: Optional[Sequence] = None,
         initial_active: int = 0,
         steer: Optional[Callable] = None) -> Trace:
-    """Simulate ``n_slots`` slots and return the trace.
+    """Simulate ``n_slots`` slots and return the trace, slots numbered
+    from 0.
 
-    With a profile, slot ``k`` uses profile row ``k`` and ``n_slots``
+    The run starts from ``default_state(params, packet_mode,
+    initial_batteries, initial_active)``, which rejects a bad start.  With a
+    profile, slot ``k`` uses profile row ``k`` and ``n_slots``
     defaults to the profile length.  With ``steer`` the offered load is a
     controller's: ``steer(k, active, switched, harvest)`` is called after
     slot ``k`` with that slot's outcome and harvest rates and returns the
     load from slot ``k + 1`` on (slot 0 gets ``params.input_rate``).  The
     profile's input-rate column is then ignored, and the trace carries the
     effective profile: the harvest used and the load actually offered.
+    A run whose inputs are all floats or ints stores floats, so there a
+    steered load of any other type is a ``TypeError``.
     """
-    if state is None:
-        state = default_state(params, packet_mode=packet_mode,
-                              batteries=initial_batteries,
-                              active=initial_active)
+    state = default_state(params, packet_mode=packet_mode,
+                          batteries=initial_batteries, active=initial_active)
     if profile is not None:
         if profile.n_nodes != params.n_nodes:
             raise ValueError("profile node count does not match parameters")
@@ -277,10 +291,10 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
 
     # levels go in node-interleaved, one extend per slot, and are split
     # into per-node columns at the end
-    pre_flat = _level_column((), floats)
-    post_flat = _level_column((), floats)
-    packets = _level_column((), floats and not whole)
-    active, switched, suppressed = (_flag_column() for _ in range(3))
+    pre_flat = _level_column(floats)
+    post_flat = _level_column(floats)
+    packets = _level_column(floats and not whole)
+    active, switched, suppressed = (array("B") for _ in range(3))
     add_pre, add_post, add_packets = (pre_flat.extend, post_flat.extend,
                                       packets.append)
     add_active, add_switched, add_suppressed = (
@@ -305,12 +319,17 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
             g = steer(k, v, sw, e)
 
     if steer is not None:
+        stray = set(map(type, offered)) - {float, int} if floats else ()
+        if stray:
+            names = ", ".join(sorted(t.__name__ for t in stray))
+            raise TypeError(f"steer offered {names} loads to a run whose "
+                            f"float inputs store floats")
         rows = (profile.harvest[:n_slots] if profile is not None
                 else (params.harvest_rates,) * n_slots)
         profile = Profile(harvest=tuple(rows), input_rate=tuple(offered))
     return Trace(n_nodes=n, packet_mode=state.packet_mode,
                  initial_active=state.active, params=params, profile=profile,
-                 slots=range(state.slot, state.slot + n_slots),
+                 slots=range(n_slots),
                  battery_pre=tuple(pre_flat[u::n] for u in range(n)),
                  battery_post=tuple(post_flat[u::n] for u in range(n)),
                  active=active, switched=switched, packets=packets,
@@ -434,7 +453,9 @@ def verify_trace(trace: Trace, params: Optional[SystemParams] = None,
     problems = []
     report = problems.append
     nodes = range(p.n_nodes)
-    low, high = -tol, p.battery_capacity + tol
+    cap = p.battery_capacity
+    # a Decimal capacity takes no float tolerance: Decimal(tol) is exact
+    low, high = -tol, cap + (Decimal(tol) if type(cap) is Decimal else tol)
     plain = _number_types(p, trace.profile, *trace.battery_pre,
                           *trace.battery_post, trace.packets) <= _PLAIN
     slot_rule = _slot_rule(p, trace.packet_mode == WHOLE, plain)
@@ -518,7 +539,7 @@ def read_trace_csv(path) -> Trace:
     into columns ``_CSV_CHUNK`` at a time, so the file's text is never held
     whole."""
     slots, packets = [], _level_column()
-    active, switched, suppressed = (_flag_column() for _ in range(3))
+    active, switched, suppressed = (array("B") for _ in range(3))
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])

@@ -13,10 +13,8 @@ only ever add, subtract, multiply, divide and compare, so exact types such as
 from __future__ import annotations
 
 import math
-import operator
-from array import array
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress, count, repeat
+from itertools import compress, repeat
 from typing import Optional, Sequence
 
 __all__ = [
@@ -316,35 +314,7 @@ class SlotRecord:
         return self.battery_pre[0] - self.battery_pre[1]
 
 
-def _all_floats(values) -> bool:
-    """True when every value is a float or an int: the values an
-    ``array('d')`` column holds exactly (ints come back as floats)."""
-    return set(map(type, values)) <= {float, int}
-
-
-def _level_column(values=(), floats: bool = True):
-    """A column of battery levels or packet counts: ``array('d')`` for
-    floats, a list for anything else (``Fraction``, ``Decimal``, or whole
-    packet counts, which stay ints)."""
-    return array("d", values) if floats else list(values)
-
-
-def _slot_column(values):
-    """Slot numbers as a ``range`` when they run consecutively, as they do
-    in every trace a run or the CSV writer makes, else as a list."""
-    slots = list(values)
-    start = slots[0] if slots else 0
-    if all(map(operator.eq, slots, count(start))):
-        return range(start, start + len(slots))
-    return slots
-
-
-def _flag_column(values=()):
-    """A column of small ints: node indices, 0/1 flags, suppression bits."""
-    return array("B", values)
-
-
-@dataclass(init=False)
+@dataclass
 class Trace:
     """A finished run, one column per quantity rather than one object per
     slot.
@@ -363,10 +333,9 @@ class Trace:
     values pass through untouched, and so do whole-packet counts, which
     stay ints.  ``slots`` ascend.
 
-    ``records`` shows the same data as one ``SlotRecord`` per slot.
-    ``Trace(records=...)`` builds the columns from records; records given
-    that way replace any columns passed alongside them, which is what
-    ``dataclasses.replace(trace, records=...)`` relies on.
+    ``records`` is a read-only view of the same data, one ``SlotRecord``
+    per slot.  A derived trace comes from ``dataclasses.replace`` on the
+    columns, which starts the copy with an empty view.
     ``params``/``profile`` are None for traces re-read from CSV.
     """
 
@@ -383,35 +352,8 @@ class Trace:
     params: Optional[SystemParams] = None
     profile: Optional["Profile"] = None
     feedback_log: list = field(default_factory=list)
-
-    def __init__(self, records=None, n_nodes=None, packet_mode=FRACTIONAL,
-                 initial_active=None, params=None, profile=None,
-                 feedback_log=None, *, slots=None, battery_pre=None,
-                 battery_post=None, active=None, switched=None, packets=None,
-                 suppressed=None):
-        if records is not None:
-            records = list(records)
-            if n_nodes is None:
-                n_nodes = len(records[0].battery_pre) if records else 0
-            (slots, battery_pre, battery_post, active, switched, packets,
-             suppressed) = _record_columns(records, n_nodes,
-                                           packet_mode == WHOLE)
-        elif battery_pre is None:
-            raise TypeError("a trace needs records or columns")
-        self.n_nodes = n_nodes
-        self.slots = slots
-        self.battery_pre = battery_pre
-        self.battery_post = battery_post
-        self.active = active
-        self.switched = switched
-        self.packets = packets
-        self.suppressed = suppressed
-        self.packet_mode = packet_mode
-        self.initial_active = initial_active
-        self.params = params
-        self.profile = profile
-        self.feedback_log = [] if feedback_log is None else feedback_log
-        self._records = None
+    _records: Optional[list] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __len__(self):
         return len(self.slots)
@@ -448,23 +390,6 @@ class Trace:
                              "information")
         n = len(self)
         return repeat(p.harvest_rates, n), repeat(p.input_rate, n)
-
-
-def _record_columns(records, n, whole):
-    """The columns of ``Trace`` from a list of ``SlotRecord``."""
-    pre = [[r.battery_pre[u] for r in records] for u in range(n)]
-    post = [[r.battery_post[u] for r in records] for u in range(n)]
-    packets = [r.packets for r in records]
-    floats = _all_floats(chain(packets, *pre, *post))
-    masks = [sum(bool(s) << u for u, s in enumerate(r.suppressed))
-             for r in records]
-    return (_slot_column(r.slot for r in records),
-            tuple(_level_column(col, floats) for col in pre),
-            tuple(_level_column(col, floats) for col in post),
-            _flag_column(r.active for r in records),
-            _flag_column(bool(r.switched) for r in records),
-            _level_column(packets, floats and not whole),
-            _flag_column(masks))
 
 
 @dataclass(frozen=True)

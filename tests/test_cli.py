@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, outputs, file artifacts."""
 
+import hashlib
 import importlib.resources
 import json
 
@@ -350,3 +351,88 @@ def test_scenario_feedback_on_profile(tmp_path, capsys):
     assert main(["scenario", "--config", cfg, "--feedback"]) == 0
     got = stdout_map(capsys)
     assert float(got["total_delivered"]) > 0
+
+
+# `hdrsim scenario` on both bundled profiles, with and without --feedback:
+# stdout byte for byte and the sha256 of the trace.csv and windows.csv it
+# writes, captured before the trace storage was last reworked.  The
+# controller replaces the profile"s load, and both profiles share their
+# harvest, so both print the same with --feedback.
+SCHEDULED = str(importlib.resources.files("hdrsim") / "data"
+                / "harvest_scheduled_input.csv")
+GOLDEN_SCENARIO_FLAT = (
+    "window offered delivered\n"
+    "0 6000 1919.175\n"
+    "1 6000 4531.2\n"
+    "2 6000 6000\n"
+    "3 6000 6000\n"
+    "4 6000 6000\n"
+    "5 6000 6000\n"
+    "6 6000 6000\n"
+    "7 6000 5245.122125\n"
+    "total_offered 48000\n"
+    "total_delivered 41695.497125\n"
+)
+GOLDEN_SCENARIO_SCHEDULED = (
+    "window offered delivered\n"
+    "0 1000 1000\n"
+    "1 5000 5000\n"
+    "2 8000 8000\n"
+    "3 8000 8000\n"
+    "4 8000 8000\n"
+    "5 8000 8000\n"
+    "6 5000 5000\n"
+    "7 5000 5000\n"
+    "total_offered 48000\n"
+    "total_delivered 48000\n"
+)
+GOLDEN_SCENARIO_FEEDBACK = (
+    "window offered delivered\n"
+    "0 6000 1919.175\n"
+    "1 5260.14547942 4509.07228058\n"
+    "2 8578.16893917 8578.16893917\n"
+    "3 9185.64048034 9185.64048034\n"
+    "4 9673.70538394 9673.70538394\n"
+    "5 7338.1181979 7338.1181979\n"
+    "6 5394.43946228 5394.43946228\n"
+    "7 3768.08104241 3768.08104241\n"
+    "total_offered 55198.2989855\n"
+    "total_delivered 50366.4007866\n"
+    "feedback_updates 83\n"
+    "final_input_rate 3.58818639835\n"
+)
+GOLDEN_SCENARIO = {
+    ("flat", False): (
+        GOLDEN_SCENARIO_FLAT,
+        "ce8c4eeaa51380070334d17cfb11d8cb9cf294414f9c1f70b22d7d4a9da16f67",
+        "c7592bc921416969a62111c67832e10bd255a3c5f76f8520d14f0e428d3cf09f"),
+    ("scheduled", False): (
+        GOLDEN_SCENARIO_SCHEDULED,
+        "75e78522d35c638e07a3d7e0be029e1f62d3b8f4308740543e9329816b780151",
+        "2b14543a3cc39ea744f36836c7f42c469cd9103ae37b8efa303dd56b3f6ecd1f"),
+    ("flat", True): (
+        GOLDEN_SCENARIO_FEEDBACK,
+        "dbf6fa945f667ced7c6ad12b16881dc998999f1d85d26d05b38f9798ff1038cf",
+        "46440e2aabce4a22682b6a384a177f0804a47bd5ac0386d3d0f92dbb6e5c3a1d"),
+    ("scheduled", True): (
+        GOLDEN_SCENARIO_FEEDBACK,
+        "dbf6fa945f667ced7c6ad12b16881dc998999f1d85d26d05b38f9798ff1038cf",
+        "46440e2aabce4a22682b6a384a177f0804a47bd5ac0386d3d0f92dbb6e5c3a1d"),
+}
+
+
+@pytest.mark.parametrize("profile, feedback", list(GOLDEN_SCENARIO))
+def test_scenario_golden_stdout_and_files(tmp_path, capsys, profile,
+                                          feedback):
+    cfg = write_config(tmp_path / "c.json", harvest_rates=[0.3, 0.2],
+                       input_rate=6.0, thresholds=[10.0, 10.0], horizon=None,
+                       profile={"flat": FLAT, "scheduled": SCHEDULED}[profile],
+                       initial_batteries=[40.0, 40.0],
+                       out=str(tmp_path / "out"))
+    flags = ["--feedback"] if feedback else []
+    assert main(["scenario", "--config", cfg, *flags]) == 0
+    stdout, trace_sha, windows_sha = GOLDEN_SCENARIO[profile, feedback]
+    assert capsys.readouterr().out == stdout
+    for name, want in (("trace.csv", trace_sha), ("windows.csv", windows_sha)):
+        got = hashlib.sha256((tmp_path / "out" / name).read_bytes())
+        assert got.hexdigest() == want

@@ -13,7 +13,6 @@ from hdrsim import (
     Hysteresis2,
     SimState,
     ThresholdPolicy,
-    Trace,
     constant_profile,
     default_state,
     detect_cycles,
@@ -212,10 +211,9 @@ def test_verify_trace_accepts_honest_run():
 def test_verify_trace_catches_tampering():
     params = diamond(e=(0.8, 0.6), g=17.5, h=(5, 5))
     trace = run(params, n_slots=50)
-    doctored = list(trace.records)
-    doctored[25] = dataclasses.replace(doctored[25],
-                                       packets=doctored[25].packets + 1.0)
-    bad = dataclasses.replace(trace, records=doctored)
+    packets = trace.packets[:]
+    packets[25] += 1.0
+    bad = dataclasses.replace(trace, packets=packets)
     assert verify_trace(bad, params)
 
 
@@ -441,12 +439,6 @@ def test_records_view_round_trip():
     assert trace.records is trace.records          # built once
     assert isinstance(trace.records[0].switched, bool)
     assert isinstance(trace.records[0].packets, int)
-    rebuilt = Trace(records=trace.records, n_nodes=3, packet_mode="whole",
-                    initial_active=0, params=params)
-    assert rebuilt.records == trace.records
-    assert rebuilt.slots == range(300)
-    assert verify_trace(rebuilt) == []
-    assert summarize(rebuilt) == summarize(trace)
     copy = dataclasses.replace(trace, feedback_log=[])
     assert copy.records == trace.records
     assert trace.switch_slots() == [r.slot for r in trace.records
@@ -459,10 +451,25 @@ def test_run_starts_from_a_given_state():
     state = default_state(params)
     for _ in range(20):
         state, _ = step(params, state)
-    tail = run(params, n_slots=40, state=state)
-    assert tail.slots == range(20, 60)
-    assert tail.records == full.records[20:]
-    assert detect_cycles(tail, warmup=30) == detect_cycles(full, warmup=30)
+    assert state.battery_pre == tuple(col[20] for col in full.battery_pre)
+    assert state.active == full.active[19]
+    tail = run(params, n_slots=40, initial_batteries=state.battery_pre,
+               initial_active=state.active)
+    assert tail.slots == range(40)
+    assert tail.battery_pre == tuple(col[20:] for col in full.battery_pre)
+    assert tail.battery_post == tuple(col[20:] for col in full.battery_post)
+    for name in ("active", "switched", "packets", "suppressed"):
+        assert getattr(tail, name) == getattr(full, name)[20:]
+
+
+def test_replace_starts_with_an_empty_records_view():
+    trace = run(diamond(), n_slots=30)
+    assert trace.records[5].packets == trace.packets[5]
+    packets = trace.packets[:]
+    packets[5] += 1.0
+    copy = dataclasses.replace(trace, packets=packets)
+    assert copy.records[5].packets == packets[5] != trace.records[5].packets
+    assert copy.records[6] == trace.records[6]
 
 
 @pytest.mark.parametrize("levels", [

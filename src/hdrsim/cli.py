@@ -97,19 +97,24 @@ def _effective(cfg: dict, args) -> dict:
 def _run_setup(cfg: dict):
     """Common knobs for the simulating subcommands."""
     params = _build_params(cfg)
+    # a bool is an int to Python, but not a slot count or a node number
     horizon = cfg.get("horizon")
-    if horizon is not None and horizon < 1:
-        raise ConfigError("horizon must be at least 1 slot")
+    if horizon is not None and (type(horizon) is not int or horizon < 1):
+        raise ConfigError(f"horizon must be an integer of at least 1 slot, "
+                          f"got {horizon!r}")
     warmup = cfg.get("warmup", 0)
-    if warmup < 0 or (horizon is not None and warmup >= horizon):
-        raise ConfigError("warmup must be non-negative and below the horizon")
+    if (type(warmup) is not int or warmup < 0
+            or (horizon is not None and warmup >= horizon)):
+        raise ConfigError(f"warmup must be a non-negative integer below the "
+                          f"horizon, got {warmup!r}")
     mode = cfg.get("packet_mode", "fractional")
     if mode not in PACKET_MODES:
         raise ConfigError(f"packet_mode must be one of {PACKET_MODES}")
     batteries = cfg.get("initial_batteries")
     active = cfg.get("initial_active", 1)
-    if not 1 <= active <= params.n_nodes:
-        raise ConfigError(f"initial_active must name node 1..{params.n_nodes}")
+    if type(active) is not int or not 1 <= active <= params.n_nodes:
+        raise ConfigError(f"initial_active must name node "
+                          f"1..{params.n_nodes}, got {active!r}")
     profile = None
     if cfg.get("profile"):
         try:

@@ -1,8 +1,8 @@
 """Slot-level simulator.
 
-Time is discrete.  Each step handles one slot boundary and the slot that
-follows it: nodes exchange status messages, the controller decides whether
-to hand the forwarding role over, and the chosen node then carries the
+Time is discrete.  A run takes one slot boundary and the slot after it at
+a time: nodes exchange status messages, the controller decides whether to
+hand the forwarding role over, and the chosen node then carries the
 offered load while everyone harvests.
 
 Record ``k`` therefore describes the boundary entering slot ``k`` (battery
@@ -11,8 +11,9 @@ the traffic of slot ``k`` itself (packets moved by the node that ended up
 active).  The next record's ``battery_pre`` is the result of that slot.
 
 The slot rules live in one function (``_slot_rule``) that takes and returns
-plain values; ``step``, ``run`` (and through it the feedback runs) and
-``verify_trace`` all call it.  A run stores its trace as columns, one per
+plain values; ``run`` (and through it the feedback runs) and
+``verify_trace`` are its only callers, so a run always starts from the
+checked ``default_state``.  A run stores its trace as columns, one per
 quantity and per node (see ``Trace``), not as one object per slot: float
 runs fill ``array`` columns, while exact inputs fill plain lists.
 Arithmetic is duck-typed; feeding ``fractions.Fraction`` levels in gives
@@ -56,15 +57,12 @@ from .model import (
     CycleStats,
     Profile,
     RunSummary,
-    SimState,
-    SlotRecord,
     SystemParams,
     Trace,
     default_state,
 )
 
 __all__ = [
-    "step",
     "run",
     "detect_cycles",
     "summarize",
@@ -208,34 +206,6 @@ def _slot_rule(params: SystemParams, whole: bool, plain: bool):
     return slot
 
 
-def step(params: SystemParams, state: SimState):
-    """Advance one slot at the constant rates of ``params``.  Returns
-    (new_state, record): the state the next step starts from and the
-    ``SlotRecord`` of slot ``state.slot``.  ``state`` is taken as given,
-    unchecked; ``run`` starts only from a ``default_state``.
-    """
-    e, g, v = params.harvest_rates, params.input_rate, state.active
-    plain = _number_types(params, None, state.battery_pre) <= _PLAIN
-    post, nxt, active, switched, packets, quiet = _slot_rule(
-        params, state.packet_mode == WHOLE, plain)(state.battery_pre, v, e, g)
-    record = SlotRecord(
-        slot=state.slot,
-        battery_pre=tuple(state.battery_pre),
-        battery_post=tuple(post),
-        active=active,
-        switched=switched,
-        packets=packets,
-        suppressed=tuple(quiet and u == v for u in range(params.n_nodes)),
-    )
-    new_state = SimState(
-        slot=state.slot + 1,
-        battery_pre=tuple(nxt),
-        active=active,
-        packet_mode=state.packet_mode,
-    )
-    return new_state, record
-
-
 def run(params: SystemParams, n_slots: Optional[int] = None,
         profile: Optional[Profile] = None,
         packet_mode: str = FRACTIONAL,
@@ -245,11 +215,11 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     """Simulate ``n_slots`` slots and return the trace, slots numbered
     from 0.
 
-    The run starts from ``default_state(params, packet_mode,
-    initial_batteries, initial_active)``, which rejects a bad start.  With a
-    profile, slot ``k`` uses profile row ``k`` and ``n_slots``
-    defaults to the profile length.  With ``steer`` the offered load is a
-    controller's: ``steer(k, active, switched, harvest)`` is called after
+    The run starts from the ``(levels, active)`` pair that
+    ``default_state(params, packet_mode, initial_batteries,
+    initial_active)`` checks and returns.  With a profile, slot ``k`` uses
+    profile row ``k`` and ``n_slots`` defaults to the profile length.  With
+    ``steer`` the offered load is a controller's: ``steer(k, active, switched, harvest)`` is called after
     slot ``k`` with that slot's outcome and harvest rates and returns the
     load from slot ``k + 1`` on (slot 0 gets ``params.input_rate``).  The
     profile's input-rate column is then ignored, and the trace carries the
@@ -257,8 +227,8 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     A run whose inputs are all floats or ints stores floats, so there a
     steered load of any other type is a ``TypeError``.
     """
-    state = default_state(params, packet_mode=packet_mode,
-                          batteries=initial_batteries, active=initial_active)
+    levels, first = default_state(params, packet_mode, initial_batteries,
+                                  initial_active)
     if profile is not None:
         if profile.n_nodes != params.n_nodes:
             raise ValueError("profile node count does not match parameters")
@@ -272,10 +242,10 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
         raise ValueError("n_slots must be at least 1")
 
     n = params.n_nodes
-    whole = state.packet_mode == WHOLE
+    whole = packet_mode == WHOLE
     # every number a run stores comes out a float when the levels, energies
     # and loads it starts from are all floats or ints
-    kinds = _number_types(params, profile, state.battery_pre)
+    kinds = _number_types(params, profile, levels)
     floats = kinds <= {float, int}
     # steered loads are not known up front: a steered run keeps the full
     # arithmetic
@@ -300,7 +270,7 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     add_active, add_switched, add_suppressed = (
         active.append, switched.append, suppressed.append)
 
-    pre, v = state.battery_pre, state.active
+    pre, v = levels, first
     for k in range(n_slots):
         if harvest is not None:
             e = harvest[k]
@@ -327,8 +297,8 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
         rows = (profile.harvest[:n_slots] if profile is not None
                 else (params.harvest_rates,) * n_slots)
         profile = Profile(harvest=tuple(rows), input_rate=tuple(offered))
-    return Trace(n_nodes=n, packet_mode=state.packet_mode,
-                 initial_active=state.active, params=params, profile=profile,
+    return Trace(n_nodes=n, packet_mode=packet_mode,
+                 initial_active=first, params=params, profile=profile,
                  slots=range(n_slots),
                  battery_pre=tuple(pre_flat[u::n] for u in range(n)),
                  battery_post=tuple(post_flat[u::n] for u in range(n)),

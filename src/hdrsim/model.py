@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import Optional, Sequence
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "EarliestSwitch3",
     "ThresholdPolicy",
     "SystemParams",
-    "SimState",
     "SlotRecord",
     "Trace",
     "CycleStats",
@@ -35,7 +34,6 @@ __all__ = [
     "ValidationReport",
     "validate",
     "default_state",
-    "constant_profile",
 ]
 
 FRACTIONAL = "fractional"
@@ -46,12 +44,6 @@ PACKET_MODES = (FRACTIONAL, WHOLE)
 # ---------------------------------------------------------------------------
 # switching policies
 # ---------------------------------------------------------------------------
-
-def _check_thresholds(*values):
-    for v in values:
-        if not math.isfinite(float(v)) or float(v) <= 0:
-            raise ValueError(f"thresholds must be positive, got {v!r}")
-
 
 _RULES = ("rr", "es")
 
@@ -73,7 +65,9 @@ class ThresholdPolicy:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-        _check_thresholds(*self.values)
+        for v in self.values:
+            if not math.isfinite(float(v)) or float(v) <= 0:
+                raise ValueError(f"thresholds must be positive, got {v!r}")
         if self.rule not in _RULES:
             raise ValueError(f"unknown successor rule {self.rule!r}; "
                              f"expected one of {_RULES}")
@@ -170,9 +164,6 @@ class SystemParams:
             raise ValueError("packet energy must be positive")
         if float(self.status_energy) < 0 or float(self.switch_energy) < 0:
             raise ValueError("control energies must be non-negative")
-        ths = [self.thresholds.threshold_from(u) for u in range(n)]
-        if any(float(t) <= 0 for t in ths):
-            raise ValueError("thresholds must be positive")
         if float(self.battery_capacity) <= float(self.control_floor):
             raise ValueError("battery capacity must exceed the control floor")
 
@@ -243,34 +234,18 @@ def validate(params: SystemParams, strict: bool = False) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# simulation state and outputs
+# run start and outputs
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SimState:
-    """Where a run stands just before the end of ``slot``: all a step
-    needs to go on.
-
-    battery_pre   per-node level just before the slot-end control exchange
-    active        0-based index of the forwarding node for the current slot
-    packet_mode   "fractional" or "whole"
-    """
-
-    slot: int
-    battery_pre: tuple
-    active: int
-    packet_mode: str = FRACTIONAL
-
-    def __post_init__(self):
-        if self.packet_mode not in PACKET_MODES:
-            raise ValueError(f"unknown packet mode {self.packet_mode!r}")
-
 
 def default_state(params: SystemParams, packet_mode: str = FRACTIONAL,
                   batteries: Optional[Sequence] = None,
-                  active: int = 0) -> SimState:
-    """Half-full batteries, node 1 forwarding, slot 0.  Given
-    levels must be finite and inside ``[0, battery_capacity]``."""
+                  active: int = 0) -> tuple:
+    """The checked start of a run, ``(levels, active)``: half-full
+    batteries and node 1 forwarding unless given.  Given levels must be
+    finite and inside ``[0, battery_capacity]``, ``active`` must name a
+    node and ``packet_mode`` be one of ``PACKET_MODES``."""
+    if packet_mode not in PACKET_MODES:
+        raise ValueError(f"unknown packet mode {packet_mode!r}")
     n = params.n_nodes
     if batteries is None:
         batteries = tuple(params.battery_capacity / 2 for _ in range(n))
@@ -285,8 +260,7 @@ def default_state(params: SystemParams, packet_mode: str = FRACTIONAL,
                                  f"must lie in [0, {cap}], got {b!r}")
     if not 0 <= active < n:
         raise ValueError(f"active node index {active} out of range")
-    return SimState(slot=0, battery_pre=batteries, active=active,
-                    packet_mode=packet_mode)
+    return batteries, active
 
 
 @dataclass(frozen=True)
@@ -307,11 +281,6 @@ class SlotRecord:
     switched: bool
     packets: float
     suppressed: tuple
-
-    @property
-    def battery_gap(self):
-        """battery_pre[0] - battery_pre[1]; the quantity the two-node rule watches."""
-        return self.battery_pre[0] - self.battery_pre[1]
 
 
 @dataclass
@@ -442,8 +411,9 @@ class Profile:
     """Per-slot harvest rates and offered load.
 
     harvest[i] is a tuple with one rate per node for slot i; input_rate[i]
-    is the offered load for slot i.  A constant profile reproduces a plain
-    parameterised run exactly.
+    is the offered load for slot i.  Every cell must be finite and
+    non-negative.  A constant profile reproduces a plain parameterised run
+    exactly.
     """
 
     harvest: tuple
@@ -456,6 +426,12 @@ class Profile:
             n = len(self.harvest[0])
             if any(len(row) != n for row in self.harvest):
                 raise ValueError("ragged harvest rows")
+
+        rows = (self.input_rate, *self.harvest)
+        if (not all(map(math.isfinite, chain.from_iterable(rows)))
+                or min(chain.from_iterable(rows), default=0) < 0):
+            raise ValueError("profile harvest and input rates must be finite "
+                             "and non-negative")
 
     @property
     def length(self) -> int:
@@ -471,12 +447,3 @@ class Profile:
 
     def total_offered(self):
         return sum(self.input_rate)
-
-
-def constant_profile(params: SystemParams, length: int) -> Profile:
-    if length < 1:
-        raise ValueError("profile length must be at least 1")
-    return Profile(
-        harvest=tuple(params.harvest_rates for _ in range(length)),
-        input_rate=tuple(params.input_rate for _ in range(length)),
-    )

@@ -2,7 +2,13 @@
 
 import pytest
 
-from hdrsim import EarliestSwitch3, Hysteresis2, RoundRobin3, SystemParams
+from hdrsim import (
+    EarliestSwitch3,
+    Hysteresis2,
+    Profile,
+    RoundRobin3,
+    SystemParams,
+)
 
 
 def diamond(e=(0.8, 0.6), g=17.5, c=0.08, h=(5.0, 5.0), ct=0, cr=0,
@@ -20,6 +26,12 @@ def three(e=(0.1, 0.7, 0.8), g=20.0, c=0.08, h=(5.0, 10.0, 10.0), ct=0,
         harvest_rates=tuple(e), input_rate=g, packet_energy=c,
         status_energy=ct, switch_energy=cr, battery_capacity=cap,
         thresholds=policy)
+
+
+def constant_profile(params, length):
+    """``length`` slots of the constant rates of ``params`` as a profile."""
+    return Profile(harvest=(params.harvest_rates,) * length,
+                   input_rate=(params.input_rate,) * length)
 
 
 @pytest.fixture

@@ -133,7 +133,8 @@ def _gap_rows():
                          h=(h1, h2), cap=F(1000))
         trace = run(params, n_slots=expected[-1][0] + 25,
                     initial_batteries=(F(50) + h2, F(50)), initial_active=1)
-        gaps = [(r.slot, r.battery_gap) for r in trace.records if r.switched]
+        gaps = [(r.slot, r.battery_pre[0] - r.battery_pre[1])
+                for r in trace.records if r.switched]
         rows.append(gaps)
         traces.append((params, trace))
     return rows, traces, time.perf_counter() - t0

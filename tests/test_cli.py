@@ -118,6 +118,22 @@ def test_bad_initial_active(tmp_path):
                  write_config(tmp_path / "c.json", initial_active=3)]) == 1
 
 
+@pytest.mark.parametrize("key, value", [
+    ("horizon", "200"), ("horizon", 200.5), ("initial_active", "1"),
+    ("warmup", None), ("horizon", True),
+])
+def test_run_key_of_the_wrong_type_is_a_config_error(tmp_path, capsys, key,
+                                                      value):
+    path = tmp_path / "c.json"
+    write_config(path, out=str(tmp_path / "out"))
+    # write_config drops None values; this probe needs a JSON null
+    cfg = json.loads(path.read_text())
+    cfg[key] = value
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 1
+    assert f"{key} must" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("levels", [["NaN", 50.0], [500.0, -30.0]])
 def test_bad_initial_batteries(tmp_path, capsys, levels):
     path = tmp_path / "c.json"

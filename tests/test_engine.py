@@ -11,20 +11,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hdrsim import (
     Hysteresis2,
-    SimState,
     ThresholdPolicy,
-    constant_profile,
-    default_state,
     detect_cycles,
     energy_ledger,
     read_trace_csv,
     run,
-    step,
     summarize,
     verify_trace,
     write_trace_csv,
 )
-from conftest import diamond, three
+from conftest import constant_profile, diamond, three
 
 
 def exact_diamond(h1, h2, e=(F(3, 5), F(4, 5)), g=F(35, 2)):
@@ -37,7 +33,17 @@ def aligned_gaps(params, h2, n_slots=80):
     battery-difference sequence at every subsequent handover."""
     trace = run(params, n_slots=n_slots,
                 initial_batteries=(F(50) + h2, F(50)), initial_active=1)
-    return [(r.slot, r.battery_gap) for r in trace.records if r.switched]
+    return [(r.slot, r.battery_pre[0] - r.battery_pre[1])
+            for r in trace.records if r.switched]
+
+
+def first_slot(params, levels, active=0, packet_mode="fractional"):
+    """Run two slots from ``levels``; return the trace, whose slot 0 is the
+    slot under test, and the levels that slot leaves (slot 1's
+    ``battery_pre``)."""
+    trace = run(params, n_slots=2, initial_batteries=levels,
+                initial_active=active, packet_mode=packet_mode)
+    return trace, tuple(col[1] for col in trace.battery_pre)
 
 
 def test_handover_gap_sequence_short_hysteresis():
@@ -68,54 +74,47 @@ def test_fractional_duty_midpoint():
     # level exactly halfway between the floor and a full slot of draining:
     # half the slot at full rate, half at the recharge rate
     params = diamond(e=(0.8, 0.6), g=17.5, h=(60, 60))
-    state = SimState(slot=0, battery_pre=(0.3, 50.0), active=0)
-    nxt, rec = step(params, state)
-    assert rec.packets == pytest.approx(0.5 * 17.5 + 0.5 * 0.8 / 0.08)
-    assert nxt.battery_pre[0] == pytest.approx(0.0)
+    trace, nxt = first_slot(params, (0.3, 50.0))
+    assert trace.packets[0] == pytest.approx(0.5 * 17.5 + 0.5 * 0.8 / 0.08)
+    assert nxt[0] == pytest.approx(0.0)
 
 
 def test_active_below_floor_idles_and_charges():
     params = diamond(e=(0.8, 0.6), g=17.5, h=(60, 60), ct=0.01, cr=0.05)
-    state = SimState(slot=0, battery_pre=(0.05, 50.0), active=0)
-    nxt, rec = step(params, state)
-    assert rec.packets == 0
-    assert rec.suppressed == (True, False)
-    assert nxt.battery_pre[0] == pytest.approx(0.05 + 0.8)
+    trace, nxt = first_slot(params, (0.05, 50.0))
+    assert trace.packets[0] == 0
+    assert trace.suppressed[0] == 0b01     # node 1 withheld its status
+    assert nxt[0] == pytest.approx(0.05 + 0.8)
     # the idle node pays nothing, the other still reports status
-    assert nxt.battery_pre[1] == pytest.approx(50.0 - 0.01 + 0.6)
+    assert nxt[1] == pytest.approx(50.0 - 0.01 + 0.6)
 
 
 def test_handover_costs_and_full_slot():
     params = diamond(e=(0.8, 0.6), g=17.5, h=(5, 5), ct=0.01, cr=0.05)
-    state = SimState(slot=0, battery_pre=(40.0, 50.0), active=0)
-    nxt, rec = step(params, state)
-    assert rec.switched and rec.active == 1
-    assert rec.packets == pytest.approx(17.5)
+    trace, nxt = first_slot(params, (40.0, 50.0))
+    assert trace.switched[0] and trace.active[0] == 1
+    assert trace.packets[0] == pytest.approx(17.5)
     # outgoing node: status + switch, then charges
-    assert nxt.battery_pre[0] == pytest.approx(40.0 - 0.01 - 0.05 + 0.8)
+    assert nxt[0] == pytest.approx(40.0 - 0.01 - 0.05 + 0.8)
     # incoming node: status + switch + a full slot of data
-    assert nxt.battery_pre[1] == pytest.approx(50.0 - 0.01 - 0.05 + 0.6 - 1.4)
+    assert nxt[1] == pytest.approx(50.0 - 0.01 - 0.05 + 0.6 - 1.4)
 
 
 def test_charging_clips_at_capacity():
     params = diamond(e=(0.8, 0.6), g=17.5, h=(60, 60), cap=50.0)
-    state = SimState(slot=0, battery_pre=(30.0, 49.9), active=0)
-    nxt, _ = step(params, state)
-    assert nxt.battery_pre[1] == 50.0
+    _, nxt = first_slot(params, (30.0, 49.9))
+    assert nxt[1] == 50.0
 
 
 def test_whole_packets_floor_without_carry():
     # entitlement 12.7 -> 12 packets, energy for exactly 12
     params = diamond(e=(0.8, 0.6), g=17.5, h=(60, 60))
-    state = SimState(slot=0, battery_pre=(0.216, 50.0), active=0,
-                     packet_mode="whole")
-    nxt, rec = step(params, state)
-    assert rec.packets == 12
-    assert nxt.battery_pre[0] == pytest.approx(0.216 + 0.8 - 12 * 0.08)
+    trace, nxt = first_slot(params, (0.216, 50.0), packet_mode="whole")
+    assert trace.packets[0] == 12
+    assert nxt[0] == pytest.approx(0.216 + 0.8 - 12 * 0.08)
     # and the shortfall is forgotten: fractional mode sends the full 12.7
-    frac = SimState(slot=0, battery_pre=(0.216, 50.0), active=0)
-    _, frec = step(params, frac)
-    assert frec.packets == pytest.approx(12.7)
+    frac, _ = first_slot(params, (0.216, 50.0))
+    assert frac.packets[0] == pytest.approx(12.7)
 
 
 def test_whole_equals_fractional_when_integral():
@@ -162,16 +161,14 @@ def test_detect_cycles_without_switches():
 
 def test_earliest_switch_prefers_larger_excess():
     params = three(h=(2.0, 2.0, 2.0), es=True)
-    state = SimState(slot=0, battery_pre=(10.0, 13.0, 14.0), active=0)
-    _, rec = step(params, state)
-    assert rec.switched and rec.active == 2
+    trace, _ = first_slot(params, (10.0, 13.0, 14.0))
+    assert trace.switched[0] and trace.active[0] == 2
 
 
 def test_earliest_switch_tie_takes_lower_index():
     params = three(h=(2.0, 2.0, 2.0), es=True)
-    state = SimState(slot=0, battery_pre=(10.0, 14.0, 14.0), active=0)
-    _, rec = step(params, state)
-    assert rec.switched and rec.active == 1
+    trace, _ = first_slot(params, (10.0, 14.0, 14.0))
+    assert trace.switched[0] and trace.active[0] == 1
 
 
 def test_summarize_matches_manual_accounting():
@@ -448,13 +445,9 @@ def test_records_view_round_trip():
 def test_run_starts_from_a_given_state():
     params = diamond(ct=0.01, cr=0.05)
     full = run(params, n_slots=60)
-    state = default_state(params)
-    for _ in range(20):
-        state, _ = step(params, state)
-    assert state.battery_pre == tuple(col[20] for col in full.battery_pre)
-    assert state.active == full.active[19]
-    tail = run(params, n_slots=40, initial_batteries=state.battery_pre,
-               initial_active=state.active)
+    tail = run(params, n_slots=40,
+               initial_batteries=tuple(col[20] for col in full.battery_pre),
+               initial_active=full.active[19])
     assert tail.slots == range(40)
     assert tail.battery_pre == tuple(col[20:] for col in full.battery_pre)
     assert tail.battery_post == tuple(col[20:] for col in full.battery_post)

@@ -10,15 +10,13 @@ from hdrsim import (
     Hysteresis2,
     Profile,
     RoundRobin3,
-    SlotRecord,
     SystemParams,
     ThresholdPolicy,
     WHOLE,
-    constant_profile,
     default_state,
     validate,
 )
-from conftest import diamond, three
+from conftest import diamond
 
 
 def test_hysteresis2_policy():
@@ -127,14 +125,11 @@ def test_validate_strict_promotes_warnings():
 
 
 def test_default_state(diamond_params):
-    s = default_state(diamond_params)
-    assert s.battery_pre == (50.0, 50.0)
-    assert s.active == 0
-    assert s.packet_mode == FRACTIONAL
-    s2 = default_state(diamond_params, packet_mode=WHOLE,
-                       batteries=(1.0, 2.0), active=1)
-    assert s2.battery_pre == (1.0, 2.0)
-    assert s2.active == 1
+    assert default_state(diamond_params) == ((50.0, 50.0), 0)
+    assert default_state(diamond_params, packet_mode=FRACTIONAL) == \
+        ((50.0, 50.0), 0)
+    assert default_state(diamond_params, packet_mode=WHOLE,
+                         batteries=(1.0, 2.0), active=1) == ((1.0, 2.0), 1)
 
 
 def test_default_state_rejects_bad_mode(diamond_params):
@@ -152,15 +147,8 @@ def test_default_state_rejects_bad_levels(diamond_params, levels):
 
 
 def test_default_state_accepts_the_range_ends(diamond_params):
-    s = default_state(diamond_params, batteries=(0.0, 100.0))
-    assert s.battery_pre == (0.0, 100.0)
-
-
-def test_slot_record_gap():
-    r = SlotRecord(slot=0, battery_pre=(5.0, 3.0), battery_post=(4.0, 3.5),
-                   active=0, switched=False, packets=1.0,
-                   suppressed=(False, False))
-    assert r.battery_gap == pytest.approx(2.0)
+    levels, _ = default_state(diamond_params, batteries=(0.0, 100.0))
+    assert levels == (0.0, 100.0)
 
 
 def test_profile_totals():
@@ -179,10 +167,11 @@ def test_profile_shape_mismatch():
         Profile(harvest=((0.5, 0.25),), input_rate=(10.0, 10.0))
 
 
-def test_constant_profile_mirrors_params():
-    p = three(g=12.5)
-    prof = constant_profile(p, 40)
-    assert prof.length == 40
-    assert prof.n_nodes == 3
-    assert all(row == p.harvest_rates for row in prof.harvest)
-    assert all(g == 12.5 for g in prof.input_rate)
+@pytest.mark.parametrize("harvest, rates, match", [
+    (((0.5, math.nan), (0.5, 0.25)), (10.0, 10.0), "finite"),
+    (((0.5, 0.25), (0.5, 0.25)), (10.0, math.inf), "finite"),
+    (((0.5, 0.25), (-0.1, 0.25)), (10.0, 10.0), "non-negative"),
+])
+def test_profile_rejects_bad_cells(harvest, rates, match):
+    with pytest.raises(ValueError, match=match):
+        Profile(harvest=harvest, input_rate=rates)

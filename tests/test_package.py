@@ -1,10 +1,16 @@
-"""Packaging promises: hdrsim runs on the standard library alone."""
+"""Packaging promises: hdrsim runs on the standard library alone, and the
+README's Python API section matches the package."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+import hdrsim
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+README = (ROOT / "README.md").read_text()
 
 
 def test_import_loads_only_the_standard_library():
@@ -16,3 +22,26 @@ def test_import_loads_only_the_standard_library():
                          capture_output=True, text=True, check=True).stdout
     loaded = set(out.split()) - sys.stdlib_module_names
     assert loaded == {"__main__", "hdrsim"}
+
+
+def _python_api_section() -> str:
+    return README.split("## Python API", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_python_example_runs():
+    code = re.search(r"```python\n(.*?)```", _python_api_section(),
+                     re.S).group(1)
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys; sys.path.insert(0, sys.argv[1])\n"
+                           + code, str(SRC)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.split()) == 2       # throughput, steady rate
+
+
+def test_readme_entry_points_exist():
+    listed = re.search(r"Useful entry points:(.*?)\n(?:\n|\Z)",
+                       _python_api_section(), re.S).group(1)
+    names = re.findall(r"`(\w+)`", listed)
+    assert names
+    assert [n for n in names if not hasattr(hdrsim, n)] == []

@@ -7,7 +7,6 @@ import pytest
 
 from hdrsim import (
     Profile,
-    constant_profile,
     detect_cycles,
     load_profile,
     run,
@@ -16,7 +15,7 @@ from hdrsim import (
     windowed_stats,
     write_window_stats_csv,
 )
-from conftest import diamond
+from conftest import constant_profile, diamond
 
 DATA = importlib.resources.files("hdrsim") / "data"
 FLAT = str(DATA / "harvest_flat_input.csv")

@@ -7,8 +7,8 @@ assumption, which is exactly why both exist: the cycle steppers below serve
 as independent oracles for the engine (and vice versa) wherever the
 assumptions hold.
 
-As in the rest of the package, arithmetic is duck-typed; Fraction inputs
-give exact results.
+As in the rest of the package, numbers are ints, floats or Fractions;
+Fraction inputs give exact results.
 """
 
 from __future__ import annotations

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
 
 from . import analytic, engine, scenarios
-from .model import PACKET_MODES, SystemParams, ThresholdPolicy, validate
+from .model import (PACKET_MODES, SystemParams, ThresholdPolicy,
+                    default_state, validate)
 
 __all__ = ["main"]
 
@@ -110,15 +112,22 @@ def _run_setup(cfg: dict):
     mode = cfg.get("packet_mode", "fractional")
     if mode not in PACKET_MODES:
         raise ConfigError(f"packet_mode must be one of {PACKET_MODES}")
-    batteries = cfg.get("initial_batteries")
     active = cfg.get("initial_active", 1)
     if type(active) is not int or not 1 <= active <= params.n_nodes:
         raise ConfigError(f"initial_active must name node "
                           f"1..{params.n_nodes}, got {active!r}")
+    try:
+        batteries, _ = default_state(params, mode,
+                                     cfg.get("initial_batteries"), active - 1)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad initial_batteries: {exc}") from None
+    path = cfg.get("profile")
+    if path is not None and not isinstance(path, str):
+        raise ConfigError(f"profile must be a path or null, got {path!r}")
     profile = None
-    if cfg.get("profile"):
+    if path:
         try:
-            profile = scenarios.load_profile(cfg["profile"])
+            profile = scenarios.load_profile(path)
         except OSError as exc:
             raise ConfigError(f"cannot read profile: {exc}") from None
         except ValueError as exc:
@@ -242,8 +251,9 @@ def _parse_axis(spec: str):
     except ValueError:
         raise ConfigError(f"bad axis {spec!r}; expected name=start:stop:step") \
             from None
-    if step <= 0 or hi < lo:
-        raise ConfigError("axis needs start <= stop and a positive step")
+    if step <= 0 or hi < lo or not all(map(math.isfinite, (lo, hi, step))):
+        raise ConfigError("axis needs finite values, start <= stop and a "
+                          "positive step")
     values = []
     k = 0
     while True:

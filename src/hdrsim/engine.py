@@ -15,9 +15,8 @@ plain values; ``run`` (and through it the feedback runs) and
 ``verify_trace`` are its only callers, so a run always starts from the
 checked ``default_state``.  A run stores its trace as columns, one per
 quantity and per node (see ``Trace``), not as one object per slot: float
-runs fill ``array`` columns, while exact inputs fill plain lists.
-Arithmetic is duck-typed; feeding ``fractions.Fraction`` levels in gives
-exact trajectories, which the golden tests rely on.
+runs fill ``array`` columns, while ``Fraction`` inputs fill plain lists
+and give exact trajectories, which the golden tests rely on.
 
 Three shortcuts skip operations whose result is known, and only where the
 operation is an identity on the operands in hand, so every value, type and
@@ -30,13 +29,10 @@ repr stays as the full arithmetic makes it:
    out of the energy balance, and passes equal values at ``tol >= 0``
    without computing ``abs(want - got)`` when they are ints or Fractions.
 
-``x - 0`` is ``x`` for int, float and Fraction values (``_PLAIN``), but
-not for Decimal: ``Decimal('8E+1') - 0 == Decimal('80')``, which has
-another repr.  So shortcuts 1 and 3 are decided once per run or audit from
-the types of every number it starts from, and a Decimal anywhere keeps the
-full arithmetic.  Floats keep the full tolerance check since ``inf - inf``
-is nan, and so does a negative ``tol``, at which the full check fails even
-for equal values.
+``x - 0`` is ``x``, type and repr included, for every int, float and
+Fraction, so shortcuts 1 and 3 need no check of the types in hand.  Floats
+keep the full tolerance check since ``inf - inf`` is nan, and so does a
+negative ``tol``, at which the full check fails even for equal values.
 """
 
 from __future__ import annotations
@@ -46,13 +42,13 @@ import csv
 import math
 import operator
 from array import array
-from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, compress, count, islice, pairwise, repeat
 from typing import Callable, Optional, Sequence
 
 from .model import (
     FRACTIONAL,
+    NUMBER_TYPES,
     WHOLE,
     CycleStats,
     Profile,
@@ -73,8 +69,6 @@ __all__ = [
 ]
 
 
-# types for which x - 0 is x, type and repr included (see above)
-_PLAIN = frozenset((int, float, Fraction))
 # types whose values are always finite, so that want == got makes
 # want - got an exact zero
 _FINITE = frozenset((int, Fraction))
@@ -84,25 +78,20 @@ def _int_zero(x) -> bool:
     return type(x) is int and x == 0
 
 
-def _number_types(params: SystemParams, profile, *columns) -> set:
-    """The types of the numbers in ``params``, ``profile`` and the level or
-    packet ``columns`` (an ``array`` column holds floats)."""
+def _number_types(params: SystemParams, profile, levels) -> set:
+    """The types of the numbers in ``params``, ``profile`` and ``levels``."""
     kinds = {type(x) for _, x in params._scalars()}
+    kinds.update(map(type, levels))
     if profile is not None:
         kinds.update(map(type, profile.input_rate))
         kinds.update(map(type, chain.from_iterable(profile.harvest)))
-    for col in columns:
-        if isinstance(col, array):
-            kinds.add(float)
-        else:
-            kinds.update(map(type, col))
     return kinds
 
 
 def _level_column(floats: bool = True):
     """An empty column of battery levels or packet counts: ``array('d')``
-    for floats, a list for anything else (``Fraction``, ``Decimal``, or
-    whole packet counts, which stay ints)."""
+    for floats, a list for anything else (``Fraction`` values, or whole
+    packet counts, which stay ints)."""
     return array("d") if floats else []
 
 
@@ -116,7 +105,7 @@ def _slot_column(values):
     return slots
 
 
-def _slot_rule(params: SystemParams, whole: bool, plain: bool):
+def _slot_rule(params: SystemParams, whole: bool):
     """The model's rules for one slot, as a function
     ``slot(pre, v, e, g) -> (post, nxt, active, switched, packets, quiet)``.
 
@@ -128,10 +117,6 @@ def _slot_rule(params: SystemParams, whole: bool, plain: bool):
     the exchange handed over, the packets carried, and whether ``v``
     withheld its status message.  Of several idle nodes that qualify for a
     handover the largest lead wins, remaining ties go to the lower index.
-
-    ``plain`` promises that every level and rate the slot sees is an int, a
-    float or a Fraction (see ``_PLAIN``); only then is a control cost of
-    int 0 left out instead of subtracted.
     """
     n = params.n_nodes
     policy = params.thresholds
@@ -143,9 +128,9 @@ def _slot_rule(params: SystemParams, whole: bool, plain: bool):
     floor = params.control_floor
     cap = params.battery_capacity
     # a cost of int 0 (and so a floor of int 0) is not subtracted
-    pay_status = not (plain and _int_zero(status))
-    pay_switch = not (plain and _int_zero(switch))
-    pay_floor = not (plain and _int_zero(floor))
+    pay_status = not _int_zero(status)
+    pay_switch = not _int_zero(switch)
+    pay_floor = not _int_zero(floor)
     # a full-duty slot (share int 1) carries 1 * g + 0 * ev / c, which is g
     # itself when g, ev and c are all Fractions
     fraction = Fraction if type(c) is Fraction else None
@@ -224,8 +209,9 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     load from slot ``k + 1`` on (slot 0 gets ``params.input_rate``).  The
     profile's input-rate column is then ignored, and the trace carries the
     effective profile: the harvest used and the load actually offered.
-    A run whose inputs are all floats or ints stores floats, so there a
-    steered load of any other type is a ``TypeError``.
+    Profile cells and steered loads must be ints, floats or Fractions; a
+    run whose inputs are all floats or ints stores floats, so there a
+    steered load must be a float or an int.  Loads are checked at the end.
     """
     levels, first = default_state(params, packet_mode, initial_batteries,
                                   initial_active)
@@ -243,14 +229,14 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
 
     n = params.n_nodes
     whole = packet_mode == WHOLE
+    kinds = _number_types(params, profile, levels)
+    if not kinds <= NUMBER_TYPES:
+        # params and levels are checked when made, so the profile holds them
+        raise ValueError("profile cells must be ints, floats or Fractions")
     # every number a run stores comes out a float when the levels, energies
     # and loads it starts from are all floats or ints
-    kinds = _number_types(params, profile, levels)
     floats = kinds <= {float, int}
-    # steered loads are not known up front: a steered run keeps the full
-    # arithmetic
-    plain = steer is None and kinds <= _PLAIN
-    slot = _slot_rule(params, whole, plain)
+    slot = _slot_rule(params, whole)
     e, g = params.harvest_rates, params.input_rate
     harvest = rates = None
     if profile is not None:
@@ -289,11 +275,14 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
             g = steer(k, v, sw, e)
 
     if steer is not None:
-        stray = set(map(type, offered)) - {float, int} if floats else ()
+        stray = set(map(type, offered)) - ({float, int} if floats
+                                           else NUMBER_TYPES)
         if stray:
             names = ", ".join(sorted(t.__name__ for t in stray))
+            why = ("float inputs store floats" if floats
+                   else "loads must be ints, floats or Fractions")
             raise TypeError(f"steer offered {names} loads to a run whose "
-                            f"float inputs store floats")
+                            f"{why}")
         rows = (profile.harvest[:n_slots] if profile is not None
                 else (params.harvest_rates,) * n_slots)
         profile = Profile(harvest=tuple(rows), input_rate=tuple(offered))
@@ -373,31 +362,28 @@ def energy_ledger(trace: Trace, params: Optional[SystemParams] = None):
     p = params or trace.params
     if p is None:
         raise ValueError("parameters required to audit a bare trace")
-    plain = _number_types(p, trace.profile, trace.packets) <= _PLAIN
-    return list(_ledger_rows(trace, p, trace.inputs(p)[0], plain))
+    return list(_ledger_rows(trace, p, trace.inputs(p)[0]))
 
 
-def _ledger_rows(trace: Trace, p: SystemParams, harvest, plain: bool):
+def _ledger_rows(trace: Trace, p: SystemParams, harvest):
     """The rows of ``energy_ledger``, one at a time; ``harvest`` holds the
     slots' harvest rates.  An absent charge (the status of a suppressed
     node, the handover of a slot without one, the spend of an idle node, a
-    cost of int 0) subtracts int 0, or with ``plain`` numbers (see
-    ``_PLAIN``) is left out."""
+    cost of int 0) is left out rather than subtracted."""
     c, status, switch = p.packet_energy, p.status_energy, p.switch_energy
     cap = p.battery_capacity
     nodes = range(p.n_nodes)
-    nil = None if plain else 0
     if _int_zero(status):
-        status = nil
+        status = None
     if _int_zero(switch):
-        switch = nil
+        switch = None
     for slot, (a, b), v, switched, packets, mask, e in zip(
             trace.slots, pairwise(zip(*trace.battery_pre)), trace.active,
             trace.switched, trace.packets, trace.suppressed, harvest):
-        handover = switch if switched else nil
+        handover = switch if switched else None
         for u in nodes:
-            charge = nil if mask >> u & 1 else status
-            spent = c * packets if u == v else nil
+            charge = None if mask >> u & 1 else status
+            spent = c * packets if u == v else None
             expect = e[u]
             if charge is not None:
                 expect = expect - charge
@@ -423,16 +409,11 @@ def verify_trace(trace: Trace, params: Optional[SystemParams] = None,
     problems = []
     report = problems.append
     nodes = range(p.n_nodes)
-    cap = p.battery_capacity
-    # a Decimal capacity takes no float tolerance: Decimal(tol) is exact
-    low, high = -tol, cap + (Decimal(tol) if type(cap) is Decimal else tol)
-    plain = _number_types(p, trace.profile, *trace.battery_pre,
-                          *trace.battery_post, trace.packets) <= _PLAIN
-    slot_rule = _slot_rule(p, trace.packet_mode == WHOLE, plain)
+    low, high = -tol, p.battery_capacity + tol
+    slot_rule = _slot_rule(p, trace.packet_mode == WHOLE)
     # equal values pass a tol >= 0 without computing abs(want - got) = 0,
     # for types whose values are finite
-    exact = plain and tol >= 0
-    finite = _FINITE if exact else ()
+    finite = _FINITE if tol >= 0 else ()
 
     prev_active = trace.initial_active
     if prev_active is None and len(trace):
@@ -468,9 +449,8 @@ def verify_trace(trace: Trace, params: Optional[SystemParams] = None,
                        f"mismatch")
         prev_active = v
 
-    for slot, u, resid, at_cap in _ledger_rows(trace, p, trace.inputs(p)[0],
-                                               plain):
-        if resid == 0 and exact or abs(resid) <= tol:
+    for slot, u, resid, at_cap in _ledger_rows(trace, p, trace.inputs(p)[0]):
+        if resid == 0 <= tol or abs(resid) <= tol:
             continue
         if at_cap and resid < 0:
             continue          # surplus harvest discarded at the ceiling

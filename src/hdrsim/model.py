@@ -5,15 +5,17 @@ several energy-harvesting relay nodes.  Each node owns a battery; the link
 controller swaps the forwarding role whenever an idle node's battery leads
 the active node's battery by that node's hysteresis threshold.
 
-All numeric fields are duck-typed: the simulator and the closed-form helpers
-only ever add, subtract, multiply, divide and compare, so exact types such as
-``fractions.Fraction`` pass through untouched.  Production paths use floats.
+Every number is an int, a float or a ``fractions.Fraction``
+(``NUMBER_TYPES``), checked where it enters, so ``bool``, ``str`` and
+``Decimal`` are rejected.  Fractions pass through the arithmetic exactly;
+production paths use floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from itertools import chain, compress, repeat
 from typing import Optional, Sequence
 
@@ -39,6 +41,8 @@ __all__ = [
 FRACTIONAL = "fractional"
 WHOLE = "whole"
 PACKET_MODES = (FRACTIONAL, WHOLE)
+# the number types the package takes; a bool is an int, but its type is not
+NUMBER_TYPES = frozenset((int, float, Fraction))
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +70,9 @@ class ThresholdPolicy:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
         for v in self.values:
-            if not math.isfinite(float(v)) or float(v) <= 0:
-                raise ValueError(f"thresholds must be positive, got {v!r}")
+            if type(v) not in NUMBER_TYPES or not math.isfinite(v) or v <= 0:
+                raise ValueError(f"thresholds must be positive ints, floats "
+                                 f"or Fractions, got {v!r}")
         if self.rule not in _RULES:
             raise ValueError(f"unknown successor rule {self.rule!r}; "
                              f"expected one of {_RULES}")
@@ -154,8 +159,9 @@ class SystemParams:
                 f"params describe {n}"
             )
         for name, value in self._scalars():
-            if not math.isfinite(float(value)):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            if type(value) not in NUMBER_TYPES or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite int, float or "
+                                 f"Fraction, got {value!r}")
         if any(float(e) < 0 for e in self.harvest_rates):
             raise ValueError("harvest rates must be non-negative")
         if float(self.input_rate) < 0:
@@ -242,8 +248,8 @@ def default_state(params: SystemParams, packet_mode: str = FRACTIONAL,
                   active: int = 0) -> tuple:
     """The checked start of a run, ``(levels, active)``: half-full
     batteries and node 1 forwarding unless given.  Given levels must be
-    finite and inside ``[0, battery_capacity]``, ``active`` must name a
-    node and ``packet_mode`` be one of ``PACKET_MODES``."""
+    ints, floats or Fractions in ``[0, battery_capacity]``, ``active``
+    must name a node and ``packet_mode`` be one of ``PACKET_MODES``."""
     if packet_mode not in PACKET_MODES:
         raise ValueError(f"unknown packet mode {packet_mode!r}")
     n = params.n_nodes
@@ -255,9 +261,11 @@ def default_state(params: SystemParams, packet_mode: str = FRACTIONAL,
             raise ValueError("one initial battery level per node required")
         cap = params.battery_capacity
         for u, b in enumerate(batteries):
-            if not math.isfinite(float(b)) or not 0 <= b <= cap:
+            # a finite capacity keeps out nan and inf
+            if type(b) not in NUMBER_TYPES or not 0 <= b <= cap:
                 raise ValueError(f"initial battery level of node {u + 1} "
-                                 f"must lie in [0, {cap}], got {b!r}")
+                                 f"must be an int, float or Fraction in "
+                                 f"[0, {cap}], got {b!r}")
     if not 0 <= active < n:
         raise ValueError(f"active node index {active} out of range")
     return batteries, active
@@ -297,10 +305,10 @@ class Trace:
     suppressed    bit ``u`` set where node ``u`` withheld its status message
 
     Float runs keep levels and packets in ``array('d')`` columns and the
-    flags in ``array('B')`` columns (so at most 8 nodes).  Exact inputs
-    (``Fraction``, ``Decimal``) get lists for levels and packets, so exact
-    values pass through untouched, and so do whole-packet counts, which
-    stay ints.  ``slots`` ascend.
+    flags in ``array('B')`` columns (so at most 8 nodes).  Runs with a
+    ``Fraction`` among their inputs get lists for levels and packets, so
+    exact values pass through untouched, and so do whole-packet counts,
+    which stay ints.  ``slots`` ascend.
 
     ``records`` is a read-only view of the same data, one ``SlotRecord``
     per slot.  A derived trace comes from ``dataclasses.replace`` on the
@@ -411,9 +419,9 @@ class Profile:
     """Per-slot harvest rates and offered load.
 
     harvest[i] is a tuple with one rate per node for slot i; input_rate[i]
-    is the offered load for slot i.  Every cell must be finite and
-    non-negative.  A constant profile reproduces a plain parameterised run
-    exactly.
+    is the offered load for slot i.  Every cell must be a finite,
+    non-negative int, float or Fraction.  A constant profile reproduces a
+    plain parameterised run exactly.
     """
 
     harvest: tuple

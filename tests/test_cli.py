@@ -7,7 +7,8 @@ import json
 import pytest
 
 from hdrsim import read_trace_csv
-from hdrsim.cli import _build_params, _with_axis, main
+from hdrsim.cli import (ConfigError, _build_params, _parse_axis, _with_axis,
+                        main)
 
 FLAT = str(importlib.resources.files("hdrsim") / "data"
            / "harvest_flat_input.csv")
@@ -120,7 +121,7 @@ def test_bad_initial_active(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("horizon", "200"), ("horizon", 200.5), ("initial_active", "1"),
-    ("warmup", None), ("horizon", True),
+    ("warmup", None), ("horizon", True), ("profile", True), ("profile", 0),
 ])
 def test_run_key_of_the_wrong_type_is_a_config_error(tmp_path, capsys, key,
                                                       value):
@@ -132,6 +133,28 @@ def test_run_key_of_the_wrong_type_is_a_config_error(tmp_path, capsys, key,
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path)]) == 1
     assert f"{key} must" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "analytic"])
+@pytest.mark.parametrize("key, value", [
+    ("input_rate", "17.5"), ("thresholds", ["6.2", 5.0]),
+    ("harvest_rates", [0.8, True]), ("battery_capacity", False),
+])
+def test_number_of_the_wrong_type_is_a_config_error(tmp_path, capsys,
+                                                    command, key, value):
+    cfg = write_config(tmp_path / "c.json", out=str(tmp_path / "out"),
+                       **{key: value})
+    assert main([command, "--config", cfg]) == 1
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", [5, [True, 50.0], ["1", 2]])
+def test_initial_batteries_of_the_wrong_type_is_a_config_error(
+        tmp_path, capsys, levels):
+    cfg = write_config(tmp_path / "c.json", initial_batteries=levels,
+                       out=str(tmp_path / "out"))
+    assert main(["run", "--config", cfg]) == 1
+    assert "bad initial_batteries" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("levels", [["NaN", 50.0], [500.0, -30.0]])
@@ -253,6 +276,13 @@ def test_sweep_rejects_bad_axes(config, capsys):
     assert main(["sweep", "--config", config, "--axis", "h=5:1:1"]) == 1
     assert main(["sweep", "--config", config, "--axis", "cap=1:9:1"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("spec", ["h=1:2:nan", "h=1:inf:1", "h=nan:2:1",
+                                  "h=-inf:2:1", "g=1:2:inf"])
+def test_sweep_axis_must_be_finite(spec):
+    with pytest.raises(ConfigError, match="finite"):
+        _parse_axis(spec)
 
 
 # `hdrsim sweep --axis h=12:31:1.9` stdout, byte for byte, for the

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import tracemalloc
 from array import array
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hdrsim import (
     Hysteresis2,
+    Profile,
     ThresholdPolicy,
     detect_cycles,
     energy_ledger,
@@ -472,3 +474,16 @@ def test_replace_starts_with_an_empty_records_view():
 def test_run_rejects_bad_initial_levels(levels):
     with pytest.raises(ValueError, match="initial battery level"):
         run(diamond(), n_slots=10, initial_batteries=levels)
+
+
+@pytest.mark.parametrize("bad", [Decimal("1.5"), True, "1.5"])
+def test_run_rejects_profile_cells_and_steered_loads_of_other_types(bad):
+    ints = diamond(e=(1, 2), g=3, c=1, h=(2, 3), cap=40)
+    # Profile itself turns away a str cell
+    with pytest.raises((TypeError, ValueError),
+                       match="Fractions|real number"):
+        run(ints, profile=Profile(harvest=((1, 2),) * 3,
+                                  input_rate=(3, bad, 3)))
+    exact = exact_diamond(F(4), F(4, 5))
+    with pytest.raises(TypeError):
+        run(exact, n_slots=10, steer=lambda k, active, switched, e: bad)

@@ -1,6 +1,7 @@
 """Parameter validation, policy objects, and the small value types."""
 
 import math
+from decimal import Decimal
 
 import pytest
 
@@ -175,3 +176,15 @@ def test_profile_shape_mismatch():
 def test_profile_rejects_bad_cells(harvest, rates, match):
     with pytest.raises(ValueError, match=match):
         Profile(harvest=harvest, input_rate=rates)
+
+
+@pytest.mark.parametrize("bad", [Decimal("1.5"), True, "1.5"])
+def test_numbers_are_ints_floats_or_fractions(bad):
+    with pytest.raises(ValueError, match="input_rate must be a finite int"):
+        diamond(g=bad)
+    with pytest.raises(ValueError, match=r"harvest_rates\[1\] must be"):
+        diamond(e=(0.8, bad))
+    with pytest.raises(ValueError, match="thresholds must be positive ints"):
+        Hysteresis2(bad, 5.0)
+    with pytest.raises(ValueError, match="level of node 2 must be an int"):
+        default_state(diamond(), batteries=(50.0, bad))

@@ -243,6 +243,9 @@ def cmd_compare(args, cfg) -> int:
     return 0
 
 
+_MAX_AXIS_POINTS = 10**6
+
+
 def _parse_axis(spec: str):
     try:
         name, rng = spec.split("=")
@@ -254,17 +257,20 @@ def _parse_axis(spec: str):
     if step <= 0 or hi < lo or not all(map(math.isfinite, (lo, hi, step))):
         raise ConfigError("axis needs finite values, start <= stop and a "
                           "positive step")
-    values = []
-    k = 0
-    while True:
-        v = lo + k * step
-        if v > hi + step * 1e-9:
-            break
-        values.append(v)
-        k += 1
-    if not values:
-        raise ConfigError("axis produced no points")
-    return name.strip(), values
+    # the points are lo + k * step up to hi (and a hair past it); count
+    # them before listing any, starting from (hi - lo) / step and moving
+    # to where the float rounding of lo + k * step puts the end
+    end = hi + step * 1e-9
+    count = int(min((hi - lo) / step, _MAX_AXIS_POINTS)) + 1
+    while count <= _MAX_AXIS_POINTS and lo + count * step <= end:
+        count += 1
+    while lo + (count - 1) * step > end:
+        count -= 1
+    if count > _MAX_AXIS_POINTS:
+        many = max((hi - lo) / step + 1, count)
+        raise ConfigError(f"axis {spec!r} has about {many:.0f} points, more "
+                          f"than the {_MAX_AXIS_POINTS} allowed")
+    return name.strip(), [lo + k * step for k in range(count)]
 
 
 def _with_axis(params: SystemParams, name: str, value) -> SystemParams:

@@ -18,9 +18,9 @@ quantity and per node (see ``Trace``), not as one object per slot: float
 runs fill ``array`` columns, while ``Fraction`` inputs fill plain lists
 and give exact trajectories, which the golden tests rely on.
 
-Three shortcuts skip operations whose result is known, and only where the
-operation is an identity on the operands in hand, so every value, type and
-repr stays as the full arithmetic makes it:
+Four shortcuts skip work whose result is known, so every value, type and
+repr stays as the full arithmetic makes it.  The first three skip an
+operation only where it is an identity on the operands in hand:
 
 1. ``_slot_rule`` does not subtract a control cost (or floor) of int 0.
 2. ``_slot_rule`` returns ``g`` for a full-duty slot, ``1 * g + 0 * ev /
@@ -28,11 +28,26 @@ repr stays as the full arithmetic makes it:
 3. The audit (``verify_trace``, ``_ledger_rows``) leaves int-zero terms
    out of the energy balance, and passes equal values at ``tol >= 0``
    without computing ``abs(want - got)`` when they are ints or Fractions.
+4. ``run`` stops calling the slot rule once a run with constant inputs
+   (no profile, no ``steer``) is on its limit cycle, and fills the rest
+   of every column with copies of one period.
 
 ``x - 0`` is ``x``, type and repr included, for every int, float and
 Fraction, so shortcuts 1 and 3 need no check of the types in hand.  Floats
 keep the full tolerance check since ``inf - inf`` is nan, and so does a
 negative ``tol``, at which the full check fails even for equal values.
+
+Shortcut 4 is exact because a slot's outcome depends only on the state
+entering it, the levels and the active node, once the harvest and load are
+constant: when that state recurs, every later slot repeats the slots since
+its first visit.  ``run`` keeps one state entered right after a handover
+and compares every later such state with it, refreshing it after 1, 2, 4,
+8, ... handovers (Brent's cycle finding), so it finds the cycle with O(1)
+extra memory and one comparison per handover.  Two states match only when
+their levels are equal in type and bits, not just in value: ``-0.0 ==
+0.0`` and ``5 == Fraction(5)``, but each pair prints and computes
+differently.  ``verify_trace`` still replays every slot, the copied ones
+included.
 """
 
 from __future__ import annotations
@@ -103,6 +118,22 @@ def _slot_column(values):
     if all(map(operator.eq, slots, count(start))):
         return range(start, start + len(slots))
     return slots
+
+
+def _same_levels(a, b) -> bool:
+    """Whether two lists of equal levels hold them with the same type and
+    bits, which ``==`` does not check: ``-0.0 == 0.0`` and ``5 ==
+    Fraction(5)``.  For the three number types a repr tells both apart."""
+    return list(map(repr, a)) == list(map(repr, b))
+
+
+def _tile(column, start: int, stop: int, total: int) -> None:
+    """Extend ``column`` from ``stop`` to ``total`` entries by repeating
+    its entries ``start`` to ``stop``."""
+    period = column[start:stop]
+    reps, rest = divmod(total - stop, stop - start)
+    column.extend(period * reps)
+    column.extend(period[:rest])
 
 
 def _slot_rule(params: SystemParams, whole: bool):
@@ -212,6 +243,11 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     Profile cells and steered loads must be ints, floats or Fractions; a
     run whose inputs are all floats or ints stores floats, so there a
     steered load must be a float or an int.  Loads are checked at the end.
+
+    Without a profile or ``steer`` the inputs are constant, and once the
+    run is on its limit cycle ``run`` copies one period to the end instead
+    of simulating it (shortcut 4 in the module docstring); the trace is
+    the one the per-slot loop gives, bit for bit.
     """
     levels, first = default_state(params, packet_mode, initial_batteries,
                                   initial_active)
@@ -229,13 +265,9 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
 
     n = params.n_nodes
     whole = packet_mode == WHOLE
-    kinds = _number_types(params, profile, levels)
-    if not kinds <= NUMBER_TYPES:
-        # params and levels are checked when made, so the profile holds them
-        raise ValueError("profile cells must be ints, floats or Fractions")
     # every number a run stores comes out a float when the levels, energies
     # and loads it starts from are all floats or ints
-    floats = kinds <= {float, int}
+    floats = _number_types(params, profile, levels) <= {float, int}
     slot = _slot_rule(params, whole)
     e, g = params.harvest_rates, params.input_rate
     harvest = rates = None
@@ -256,6 +288,12 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     add_active, add_switched, add_suppressed = (
         active.append, switched.append, suppressed.append)
 
+    # shortcut 4: the state entered right after a handover is kept after
+    # 1, 2, 4, ... handovers, and when it recurs, the run repeats the slots
+    # since it was kept
+    constant = profile is None
+    kept_at = kept_v = kept = None
+    power = lam = 1
     pre, v = levels, first
     for k in range(n_slots):
         if harvest is not None:
@@ -273,6 +311,20 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
         if steer is not None:
             offered.append(g)
             g = steer(k, v, sw, e)
+        elif sw and constant:
+            if v == kept_v and pre == kept and _same_levels(pre, kept):
+                stop = k + 1
+                for column, width in ((pre_flat, n), (post_flat, n),
+                                      (packets, 1), (active, 1),
+                                      (switched, 1), (suppressed, 1)):
+                    _tile(column, kept_at * width, stop * width,
+                          n_slots * width)
+                break
+            if lam == power:
+                kept_at, kept_v, kept = k + 1, v, pre
+                power *= 2
+                lam = 0
+            lam += 1
 
     if steer is not None:
         stray = set(map(type, offered)) - ({float, int} if floats

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 __all__ = [
     "FRACTIONAL",
@@ -271,8 +271,7 @@ def default_state(params: SystemParams, packet_mode: str = FRACTIONAL,
     return batteries, active
 
 
-@dataclass(frozen=True)
-class SlotRecord:
+class SlotRecord(NamedTuple):
     """One slot-end control exchange plus the following slot's traffic.
 
     battery_pre / battery_post bracket the exchange itself.  ``active`` is
@@ -311,7 +310,7 @@ class Trace:
     which stay ints.  ``slots`` ascend.
 
     ``records`` is a read-only view of the same data, one ``SlotRecord``
-    per slot.  A derived trace comes from ``dataclasses.replace`` on the
+    named tuple per slot.  A derived trace comes from ``dataclasses.replace`` on the
     columns, which starts the copy with an empty view.
     ``params``/``profile`` are None for traces re-read from CSV.
     """
@@ -342,11 +341,11 @@ class Trace:
         if self._records is None:
             flags = [tuple(bool(m >> u & 1) for u in range(self.n_nodes))
                      for m in range(1 << self.n_nodes)]
-            self._records = list(map(
-                SlotRecord, self.slots, zip(*self.battery_pre),
-                zip(*self.battery_post), self.active,
-                map(bool, self.switched), self.packets,
-                map(flags.__getitem__, self.suppressed)))
+            # tuple.__new__ fills each named tuple from a row in C
+            self._records = list(map(tuple.__new__, repeat(SlotRecord), zip(
+                self.slots, zip(*self.battery_pre), zip(*self.battery_post),
+                self.active, map(bool, self.switched), self.packets,
+                map(flags.__getitem__, self.suppressed))))
         return self._records
 
     def switch_slots(self) -> list[int]:
@@ -414,6 +413,9 @@ class RunSummary:
 # time-varying operating conditions
 # ---------------------------------------------------------------------------
 
+_CHECK_ROWS = 4096      # harvest rows Profile lists at once for its checks
+
+
 @dataclass(frozen=True)
 class Profile:
     """Per-slot harvest rates and offered load.
@@ -435,11 +437,21 @@ class Profile:
             if any(len(row) != n for row in self.harvest):
                 raise ValueError("ragged harvest rows")
 
-        rows = (self.input_rate, *self.harvest)
-        if (not all(map(math.isfinite, chain.from_iterable(rows)))
-                or min(chain.from_iterable(rows), default=0) < 0):
-            raise ValueError("profile harvest and input rates must be finite "
-                             "and non-negative")
+        # every check walks the same cells: the input rates, then the
+        # harvest rows listed a chunk at a time, so no copy of the whole
+        # profile is made
+        rows = self.harvest
+        for cells in chain((self.input_rate,), (
+                list(chain.from_iterable(rows[i:i + _CHECK_ROWS]))
+                for i in range(0, len(rows), _CHECK_ROWS))):
+            stray = set(map(type, cells)) - NUMBER_TYPES
+            if stray:
+                names = ", ".join(sorted(t.__name__ for t in stray))
+                raise ValueError(f"profile cells must be ints, floats or "
+                                 f"Fractions, got {names}")
+            if not all(map(math.isfinite, cells)) or min(cells, default=0) < 0:
+                raise ValueError("profile harvest and input rates must be "
+                                 "finite and non-negative")
 
     @property
     def length(self) -> int:

@@ -285,6 +285,33 @@ def test_sweep_axis_must_be_finite(spec):
         _parse_axis(spec)
 
 
+@pytest.mark.parametrize("spec, count", [
+    ("h=1:1e9:1", "1000000000"), ("g=0:1e6:1", "1000001"),
+    ("h=0:1:5e-324", "inf"),
+    # the points lo + k * step do not move past lo, so counting must stop
+    ("h=1e16:1e16:1e-300", "1000001")])
+def test_sweep_axis_point_count_is_bounded(spec, count):
+    with pytest.raises(ConfigError, match=f"about {count} points"):
+        _parse_axis(spec)
+
+
+def test_huge_sweep_axis_is_a_config_error(config, capsys):
+    assert main(["sweep", "--config", config, "--axis", "h=1:1e9:1"]) == 1
+    assert "1000000000 points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["h=0.1:0.3:0.1", "g=0:1:0.1", "h=1:1:1",
+                                  "h=1:2:0.3", "g=17.5:18.5:0.05",
+                                  "h=1e16:1.0000000000000002e16:0.5"])
+def test_sweep_axis_points_are_lo_plus_k_steps(spec):
+    # the end is passed at the first k with lo + k * step > hi + step * 1e-9
+    lo, hi, step = map(float, spec[2:].split(":"))
+    values = []
+    while lo + len(values) * step <= hi + step * 1e-9:
+        values.append(lo + len(values) * step)
+    assert _parse_axis(spec) == (spec[0], values)
+
+
 # `hdrsim sweep --axis h=12:31:1.9` stdout, byte for byte, for the
 # three-node config of test_sweep_h_axis_three_nodes_golden_stdout; both
 # successor rules share the closed form, so both print this.

@@ -324,7 +324,7 @@ def test_trace_csv_golden_bytes(tmp_path):
     write_trace_csv(trace, path)
     assert path.read_bytes() == "".join(GOLDEN_TRACE_CSV).encode()
     back = read_trace_csv(path)
-    assert back.records == [dataclasses.replace(r, packets=float(r.packets))
+    assert back.records == [r._replace(packets=float(r.packets))
                             for r in trace.records]
 
 

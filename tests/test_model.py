@@ -188,3 +188,8 @@ def test_numbers_are_ints_floats_or_fractions(bad):
         Hysteresis2(bad, 5.0)
     with pytest.raises(ValueError, match="level of node 2 must be an int"):
         default_state(diamond(), batteries=(50.0, bad))
+    name = type(bad).__name__
+    with pytest.raises(ValueError, match=f"profile cells must be .*{name}"):
+        Profile(harvest=((0.5, 0.25), (0.5, bad)), input_rate=(10.0, 10.0))
+    with pytest.raises(ValueError, match=f"Fractions, got {name}"):
+        Profile(harvest=((0.5, 0.25),) * 2, input_rate=(10.0, bad))

@@ -11,11 +11,11 @@ Exit codes: 0 success, 1 bad configuration or arguments, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 from . import analytic, engine, scenarios
 from .model import (PACKET_MODES, SystemParams, ThresholdPolicy,
@@ -181,12 +181,15 @@ def cmd_run(args, cfg) -> int:
     return 0
 
 
-def _predict(params: SystemParams):
+def _closed_form(params: SystemParams):
+    """The closed form that predicts the steady state of ``params``.  The
+    choice rests on the node count and the control floor alone, which an
+    ``h`` or ``g`` axis leaves fixed."""
     if params.n_nodes == 3:
-        return analytic.away_cycle_three(params)
+        return analytic.away_cycle_three
     if params.control_floor == 0:
-        return analytic.classify_regime_diamond(params)
-    return analytic.away_cycle_diamond(params)
+        return analytic.classify_regime_diamond
+    return analytic.away_cycle_diamond
 
 
 def _split_text(summary) -> str:
@@ -208,7 +211,7 @@ def _print_prediction(pred, params):
 
 def cmd_analytic(args, cfg) -> int:
     params = _build_params(cfg)
-    _print_prediction(_predict(params), params)
+    _print_prediction(_closed_form(params)(params), params)
     return 0
 
 
@@ -219,7 +222,7 @@ def cmd_compare(args, cfg) -> int:
     params, horizon, warmup, mode, batteries, active, _ = _run_setup(cfg)
     if horizon is None:
         raise ConfigError("compare needs a horizon")
-    pred = _predict(params)
+    pred = _closed_form(params)(params)
     trace = engine.run(params, n_slots=horizon, packet_mode=mode,
                        initial_batteries=batteries, initial_active=active)
     cycles = engine.detect_cycles(trace, warmup=warmup)
@@ -273,41 +276,48 @@ def _parse_axis(spec: str):
     return name.strip(), [lo + k * step for k in range(count)]
 
 
-def _with_axis(params: SystemParams, name: str, value) -> SystemParams:
-    if name == "g":
-        return params.with_input_rate(value)
-    if name == "h":
-        # scale all thresholds, preserving their ratios
-        ths = params.thresholds
-        total = ths.total
-        return replace(params, thresholds=ThresholdPolicy(
-            tuple(t * value / total for t in ths.values), ths.rule))
-    raise ConfigError(f"unsupported sweep axis {name!r}; use h or g")
-
-
 def cmd_sweep(args, cfg) -> int:
+    """Closed-form results at each point of an ``h`` or ``g`` axis.  What
+    the axis leaves alone is worked out once: the other fields, the
+    thresholds' total and rule, the closed form.  Each point is still a
+    ``SystemParams`` built, and so checked, in full."""
     params = _build_params(cfg)
     name, values = _parse_axis(args.axis)
+    e, g, c, ths = (params.harvest_rates, params.input_rate,
+                    params.packet_energy, params.thresholds)
+    ct, cr, cap = (params.status_energy, params.switch_energy,
+                   params.battery_capacity)
+    if name == "g":
+        def at(v):
+            return SystemParams(e, v, c, ths, ct, cr, cap)
+    elif name == "h":
+        # scale all thresholds, preserving their ratios
+        shares, total, rule = ths.values, ths.total, ths.rule
 
-    def point(v):
-        local = _with_axis(params, name, v)
-        pred = _predict(local)
-        return [v, analytic.steady_input_rate(local), pred.cycle_length,
-                _split_text(pred), pred.drift]
+        def at(v):
+            return SystemParams(e, g, c, ThresholdPolicy(
+                tuple([t * v / total for t in shares]), rule), ct, cr, cap)
+    else:
+        raise ConfigError(f"unsupported sweep axis {name!r}; use h or g")
+    predict = _closed_form(params)
 
-    rows = [point(v) for v in values]
-    lines = [f"{name},steady_input_rate,cycle_length,split,drift"]
-    for v, gs, length, split, drift in rows:
-        lines.append(",".join([_fmt(v), _fmt(gs), _fmt(length), split,
-                               _fmt(drift)]))
-    text = "\n".join(lines) + "\n"
+    # a point that fails leaves stdout and the output file untouched, so
+    # the lines collect in a buffer until the last point is done
+    text = io.StringIO()
+    text.write(f"{name},steady_input_rate,cycle_length,split,drift\n")
+    for v in values:
+        local = at(v)
+        pred = predict(local)
+        text.write(",".join([_fmt(v), _fmt(analytic.steady_input_rate(local)),
+                             _fmt(pred.cycle_length), _split_text(pred),
+                             _fmt(pred.drift)]) + "\n")
     if cfg.get("out"):
         path = os.path.join(_out_dir(cfg), "sweep.csv")
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.write(text.getvalue())
         print(f"wrote {path}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text.getvalue())
     return 0
 
 

@@ -58,7 +58,7 @@ import math
 import operator
 from array import array
 from fractions import Fraction
-from itertools import chain, compress, count, islice, pairwise, repeat
+from itertools import compress, count, islice, pairwise, repeat
 from typing import Callable, Optional, Sequence
 
 from .model import (
@@ -95,11 +95,10 @@ def _int_zero(x) -> bool:
 
 def _number_types(params: SystemParams, profile, levels) -> set:
     """The types of the numbers in ``params``, ``profile`` and ``levels``."""
-    kinds = {type(x) for _, x in params._scalars()}
+    kinds = set(map(type, params._scalars()))
     kinds.update(map(type, levels))
     if profile is not None:
-        kinds.update(map(type, profile.input_rate))
-        kinds.update(map(type, chain.from_iterable(profile.harvest)))
+        kinds |= profile._cell_types
     return kinds
 
 
@@ -536,10 +535,33 @@ def write_trace_csv(trace: Trace, path) -> None:
         fh.writelines(map(row.__mod__, rows))
 
 
+def _finite_cells(path, columns: dict, column: str) -> list:
+    """A chunk of a level or packets column as floats; nan and inf are
+    refused."""
+    values = list(map(float, columns[column]))
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{path}: column {column!r} holds a value that is "
+                         f"not finite")
+    return values
+
+
+def _flag_cells(path, columns: dict, column: str) -> list:
+    """A chunk of a switched or suppressed column as ints 0 and 1."""
+    bits = list(map(int, columns[column]))
+    if not _BITS.issuperset(bits):
+        raise ValueError(f"{path}: column {column!r} holds a value other "
+                         f"than 0 or 1")
+    return bits
+
+
+_BITS = frozenset((0, 1))
+
+
 def read_trace_csv(path) -> Trace:
     """Read a trace written by ``write_trace_csv``.  The rows are turned
     into columns ``_CSV_CHUNK`` at a time, so the file's text is never held
-    whole."""
+    whole.  Levels and packets must be finite and flags 0 or 1; a cell
+    that is not raises a ``ValueError`` naming the file and the column."""
     slots, packets = [], _level_column()
     active, switched, suppressed = (array("B") for _ in range(3))
     with open(path, newline="") as fh:
@@ -559,19 +581,20 @@ def read_trace_csv(path) -> Trace:
                 active.extend(nodes)
                 slots.extend(map(int, columns["slot"]))
                 for u in range(n):
-                    pre[u].extend(map(float, columns[f"battery_pre{u + 1}"]))
+                    pre[u].extend(_finite_cells(path, columns,
+                                                f"battery_pre{u + 1}"))
                 for u in range(n):
-                    post[u].extend(map(float,
-                                       columns[f"battery_post{u + 1}"]))
+                    post[u].extend(_finite_cells(path, columns,
+                                                 f"battery_post{u + 1}"))
                 # bit u of each slot's mask is node u's suppressed flag
                 masks = repeat(0, len(rows))
                 for u in range(n):
-                    bits = map(bool, map(int, columns[f"suppressed{u + 1}"]))
+                    bits = _flag_cells(path, columns, f"suppressed{u + 1}")
                     masks = map(operator.or_, masks,
                                 map(operator.lshift, bits, repeat(u)))
                 suppressed.extend(masks)
-                switched.extend(map(bool, map(int, columns["switched"])))
-                packets.extend(map(float, columns["packets"]))
+                switched.extend(_flag_cells(path, columns, "switched"))
+                packets.extend(_finite_cells(path, columns, "packets"))
             except KeyError as exc:
                 raise ValueError(f"{path}: no column {exc.args[0]!r}") \
                     from None

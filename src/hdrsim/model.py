@@ -52,6 +52,31 @@ NUMBER_TYPES = frozenset((int, float, Fraction))
 _RULES = ("rr", "es")
 
 
+def _all_finite(values) -> bool:
+    """Whether every number is finite as a float, in one pass in C; an int
+    or Fraction beyond the float range counts as not finite."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:
+        return False
+
+
+def _finite_numbers(values) -> bool:
+    """Whether every value is an int, float or Fraction that is finite as
+    a float: one pass over the types and one over the values, both in C."""
+    return NUMBER_TYPES.issuperset(map(type, values)) and _all_finite(values)
+
+
+def _finite(name: str, value) -> bool:
+    """``math.isfinite`` for one number of the field ``name``, raising a
+    ``ValueError`` naming the field for an int or Fraction too large for a
+    float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+
+
 @dataclass(frozen=True)
 class ThresholdPolicy:
     """The hysteresis rule: while node ``u`` forwards, the role moves to an
@@ -68,11 +93,14 @@ class ThresholdPolicy:
     rule: str = "rr"
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        for v in self.values:
-            if type(v) not in NUMBER_TYPES or not math.isfinite(v) or v <= 0:
-                raise ValueError(f"thresholds must be positive ints, floats "
-                                 f"or Fractions, got {v!r}")
+        values = tuple(self.values)
+        object.__setattr__(self, "values", values)
+        if not _finite_numbers(values) or min(values, default=1) <= 0:
+            for u, v in enumerate(values):
+                if (type(v) not in NUMBER_TYPES
+                        or not _finite(f"thresholds[{u}]", v) or v <= 0):
+                    raise ValueError(f"thresholds must be positive ints, "
+                                     f"floats or Fractions, got {v!r}")
         if self.rule not in _RULES:
             raise ValueError(f"unknown successor rule {self.rule!r}; "
                              f"expected one of {_RULES}")
@@ -124,6 +152,10 @@ def EarliestSwitch3(threshold1, threshold2, threshold3) -> ThresholdPolicy:
 # parameters
 # ---------------------------------------------------------------------------
 
+_SCALAR_NAMES = ("input_rate", "packet_energy", "status_energy",
+                 "switch_energy", "battery_capacity")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Static description of one deployment.
@@ -158,30 +190,32 @@ class SystemParams:
                 f"policy handles {self.thresholds.n_nodes} nodes, "
                 f"params describe {n}"
             )
-        for name, value in self._scalars():
-            if type(value) not in NUMBER_TYPES or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite int, float or "
-                                 f"Fraction, got {value!r}")
-        if any(float(e) < 0 for e in self.harvest_rates):
+        scalars = self._scalars()
+        if not _finite_numbers(scalars):
+            names = _SCALAR_NAMES + tuple(f"harvest_rates[{u}]"
+                                          for u in range(n))
+            for name, value in zip(names, scalars):
+                if type(value) not in NUMBER_TYPES or not _finite(name, value):
+                    raise ValueError(f"{name} must be a finite int, float or "
+                                     f"Fraction, got {value!r}")
+        # exact comparisons: a Fraction or int is not rounded to a float
+        if min(self.harvest_rates) < 0:
             raise ValueError("harvest rates must be non-negative")
-        if float(self.input_rate) < 0:
+        if self.input_rate < 0:
             raise ValueError("input rate must be non-negative")
-        if float(self.packet_energy) <= 0:
+        if self.packet_energy <= 0:
             raise ValueError("packet energy must be positive")
-        if float(self.status_energy) < 0 or float(self.switch_energy) < 0:
+        if self.status_energy < 0 or self.switch_energy < 0:
             raise ValueError("control energies must be non-negative")
-        if float(self.battery_capacity) <= float(self.control_floor):
+        if self.battery_capacity <= self.control_floor:
             raise ValueError("battery capacity must exceed the control floor")
 
-    def _scalars(self):
-        yield from zip(
-            ("input_rate", "packet_energy", "status_energy", "switch_energy",
-             "battery_capacity"),
-            (self.input_rate, self.packet_energy, self.status_energy,
-             self.switch_energy, self.battery_capacity),
-        )
-        for u, e in enumerate(self.harvest_rates):
-            yield f"harvest_rates[{u}]", e
+    def _scalars(self) -> tuple:
+        """Every number of the parameters, in the order of
+        ``_SCALAR_NAMES``, then the harvest rates."""
+        return (self.input_rate, self.packet_energy, self.status_energy,
+                self.switch_energy, self.battery_capacity,
+                *self.harvest_rates)
 
     @property
     def n_nodes(self) -> int:
@@ -428,6 +462,8 @@ class Profile:
 
     harvest: tuple
     input_rate: tuple
+    # the types of the cells, kept from the checks for engine.run
+    _cell_types: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.harvest) != len(self.input_rate):
@@ -441,17 +477,20 @@ class Profile:
         # harvest rows listed a chunk at a time, so no copy of the whole
         # profile is made
         rows = self.harvest
+        kinds = set()
         for cells in chain((self.input_rate,), (
                 list(chain.from_iterable(rows[i:i + _CHECK_ROWS]))
                 for i in range(0, len(rows), _CHECK_ROWS))):
-            stray = set(map(type, cells)) - NUMBER_TYPES
+            kinds.update(map(type, cells))
+            stray = kinds - NUMBER_TYPES
             if stray:
                 names = ", ".join(sorted(t.__name__ for t in stray))
                 raise ValueError(f"profile cells must be ints, floats or "
                                  f"Fractions, got {names}")
-            if not all(map(math.isfinite, cells)) or min(cells, default=0) < 0:
+            if not _all_finite(cells) or min(cells, default=0) < 0:
                 raise ValueError("profile harvest and input rates must be "
                                  "finite and non-negative")
+        object.__setattr__(self, "_cell_types", frozenset(kinds))
 
     @property
     def length(self) -> int:

@@ -6,9 +6,8 @@ import json
 
 import pytest
 
-from hdrsim import read_trace_csv
-from hdrsim.cli import (ConfigError, _build_params, _parse_axis, _with_axis,
-                        main)
+from hdrsim import analytic, read_trace_csv
+from hdrsim.cli import ConfigError, _parse_axis, main
 
 FLAT = str(importlib.resources.files("hdrsim") / "data"
            / "harvest_flat_input.csv")
@@ -353,14 +352,120 @@ def test_sweep_h_axis_three_nodes_golden_stdout(tmp_path, capsys, policy):
 
 @pytest.mark.parametrize("policy, rule", [("hyst2", "rr"), ("rr3", "rr"),
                                           ("es3", "es")])
-def test_sweep_h_axis_scales_thresholds_and_keeps_the_rule(policy, rule):
+def test_sweep_h_axis_scales_thresholds_and_keeps_the_rule(
+        tmp_path, capsys, monkeypatch, policy, rule):
     ths = (6.2, 5.0) if policy == "hyst2" else (4.5, 7.25, 11.0)
-    params = _build_params({"harvest_rates": [0.3, 0.7, 0.9][:len(ths)],
-                            "input_rate": 18.0, "packet_energy": 0.08,
-                            "policy": policy, "thresholds": list(ths)})
-    scaled = _with_axis(params, "h", 29.1).thresholds
-    assert scaled.rule == rule
-    assert scaled.values == tuple(t * 29.1 / sum(ths) for t in ths)
+    cfg = write_config(tmp_path / "c.json", policy=policy,
+                       harvest_rates=[0.3, 0.7, 0.9][:len(ths)],
+                       input_rate=18.0, thresholds=list(ths),
+                       status_energy=None, switch_energy=None)
+    # the parameters of every point pass through steady_input_rate
+    seen = []
+    rate = analytic.steady_input_rate
+    monkeypatch.setattr(analytic, "steady_input_rate",
+                        lambda params: seen.append(params) or rate(params))
+    assert main(["sweep", "--config", cfg, "--axis", "h=29.1:29.1:1"]) == 0
+    capsys.readouterr()
+    (point,) = seen
+    assert point.thresholds.rule == rule
+    assert point.thresholds.values == tuple(t * 29.1 / sum(ths) for t in ths)
+
+
+# `hdrsim sweep` stdout, byte for byte, on three-node config A (both
+# successor rules share the closed form), on the diamond with control
+# costs (away_cycle_diamond) and on the diamond with a zero control floor
+# (classify_regime_diamond); captured before the sweep was restructured
+GOLDEN_SWEEP_G_CONFIG_A = (
+    "g,steady_input_rate,cycle_length,split,drift\n"
+    "16,20,39.7219463754,-0.00961538461538:0.855769230769:1,4.23700761337\n"
+    "16.75,20,36.7970123023,0.018691588785:0.859813084112:1,3.18907439953\n"
+    "17.5,20,34.3137254902,0.0454545454545:0.863636363636:1,2.28758169935\n"
+    "18.25,20,32.1755994358,0.070796460177:0.867256637168:1,1.50152797367\n"
+    "19,20,30.3126994257,0.0948275862069:0.870689655172:1,0.808338651351\n"
+    "19.75,20,28.6730545877,0.117647058824:0.873949579832:1,0.191153697251\n"
+    "20.5,20,27.2172065852,0.139344262295:0.877049180328:1,-0.362896087803\n"
+    "21.25,20,25.9146341463,0.16:0.88:1,-0.863821138211\n"
+    "22,20,24.7413405308,0.1796875:0.8828125:1,-1.31953816164\n"
+)
+GOLDEN_SWEEP_H_DIAMOND = (
+    "h,steady_input_rate,cycle_length,split,drift\n"
+    "4,16.8383213937,5.83333333333,1.33333333333:1,-0.158333333333\n"
+    "5.5,16.9485493415,8.02083333333,1.33333333333:1,-0.180208333333\n"
+    "7,17.0122166626,10.2083333333,1.33333333333:1,-0.202083333333\n"
+    "8.5,17.0536801141,12.3958333333,1.33333333333:1,-0.223958333333\n"
+    "10,17.0828303409,14.5833333333,1.33333333333:1,-0.245833333333\n"
+    "11.5,17.1044431218,16.7708333333,1.33333333333:1,-0.267708333333\n"
+    "13,17.1211072251,18.9583333333,1.33333333333:1,-0.289583333333\n"
+    "14.5,17.1343477013,21.1458333333,1.33333333333:1,-0.311458333333\n"
+    "16,17.1451213366,23.3333333333,1.33333333333:1,-0.333333333333\n"
+)
+GOLDEN_SWEEP_H_DIAMOND_NO_FLOOR = (
+    "h,steady_input_rate,cycle_length,split,drift\n"
+    "2,17.5,2.96130952381,1.33333333333:1,0\n"
+    "4,17.5,5.92261904762,1.33333333333:1,0\n"
+    "6,17.5,8.88392857143,1.33333333333:1,0\n"
+    "8,17.5,11.8452380952,1.33333333333:1,0\n"
+    "10,17.5,14.806547619,1.33333333333:1,0\n"
+    "12,17.5,17.7678571429,1.33333333333:1,0\n"
+    "14,17.5,20.7291666667,1.33333333333:1,0\n"
+    "16,17.5,23.6904761905,1.33333333333:1,0\n"
+    "18,17.5,26.6517857143,1.33333333333:1,0\n"
+    "20,17.5,29.6130952381,1.33333333333:1,0\n"
+)
+CONFIG_A = {"harvest_rates": [0.1, 0.7, 0.8], "input_rate": 20.0,
+            "thresholds": [5.0, 10.0, 10.0], "status_energy": None,
+            "switch_energy": None}
+
+
+@pytest.mark.parametrize("overrides, axis, golden", [
+    (dict(CONFIG_A, policy="es3"), "g=16:22:0.75", GOLDEN_SWEEP_G_CONFIG_A),
+    (dict(CONFIG_A, policy="rr3"), "g=16:22:0.75", GOLDEN_SWEEP_G_CONFIG_A),
+    ({}, "h=4:16:1.5", GOLDEN_SWEEP_H_DIAMOND),
+    (dict(status_energy=0, switch_energy=0, input_rate=20.0), "h=2:20:2",
+     GOLDEN_SWEEP_H_DIAMOND_NO_FLOOR)],
+    ids=["g-es3", "g-rr3", "h-diamond", "h-diamond-no-floor"])
+def test_sweep_golden_stdout(tmp_path, capsys, overrides, axis, golden):
+    cfg = write_config(tmp_path / "c.json", **overrides)
+    assert main(["sweep", "--config", cfg, "--axis", axis]) == 0
+    assert capsys.readouterr().out == golden
+
+
+# three-node config whose load energy meets the harvest spread at g = 2
+DIVERGING = dict(policy="rr3", harvest_rates=[0, 0, 1], input_rate=2,
+                 packet_energy=0.5, thresholds=[1, 1, 1])
+
+
+@pytest.mark.parametrize("overrides, axis, err", [
+    ({}, "g=-1:1:0.5", "input rate must be non-negative"),
+    ({}, "h=-2:2:1", "thresholds must be positive ints, floats or "
+                     "Fractions, got -1.1071428571428572"),
+    # the points g = 1 and 1.5 pass, the third fails in the closed form
+    (DIVERGING, "g=1:3:0.5", "load energy matches the harvest spread; "
+                             "cycle length diverges"),
+    ({}, "cap=1:9:1", "unsupported sweep axis 'cap'; use h or g")],
+    ids=["g-negative", "h-negative", "closed-form-part-way", "axis-name"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+def test_sweep_checks_every_point(tmp_path, capsys, overrides, axis, err,
+                                  to_file):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", out=str(out) if to_file else None,
+                       **overrides)
+    assert main(["sweep", "--config", cfg, "--axis", axis]) == 1
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_fails_part_way_only_at_the_diverging_point(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", **DIVERGING)
+    assert main(["sweep", "--config", cfg, "--axis", "g=1:1.5:0.5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_number_beyond_the_float_range_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", input_rate=10**400)
+    assert main(["analytic", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: input_rate is too large for a float\n")
 
 
 @pytest.mark.parametrize("policy, thresholds", [

@@ -244,6 +244,26 @@ def test_read_trace_csv_rejects_unknown_nodes(tmp_path, value):
         read_trace_csv(path)
 
 
+@pytest.mark.parametrize("column, value, problem", [
+    ("battery_pre1", "nan", "that is not finite"),
+    ("battery_post2", "inf", "that is not finite"),
+    ("packets", "-inf", "that is not finite"),
+    ("suppressed1", "7", "other than 0 or 1"),
+    ("switched", "2", "other than 0 or 1")])
+def test_read_trace_csv_rejects_bad_cells(tmp_path, column, value, problem):
+    # the bad cell sits in the last row, past the first chunk of rows
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run(diamond(), n_slots=1100), path)
+    header, *rows = path.read_text().splitlines()
+    cells = dict(zip(header.split(","), rows[-1].split(",")))
+    cells[column] = value
+    rows[-1] = ",".join(cells.values())
+    path.write_text("\n".join([header, *rows]))
+    with pytest.raises(ValueError, match=f"trace.csv: column '{column}' "
+                                         f"holds a value {problem}"):
+        read_trace_csv(path)
+
+
 @given(
     e1=st.floats(0.1, 1.0), e2=st.floats(0.1, 1.0),
     g=st.floats(2.0, 30.0), h1=st.floats(0.5, 20.0), h2=st.floats(0.5, 20.0),

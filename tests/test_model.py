@@ -1,9 +1,12 @@
 """Parameter validation, policy objects, and the small value types."""
 
+import dataclasses
 import math
 from decimal import Decimal
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hdrsim import (
     EarliestSwitch3,
@@ -102,6 +105,56 @@ def test_capacity_must_exceed_control_floor():
         diamond(ct=0.4, cr=0.7, cap=1.0)
 
 
+def test_signs_are_compared_exactly():
+    tiny = F(1, 10**400)        # rounds to 0.0 as a float
+    with pytest.raises(ValueError, match="harvest rates must be non-neg"):
+        diamond(e=(-tiny, 0.6))
+    with pytest.raises(ValueError, match="input rate must be non-negative"):
+        diamond(g=-tiny)
+    with pytest.raises(ValueError, match="control energies must be non-neg"):
+        diamond(cr=-tiny)
+    assert diamond(c=tiny).packet_energy == tiny
+
+
+def test_capacity_is_compared_with_the_floor_exactly():
+    cap = 1 + F(1, 10**30)      # rounds to 1.0 as a float
+    assert diamond(ct=1, cap=cap).control_floor == 1
+    with pytest.raises(ValueError, match="capacity must exceed"):
+        diamond(ct=F(1, 2), cr=F(1, 2) + F(1, 10**30), cap=cap)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda big: diamond(g=big), "input_rate"),
+    (lambda big: diamond(e=(0.8, big)), r"harvest_rates\[1\]"),
+    (lambda big: diamond(ct=F(big, 3)), "status_energy"),
+    (lambda big: diamond(cap=big), "battery_capacity"),
+    (lambda big: Hysteresis2(big, 1), r"thresholds\[0\]"),
+    (lambda big: RoundRobin3(1, 2, -big), r"thresholds\[2\]")],
+    ids=["input_rate", "harvest_rates", "status_energy", "battery_capacity",
+         "hysteresis2", "rr3-negative"])
+def test_numbers_beyond_the_float_range_name_their_field(make, name):
+    with pytest.raises(ValueError, match=f"^{name} is too large for a float$"):
+        make(10**400)
+
+
+_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.1, 0.2, 0.3,
+                           0.30000000000000004, 1.0, -1.0, 1e308])
+
+
+@given(e=_FLOATS, g=_FLOATS, c=_FLOATS, ct=_FLOATS, cr=_FLOATS,
+       cap=_FLOATS)
+def test_float_parameters_are_accepted_as_before(e, g, c, ct, cr, cap):
+    # the checks compared float() of every value before they became exact
+    before = (e >= 0 and g >= 0 and c > 0 and ct >= 0 and cr >= 0
+              and cap > float(ct + cr))
+    try:
+        diamond(e=(e, 0.5), g=g, c=c, ct=ct, cr=cr, cap=cap)
+    except ValueError:
+        assert not before
+    else:
+        assert before
+
+
 def test_derived_quantities():
     p = diamond(g=17.5, c=0.08, ct=0.01, cr=0.05)
     assert p.n_nodes == 2
@@ -172,6 +225,7 @@ def test_profile_shape_mismatch():
     (((0.5, math.nan), (0.5, 0.25)), (10.0, 10.0), "finite"),
     (((0.5, 0.25), (0.5, 0.25)), (10.0, math.inf), "finite"),
     (((0.5, 0.25), (-0.1, 0.25)), (10.0, 10.0), "non-negative"),
+    (((0.5, 0.25), (0.5, 0.25)), (10.0, 10**400), "finite"),
 ])
 def test_profile_rejects_bad_cells(harvest, rates, match):
     with pytest.raises(ValueError, match=match):
@@ -193,3 +247,15 @@ def test_numbers_are_ints_floats_or_fractions(bad):
         Profile(harvest=((0.5, 0.25), (0.5, bad)), input_rate=(10.0, 10.0))
     with pytest.raises(ValueError, match=f"Fractions, got {name}"):
         Profile(harvest=((0.5, 0.25),) * 2, input_rate=(10.0, bad))
+
+
+def test_profile_keeps_its_cell_types_out_of_sight():
+    prof = Profile(harvest=((F(1, 2), 0.25), (1, 0.25)),
+                   input_rate=(10.0, 10))
+    assert prof._cell_types == {F, float, int}
+    assert "_cell_types" not in repr(prof)
+    assert prof == Profile(harvest=((0.5, 0.25), (1.0, 0.25)),
+                           input_rate=(10.0, 10.0))
+    floats = dataclasses.replace(prof, harvest=((0.5, 0.25), (1.0, 0.25)),
+                                 input_rate=(10.0, 10.0))
+    assert floats._cell_types == {float}

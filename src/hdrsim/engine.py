@@ -18,6 +18,12 @@ quantity and per node (see ``Trace``), not as one object per slot: float
 runs fill ``array`` columns, while ``Fraction`` inputs fill plain lists
 and give exact trajectories, which the golden tests rely on.
 
+The inputs come as segments, ``(harvest, load, length)`` stretches of
+constant harvest rates and offered load (see ``Profile``).  ``run`` walks
+them one at a time and binds the harvest and load once per segment; a run
+without a profile is one segment.  A steered run records the loads it
+offered as segments too, so no layer lists a profile slot by slot.
+
 Four shortcuts skip work whose result is known, so every value, type and
 repr stays as the full arithmetic makes it.  The first three skip an
 operation only where it is an identity on the operands in hand:
@@ -70,6 +76,8 @@ from .model import (
     RunSummary,
     SystemParams,
     Trace,
+    _first_slots,
+    _same_levels,
     default_state,
 )
 
@@ -117,13 +125,6 @@ def _slot_column(values):
     if all(map(operator.eq, slots, count(start))):
         return range(start, start + len(slots))
     return slots
-
-
-def _same_levels(a, b) -> bool:
-    """Whether two lists of equal levels hold them with the same type and
-    bits, which ``==`` does not check: ``-0.0 == 0.0`` and ``5 ==
-    Fraction(5)``.  For the three number types a repr tells both apart."""
-    return list(map(repr, a)) == list(map(repr, b))
 
 
 def _tile(column, start: int, stop: int, total: int) -> None:
@@ -232,13 +233,16 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
 
     The run starts from the ``(levels, active)`` pair that
     ``default_state(params, packet_mode, initial_batteries,
-    initial_active)`` checks and returns.  With a profile, slot ``k`` uses
-    profile row ``k`` and ``n_slots`` defaults to the profile length.  With
-    ``steer`` the offered load is a controller's: ``steer(k, active, switched, harvest)`` is called after
-    slot ``k`` with that slot's outcome and harvest rates and returns the
-    load from slot ``k + 1`` on (slot 0 gets ``params.input_rate``).  The
-    profile's input-rate column is then ignored, and the trace carries the
-    effective profile: the harvest used and the load actually offered.
+    initial_active)`` checks and returns.  With a profile, slot ``k`` takes
+    the harvest and load of the profile segment that holds it, and
+    ``n_slots`` defaults to the profile length.  With ``steer`` the offered
+    load is a controller's: ``steer(k, active, switched, harvest)`` is
+    called after slot ``k`` with that slot's outcome and harvest rates and
+    returns the load from slot ``k + 1`` on (slot 0 gets
+    ``params.input_rate``).  The profile's loads are then ignored, and the
+    trace carries the effective profile: the harvest used and the load
+    actually offered, with a new segment wherever the harvest changes or
+    ``steer`` returns another object than the load before.
     Profile cells and steered loads must be ints, floats or Fractions; a
     run whose inputs are all floats or ints stores floats, so there a
     steered load must be a float or an int.  Loads are checked at the end.
@@ -268,12 +272,13 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     # and loads it starts from are all floats or ints
     floats = _number_types(params, profile, levels) <= {float, int}
     slot = _slot_rule(params, whole)
-    e, g = params.harvest_rates, params.input_rate
-    harvest = rates = None
-    if profile is not None:
-        harvest = profile.harvest
-        if steer is None:
-            rates = profile.input_rate
+    if profile is None:
+        segments = ((params.harvest_rates, params.input_rate, n_slots),)
+    else:
+        segments = _first_slots(profile.segments, n_slots)
+    g = params.input_rate
+    # a steered run's (harvest, load, length) segments, a new one wherever
+    # steer returns another load object or the harvest changes
     offered = []
 
     # levels go in node-interleaved, one extend per slot, and are split
@@ -289,54 +294,59 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
 
     # shortcut 4: the state entered right after a handover is kept after
     # 1, 2, 4, ... handovers, and when it recurs, the run repeats the slots
-    # since it was kept
+    # since it was kept; only a run without a profile takes it, and such a
+    # run is one segment, so the break ends the run
     constant = profile is None
     kept_at = kept_v = kept = None
     power = lam = 1
     pre, v = levels, first
-    for k in range(n_slots):
-        if harvest is not None:
-            e = harvest[k]
-        if rates is not None:
-            g = rates[k]
-        add_pre(pre)
-        post, pre, w, sw, pk, quiet = slot(pre, v, e, g)
-        add_post(post)
-        add_packets(pk)
-        add_active(w)
-        add_switched(sw)
-        add_suppressed(quiet << v)
-        v = w
-        if steer is not None:
-            offered.append(g)
-            g = steer(k, v, sw, e)
-        elif sw and constant:
-            if v == kept_v and pre == kept and _same_levels(pre, kept):
-                stop = k + 1
-                for column, width in ((pre_flat, n), (post_flat, n),
-                                      (packets, 1), (active, 1),
-                                      (switched, 1), (suppressed, 1)):
-                    _tile(column, kept_at * width, stop * width,
-                          n_slots * width)
-                break
-            if lam == power:
-                kept_at, kept_v, kept = k + 1, v, pre
-                power *= 2
-                lam = 0
-            lam += 1
+    start = 0
+    for e, load, m in segments:
+        if steer is None:
+            g = load
+        since = start           # first slot of the current steered load
+        for k in range(start, start + m):
+            add_pre(pre)
+            post, pre, w, sw, pk, quiet = slot(pre, v, e, g)
+            add_post(post)
+            add_packets(pk)
+            add_active(w)
+            add_switched(sw)
+            add_suppressed(quiet << v)
+            v = w
+            if steer is not None:
+                nxt = steer(k, v, sw, e)
+                if nxt is not g:
+                    offered.append((e, g, k + 1 - since))
+                    since, g = k + 1, nxt
+            elif sw and constant:
+                if v == kept_v and pre == kept and _same_levels(pre, kept):
+                    stop = k + 1
+                    for column, width in ((pre_flat, n), (post_flat, n),
+                                          (packets, 1), (active, 1),
+                                          (switched, 1), (suppressed, 1)):
+                        _tile(column, kept_at * width, stop * width,
+                              n_slots * width)
+                    break
+                if lam == power:
+                    kept_at, kept_v, kept = k + 1, v, pre
+                    power *= 2
+                    lam = 0
+                lam += 1
+        start += m
+        if steer is not None and since < start:
+            offered.append((e, g, start - since))
 
     if steer is not None:
-        stray = set(map(type, offered)) - ({float, int} if floats
-                                           else NUMBER_TYPES)
+        stray = {type(x) for _, x, _ in offered} - (
+            {float, int} if floats else NUMBER_TYPES)
         if stray:
             names = ", ".join(sorted(t.__name__ for t in stray))
             why = ("float inputs store floats" if floats
                    else "loads must be ints, floats or Fractions")
             raise TypeError(f"steer offered {names} loads to a run whose "
                             f"{why}")
-        rows = (profile.harvest[:n_slots] if profile is not None
-                else (params.harvest_rates,) * n_slots)
-        profile = Profile(harvest=tuple(rows), input_rate=tuple(offered))
+        profile = Profile.from_segments(offered)
     return Trace(n_nodes=n, packet_mode=packet_mode,
                  initial_active=first, params=params, profile=profile,
                  slots=range(n_slots),

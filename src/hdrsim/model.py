@@ -185,6 +185,9 @@ class SystemParams:
         n = len(self.harvest_rates)
         if n not in (2, 3):
             raise ValueError(f"expected 2 or 3 relay nodes, got {n}")
+        if not isinstance(self.thresholds, ThresholdPolicy):
+            raise ValueError(f"thresholds must be a ThresholdPolicy, got "
+                             f"{type(self.thresholds).__name__}")
         if self.thresholds.n_nodes != n:
             raise ValueError(
                 f"policy handles {self.thresholds.n_nodes} nodes, "
@@ -385,21 +388,28 @@ class Trace:
     def switch_slots(self) -> list[int]:
         return list(compress(self.slots, self.switched))
 
-    def inputs(self, params: Optional[SystemParams] = None) -> tuple:
-        """Harvest rates and offered load of every slot, as two iterables:
-        the profile's columns, else the constants of ``params`` (default:
-        the trace's own parameters) repeated, in O(1) memory.  Take fresh
-        ones for each pass; the repeated constants can be walked once."""
+    def input_segments(self, params: Optional[SystemParams] = None) -> tuple:
+        """The harvest rates and offered load of the trace's slots as
+        ``(harvest, load, length)`` segments (see ``Profile``): the
+        profile's, cut at the trace's end, else the constants of ``params``
+        (default: the trace's own parameters) as one segment."""
         if self.profile is not None:
             if self.profile.length < len(self):
                 raise ValueError("profile shorter than the trace")
-            return self.profile.harvest, self.profile.input_rate
+            return _first_slots(self.profile.segments, len(self))
         p = params or self.params
         if p is None:
             raise ValueError("trace carries no harvest or offered-load "
                              "information")
-        n = len(self)
-        return repeat(p.harvest_rates, n), repeat(p.input_rate, n)
+        return ((p.harvest_rates, p.input_rate, len(self)),)
+
+    def inputs(self, params: Optional[SystemParams] = None) -> tuple:
+        """Harvest rates and offered load of every slot, as two iterables
+        that repeat each of ``input_segments(params)`` for its length, in
+        O(segments) memory.  Take fresh ones for each pass."""
+        segments = self.input_segments(params)
+        return (chain.from_iterable(repeat(row, k) for row, _, k in segments),
+                chain.from_iterable(repeat(g, k) for _, g, k in segments))
 
 
 @dataclass(frozen=True)
@@ -447,62 +457,123 @@ class RunSummary:
 # time-varying operating conditions
 # ---------------------------------------------------------------------------
 
-_CHECK_ROWS = 4096      # harvest rows Profile lists at once for its checks
+def _same_levels(a, b) -> bool:
+    """Whether two sequences of equal numbers hold them with the same type
+    and bits, which ``==`` does not check: ``-0.0 == 0.0`` and ``5 ==
+    Fraction(5)``, but each pair prints and computes differently.  For the
+    three number types a repr tells both apart; the types are compared as
+    well, so an unchecked cell cannot pass for a number that prints the
+    same."""
+    return (list(map(type, a)) == list(map(type, b))
+            and list(map(repr, a)) == list(map(repr, b)))
 
 
-@dataclass(frozen=True)
+def _first_slots(segments, n: int) -> tuple:
+    """The ``(harvest, load, length)`` segments that cover the first ``n``
+    slots of ``segments``, the last one cut short where needed."""
+    head = []
+    for row, g, k in segments:
+        if n <= 0:
+            break
+        head.append((row, g, min(k, n)))
+        n -= k
+    return tuple(head)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Profile:
-    """Per-slot harvest rates and offered load.
+    """Harvest rates and offered load slot by slot, stored as the stretches
+    of constant inputs they are made of.
 
-    harvest[i] is a tuple with one rate per node for slot i; input_rate[i]
-    is the offered load for slot i.  Every cell must be a finite,
-    non-negative int, float or Fraction.  A constant profile reproduces a
-    plain parameterised run exactly.
+    ``segments`` holds one ``(harvest, load, length)`` triple per stretch:
+    for ``length`` slots node ``u`` harvests ``harvest[u]`` and the source
+    offers ``load``.  Every cell must be a finite, non-negative int, float
+    or Fraction, every row hold one rate per node and every length be a
+    positive int.  ``Profile.from_segments`` takes the triples as they are.
+    ``Profile(harvest=rows, input_rate=loads)`` takes one row and one load
+    per slot, and puts neighbouring slots into one segment only when their
+    cells are the same objects or equal in type and repr, so ``-0.0`` next
+    to ``0.0``, or ``0.5`` next to ``Fraction(1, 2)``, stay apart and a run
+    sees every slot's own cells.  Two profiles are equal when their cells
+    are equal slot by slot, however they are cut into segments.  A
+    constant profile reproduces a plain parameterised run exactly.
     """
 
-    harvest: tuple
-    input_rate: tuple
+    segments: tuple = field(init=False)
+    length: int = field(init=False, repr=False)
     # the types of the cells, kept from the checks for engine.run
-    _cell_types: frozenset = field(init=False, repr=False, compare=False)
+    _cell_types: frozenset = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if len(self.harvest) != len(self.input_rate):
+    def __init__(self, harvest, input_rate):
+        if len(harvest) != len(input_rate):
             raise ValueError("harvest and input-rate arrays differ in length")
-        if self.harvest:
-            n = len(self.harvest[0])
-            if any(len(row) != n for row in self.harvest):
-                raise ValueError("ragged harvest rows")
+        # run-length encoding in one pass over the slots
+        segments = []
+        row = load = None
+        k = 0
+        for r, g in zip(harvest, input_rate):
+            if k and (r is row or _same_levels(r, row)) and (
+                    g is load or _same_levels((g,), (load,))):
+                k += 1
+                continue
+            if k:
+                segments.append((row, load, k))
+            row, load, k = r, g, 1
+        if k:
+            segments.append((row, load, k))
+        self._keep(segments)
 
-        # every check walks the same cells: the input rates, then the
-        # harvest rows listed a chunk at a time, so no copy of the whole
-        # profile is made
-        rows = self.harvest
-        kinds = set()
-        for cells in chain((self.input_rate,), (
-                list(chain.from_iterable(rows[i:i + _CHECK_ROWS]))
-                for i in range(0, len(rows), _CHECK_ROWS))):
-            kinds.update(map(type, cells))
-            stray = kinds - NUMBER_TYPES
-            if stray:
-                names = ", ".join(sorted(t.__name__ for t in stray))
-                raise ValueError(f"profile cells must be ints, floats or "
-                                 f"Fractions, got {names}")
-            if not _all_finite(cells) or min(cells, default=0) < 0:
-                raise ValueError("profile harvest and input rates must be "
-                                 "finite and non-negative")
-        object.__setattr__(self, "_cell_types", frozenset(kinds))
+    @classmethod
+    def from_segments(cls, segments) -> "Profile":
+        """A profile of ``(harvest, load, length)`` triples, kept as
+        given."""
+        profile = cls.__new__(cls)
+        profile._keep(segments)
+        return profile
 
-    @property
-    def length(self) -> int:
-        return len(self.harvest)
+    def _keep(self, segments) -> None:
+        """Check the segments and store them, with rows as tuples."""
+        segments = tuple((tuple(row), g, k) for row, g, k in segments)
+        n = len(segments[0][0]) if segments else 0
+        if any(len(row) != n for row, _, _ in segments):
+            raise ValueError("ragged harvest rows")
+        lengths = [k for _, _, k in segments]
+        if not all(type(k) is int and k > 0 for k in lengths):
+            raise ValueError("segment lengths must be positive ints")
+        cells = [g for _, g, _ in segments]
+        cells += chain.from_iterable(row for row, _, _ in segments)
+        kinds = frozenset(map(type, cells))
+        stray = kinds - NUMBER_TYPES
+        if stray:
+            names = ", ".join(sorted(t.__name__ for t in stray))
+            raise ValueError(f"profile cells must be ints, floats or "
+                             f"Fractions, got {names}")
+        if not _all_finite(cells) or min(cells, default=0) < 0:
+            raise ValueError("profile harvest and input rates must be "
+                             "finite and non-negative")
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "length", sum(lengths))
+        object.__setattr__(self, "_cell_types", kinds)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.harvest[0]) if self.harvest else 0
+        return len(self.segments[0][0]) if self.segments else 0
 
-    def total_harvest(self) -> tuple:
-        n = self.n_nodes
-        return tuple(sum(row[u] for row in self.harvest) for u in range(n))
+    def _runs(self) -> list:
+        """The segments as ``[harvest, load, length]`` lists, neighbours of
+        equal cells joined, so equal profiles give equal runs."""
+        runs = []
+        for row, g, k in self.segments:
+            if runs and runs[-1][0] == row and runs[-1][1] == g:
+                runs[-1][2] += k
+            else:
+                runs.append([row, g, k])
+        return runs
 
-    def total_offered(self):
-        return sum(self.input_rate)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._runs() == other._runs()
+
+    def __hash__(self):
+        return hash(tuple(map(tuple, self._runs())))

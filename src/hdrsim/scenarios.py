@@ -8,7 +8,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import islice
+from itertools import chain, islice, repeat
 from typing import Optional
 
 from .analytic import feedback_input_rate
@@ -46,7 +46,8 @@ def load_profile(source) -> Profile:
 
     Expected header: ``slot_range,e1,e2[,e3],g`` where ``slot_range`` is
     ``a-b``, both ends included.  Ranges must tile the horizon: no overlaps
-    and no gaps.  ``source`` is a path or an open text file.
+    and no gaps.  ``source`` is a path or an open text file.  Each range
+    becomes one segment of the profile; no range is expanded slot by slot.
     """
     if hasattr(source, "read"):
         rows = list(csv.reader(source))
@@ -62,6 +63,8 @@ def load_profile(source) -> Profile:
     n = len(header) - 2
     if n not in (2, 3):
         raise ValueError("profile must cover 2 or 3 nodes")
+    if len(rows) == 1:
+        raise ValueError("empty profile: no slot ranges under the header")
 
     pieces = []
     for lineno, row in enumerate(rows[1:], start=2):
@@ -95,13 +98,8 @@ def load_profile(source) -> Profile:
             raise ValueError(f"gap in slot ranges before slot {lo}")
         expect = hi + 1
 
-    harvest = []
-    input_rate = []
-    for lo, hi, e_row, g in pieces:
-        count = hi - lo + 1
-        harvest.extend([e_row] * count)
-        input_rate.extend([g] * count)
-    return Profile(harvest=tuple(harvest), input_rate=tuple(input_rate))
+    return Profile.from_segments((e_row, g, hi - lo + 1)
+                                 for lo, hi, e_row, g in pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -113,23 +111,33 @@ def windowed_stats(trace: Trace, window: int) -> list[WindowStats]:
     shorter and is reported with its true length."""
     if window < 1:
         raise ValueError("window must be at least one slot")
-    # every column is walked once, window after window
-    harvest, rates = map(iter, trace.inputs())
+    # every column is walked once, window after window, and the inputs
+    # segment by segment
+    segments = iter(trace.input_segments())
+    left = 0                    # slots of the current segment not yet read
     packets = iter(trace.packets)
     levels = [iter(col) for col in trace.battery_pre]
     n = trace.n_nodes
     out = []
     for start in range(0, len(trace), window):
-        length = min(window, len(trace) - start)
+        length = need = min(window, len(trace) - start)
         harvested = [0] * n
-        for row in islice(harvest, length):
-            for u in range(n):
-                harvested[u] = harvested[u] + row[u]
+        loads = []
+        while need:
+            if not left:
+                row, load, left = next(segments)
+            k = min(left, need)
+            # the slot loop's adds, h + e + e + ..., in the same order
+            harvested = [reduce(operator.add, repeat(e, k), h)
+                         for h, e in zip(harvested, row)]
+            loads.append(repeat(load, k))
+            left -= k
+            need -= k
         out.append(WindowStats(
             window=len(out),
             start_slot=trace.slots[start],
             length=length,
-            offered=sum(islice(rates, length)),
+            offered=sum(chain.from_iterable(loads)),
             delivered=sum(islice(packets, length)),
             harvested=tuple(harvested),
             mean_battery=tuple(reduce(operator.add, islice(col, length), 0)

@@ -3,6 +3,7 @@
 import hashlib
 import importlib.resources
 import json
+import random
 
 import pytest
 
@@ -614,3 +615,88 @@ def test_scenario_golden_stdout_and_files(tmp_path, capsys, profile,
     for name, want in (("trace.csv", trace_sha), ("windows.csv", windows_sha)):
         got = hashlib.sha256((tmp_path / "out" / name).read_bytes())
         assert got.hexdigest() == want
+
+
+def seeded_profile_csv(seed=13, slots=6000):
+    """A two-node profile of random ranges, 50 to 900 slots each, whose
+    boundaries do not fall on multiples of the 700-slot window below."""
+    rng = random.Random(seed)
+    lines = ["slot_range,e1,e2,g"]
+    lo = 0
+    while lo < slots:
+        hi = min(slots, lo + rng.randint(50, 900)) - 1
+        e1, e2 = rng.randint(0, 80) / 100, rng.randint(0, 80) / 100
+        g = rng.randint(40, 160) / 10
+        lines.append(f"{lo}-{hi},{e1!r},{e2!r},{g!r}")
+        lo = hi + 1
+    return "\n".join(lines) + "\n"
+
+
+# `hdrsim scenario --window 700` on the 12-range profile above, with and
+# without --feedback, with control costs: stdout byte for byte and the
+# sha256 of trace.csv and windows.csv, captured while profiles were still
+# stored one row per slot
+GOLDEN_SEEDED_SCENARIO = {
+    False: (
+        "window offered delivered\n"
+        "0 7848.8 5165.375\n"
+        "1 3430 3227.5\n"
+        "2 2990.4 2990.4\n"
+        "3 6313 5039.575\n"
+        "4 9480.4 7467.125\n"
+        "5 6916.7 5136.825\n"
+        "6 8228.8 8228.8\n"
+        "7 9024.1 7792.25\n"
+        "8 4422.4 4387.375\n"
+        "total_offered 58654.6\n"
+        "total_delivered 49435.225\n",
+        "dcf00527ab8344a3855a2156c68a162e5a11d628d94e612b5264485bfadbc5fd",
+        "4f73489fa2f86d5ac15cc05829ff3d9594a8a9d219c4d8b7b1b80baa6401cb90"),
+    True: (
+        "window offered delivered\n"
+        "0 4047.13523028 4047.13523028\n"
+        "1 3220.85649745 3220.85649745\n"
+        "2 5254.04378816 5254.04378816\n"
+        "3 5499.41860471 5499.41860471\n"
+        "4 2256.9214876 2256.9214876\n"
+        "5 2256.9214876 2256.9214876\n"
+        "6 2256.9214876 2256.9214876\n"
+        "7 2256.9214876 2256.9214876\n"
+        "8 1289.66942149 1289.66942149\n"
+        "total_offered 28338.8094925\n"
+        "total_delivered 28338.8094925\n"
+        "feedback_updates 23\n"
+        "final_input_rate 3.22417355372\n",
+        "ba8cf2630c366d3f11a233c37bd2b1c1d0eaae2b7c985264e1d37c5f4f07a08a",
+        "c15e75a776b592cc487605957c46fff3cd7db8a71f45ffb03a5ea9e0e2a9e287"),
+}
+
+
+@pytest.mark.parametrize("feedback", [False, True])
+def test_scenario_seeded_profile_golden(tmp_path, capsys, feedback):
+    profile = tmp_path / "profile.csv"
+    profile.write_text(seeded_profile_csv())
+    cfg = write_config(tmp_path / "c.json", harvest_rates=[0.3, 0.2],
+                       input_rate=6.0, thresholds=[10.0, 10.0], horizon=None,
+                       profile=str(profile), initial_batteries=[40.0, 40.0],
+                       out=str(tmp_path / "out"))
+    flags = ["--feedback"] if feedback else []
+    assert main(["scenario", "--config", cfg, "--window", "700",
+                 *flags]) == 0
+    stdout, trace_sha, windows_sha = GOLDEN_SEEDED_SCENARIO[feedback]
+    assert capsys.readouterr().out == stdout
+    for name, want in (("trace.csv", trace_sha), ("windows.csv", windows_sha)):
+        got = hashlib.sha256((tmp_path / "out" / name).read_bytes())
+        assert got.hexdigest() == want
+
+
+def test_scenario_on_a_header_only_profile_is_a_config_error(tmp_path,
+                                                             capsys):
+    profile = tmp_path / "profile.csv"
+    profile.write_text("slot_range,e1,e2,g\n")
+    cfg = write_config(tmp_path / "c.json", horizon=None,
+                       profile=str(profile), out=str(tmp_path / "out"))
+    assert main(["scenario", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: bad profile: empty profile: no slot ranges under the "
+        "header\n")

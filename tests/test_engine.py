@@ -507,3 +507,39 @@ def test_run_rejects_profile_cells_and_steered_loads_of_other_types(bad):
     exact = exact_diamond(F(4), F(4, 5))
     with pytest.raises(TypeError):
         run(exact, n_slots=10, steer=lambda k, active, switched, e: bad)
+
+
+def test_steered_run_keeps_its_loads_as_segments():
+    params = diamond()
+    trace = run(params, n_slots=500, steer=lambda *a: params.input_rate)
+    assert trace.profile.segments == (
+        (params.harvest_rates, params.input_rate, 500),)
+    # a new load object starts a segment, and so does a new harvest row;
+    # slot k + 1 takes the load returned after slot k
+    prof = Profile.from_segments([((0.8, 0.6), 17.5, 300),
+                                  ((0.5, 0.4), 17.5, 300)])
+    # an equal load of another object at slot 150
+    loads = {99: 12.0, 149: float("12"), 399: 9.5}
+    g = [params.input_rate]
+
+    def steer(k, active, switched, e):
+        g[0] = loads.get(k, g[0])
+        return g[0]
+    trace = run(params, profile=prof, steer=steer)
+    assert trace.profile.segments == (
+        ((0.8, 0.6), 17.5, 100), ((0.8, 0.6), 12.0, 50),
+        ((0.8, 0.6), 12.0, 150), ((0.5, 0.4), 12.0, 100),
+        ((0.5, 0.4), 9.5, 200))
+    harvest, rates = trace.inputs()
+    assert list(rates) == [17.5] * 100 + [12.0] * 300 + [9.5] * 200
+    assert verify_trace(trace) == []
+
+
+def test_run_on_the_head_of_a_profile():
+    prof = Profile.from_segments([((0.8, 0.6), 17.5, 30),
+                                  ((0.5, 0.4), 12.0, 30)])
+    trace = run(diamond(), n_slots=40, profile=prof)
+    assert trace.profile is prof
+    assert trace.input_segments() == (((0.8, 0.6), 17.5, 30),
+                                      ((0.5, 0.4), 12.0, 10))
+    assert verify_trace(trace) == []

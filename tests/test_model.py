@@ -89,6 +89,12 @@ def test_params_arity_must_match_policy():
                      packet_energy=0.08, thresholds=RoundRobin3(1, 1, 1))
 
 
+def test_params_take_a_threshold_policy_only():
+    with pytest.raises(ValueError, match="thresholds must be a "
+                                         "ThresholdPolicy, got tuple"):
+        SystemParams((0.8, 0.6), 17.5, 0.08, (6.2, 5.0))
+
+
 def test_params_reject_bad_scalars():
     with pytest.raises(ValueError):
         diamond(e=(-0.1, 0.5))
@@ -210,8 +216,11 @@ def test_profile_totals():
                    input_rate=(10.0, 10.0, 5.0))
     assert prof.length == 3
     assert prof.n_nodes == 2
-    assert prof.total_harvest() == (pytest.approx(1.1), pytest.approx(0.6))
-    assert prof.total_offered() == pytest.approx(25.0)
+    assert prof.segments == (((0.5, 0.25), 10.0, 2), ((0.1, 0.1), 5.0, 1))
+    harvested = tuple(sum(row[u] * k for row, _, k in prof.segments)
+                      for u in range(2))
+    assert harvested == (pytest.approx(1.1), pytest.approx(0.6))
+    assert sum(g * k for _, g, k in prof.segments) == pytest.approx(25.0)
 
 
 def test_profile_shape_mismatch():
@@ -259,3 +268,49 @@ def test_profile_keeps_its_cell_types_out_of_sight():
     floats = dataclasses.replace(prof, harvest=((0.5, 0.25), (1.0, 0.25)),
                                  input_rate=(10.0, 10.0))
     assert floats._cell_types == {float}
+
+
+def test_profile_merges_only_slots_of_the_same_cells():
+    # one row object, or rows equal in type and repr, share a segment
+    row = (0.5, 0.25)
+    assert Profile(harvest=(row,) * 3, input_rate=(10.0,) * 3).segments == (
+        (row, 10.0, 3),)
+    fresh = Profile(harvest=((0.5, 0.25), tuple([0.5, 0.25]), [0.5, 0.25]),
+                    input_rate=(10.0, 10.0, 10.0))
+    assert fresh.segments == (((0.5, 0.25), 10.0, 3),)
+    # equal cells of another type or zero sign start a segment of their own
+    for a, b in ((0.0, -0.0), (0.5, F(1, 2)), (0, 0.0), (1, F(1))):
+        prof = Profile(harvest=((a, 0.25), (b, 0.25)), input_rate=(6, 6))
+        assert [repr(row) for row, _, _ in prof.segments] == [
+            repr((a, 0.25)), repr((b, 0.25))]
+        prof = Profile(harvest=((0.5, 0.25),) * 2, input_rate=(a, b))
+        assert [repr(g) for _, g, _ in prof.segments] == [repr(a), repr(b)]
+
+
+def test_profiles_are_equal_when_their_slots_are():
+    prof = Profile(harvest=((0.5, 0.25),) * 3, input_rate=(10.0,) * 3)
+    cut = Profile.from_segments([((0.5, 0.25), 10.0, 1),
+                                 ([F(1, 2), 0.25], 10, 2)])
+    assert len(cut.segments) == 2
+    assert cut == prof and hash(cut) == hash(prof)
+    assert cut != Profile.from_segments([((0.5, 0.25), 10.0, 2)])
+    assert cut != Profile.from_segments([((0.5, 0.25), 10.0, 2),
+                                         ((0.5, 0.25), 9.0, 1)])
+    assert repr(prof) == "Profile(segments=(((0.5, 0.25), 10.0, 3),))"
+
+
+@pytest.mark.parametrize("length", [0, -1, 1.5, True, "2"])
+def test_profile_segment_lengths_are_positive_ints(length):
+    with pytest.raises(ValueError, match="segment lengths"):
+        Profile.from_segments([((0.5, 0.25), 10.0, 2),
+                               ((0.5, 0.25), 10.0, length)])
+
+
+def test_profile_segments_are_checked_like_cells():
+    with pytest.raises(ValueError, match="ragged"):
+        Profile.from_segments([((0.5, 0.25), 10.0, 2), ((0.5,), 10.0, 1)])
+    with pytest.raises(ValueError, match="non-negative"):
+        Profile.from_segments([((0.5, -0.25), 10.0, 2)])
+    with pytest.raises(ValueError, match="got Decimal"):
+        Profile.from_segments([((0.5, 0.25), Decimal(1), 2)])
+    assert Profile.from_segments([]).length == 0

@@ -1,9 +1,13 @@
 """Profile-driven runs, per-window accounting, closed-loop load control."""
 
+import gc
 import importlib.resources
 import io
+import tracemalloc
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdrsim import (
     Profile,
@@ -44,8 +48,8 @@ def test_load_profile_three_node_column():
         "slot_range,e1,e2,e3,g\n0-9,0.1,0.2,0.3,5\n10-19,0.2,0.2,0.2,4\n"))
     assert prof.n_nodes == 3
     assert prof.length == 20
-    assert prof.harvest[10] == (0.2, 0.2, 0.2)
-    assert prof.input_rate[0] == 5
+    assert prof.segments == (((0.1, 0.2, 0.3), 5.0, 10),
+                             ((0.2, 0.2, 0.2), 4.0, 10))
 
 
 @pytest.mark.parametrize("text, fragment", [
@@ -58,6 +62,7 @@ def test_load_profile_three_node_column():
     ("slot_range,e1,e2,g\n0-9,0.1,-0.2,6\n", "negative"),
     ("slot_range,e1,e2,g\n0-9,0.1,0.2,6\n5-14,0.1,0.2,6\n", "overlap"),
     ("slot_range,e1,e2,g\n0-9,0.1,0.2,6\n20-29,0.1,0.2,6\n", "gap"),
+    ("slot_range,e1,e2,g\n", "empty profile"),
 ])
 def test_load_profile_rejects_malformed_input(text, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -76,12 +81,30 @@ def test_bundled_profiles_share_the_harvest_budget():
     sched = load_profile(SCHEDULED)
     assert flat.length == sched.length == 8000
     for prof in (flat, sched):
-        totals = [sum(row[u] for row in prof.harvest) for u in range(2)]
+        totals = [sum(row[u] * k for row, _, k in prof.segments)
+                  for u in range(2)]
         assert totals[0] == pytest.approx(2553.0)
         assert totals[1] == pytest.approx(1595.0)
-        assert sum(prof.input_rate) == pytest.approx(48000.0)
+        assert sum(g * k for _, g, k in prof.segments) == pytest.approx(
+            48000.0)
     # node 1 spends the whole first kiloslot without harvest
-    assert all(row[0] == 0 for row in flat.harvest[:1000])
+    (e1, _), _, length = flat.segments[0]
+    assert e1 == 0 and length >= 1000
+
+
+def test_load_profile_holds_its_segments_not_its_slots():
+    text = io.StringIO("slot_range,e1,e2,g\n0-999999,0.3,0.2,6.0\n")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prof = load_profile(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert prof.length == 10**6
+    # one row per slot would hold two million references, 16 MB
+    assert held < 10**4
 
 
 def test_profile_replay_is_deterministic():
@@ -89,6 +112,76 @@ def test_profile_replay_is_deterministic():
     a = run(params, profile=load_profile(FLAT), initial_batteries=(5.0, 5.0))
     b = run(params, profile=load_profile(FLAT), initial_batteries=(5.0, 5.0))
     assert a.records == b.records
+
+
+# cells that are equal in value but not in type or bits, so a profile that
+# merged neighbouring slots by value would run differently
+HARVEST_CELLS = (0.3, 0.25, 0.5, -0.0, 0.0, 0, 1, F(1, 4), F(1, 2))
+LOADS = (6.0, 6, 6.5, F(13, 2), 0.0, -0.0, 0)
+
+
+@st.composite
+def piecewise(draw):
+    """A two-node profile as (harvest row, load, length) ranges, a packet
+    mode and a window."""
+    ranges = draw(st.lists(st.tuples(
+        st.tuples(st.sampled_from(HARVEST_CELLS),
+                  st.sampled_from(HARVEST_CELLS)),
+        st.sampled_from(LOADS), st.integers(1, 60)), min_size=1, max_size=6))
+    return (ranges, draw(st.sampled_from(["fractional", "whole"])),
+            draw(st.integers(1, 100)))
+
+
+def per_slot(ranges, cell=lambda x: x):
+    """The ranges as a profile built slot by slot, each slot with a row
+    object of its own."""
+    rows = [tuple([cell(x) for x in row]) for row, _, k in ranges
+            for _ in range(k)]
+    loads = [cell(g) for _, g, k in ranges for _ in range(k)]
+    return Profile(harvest=tuple(rows), input_rate=tuple(loads))
+
+
+def run_columns(profile, mode, window):
+    params = scenario_params(ct=0.01, cr=0.05)
+    trace = run(params, profile=profile, packet_mode=mode,
+                initial_batteries=(12.0, 11.5))
+    cols = (*trace.battery_pre, *trace.battery_post, trace.active,
+            trace.switched, trace.packets, trace.suppressed)
+    return trace, [list(map(repr, c)) for c in cols], repr(
+        windowed_stats(trace, window))
+
+
+@settings(max_examples=60, deadline=None)
+@given(piecewise())
+def test_profiles_built_per_slot_or_loaded_run_alike(case):
+    ranges, mode, window = case
+    # slot by slot, with -0.0, int-zero and Fraction cells: the run sees
+    # every slot's own cells, and shared row objects change nothing
+    mixed = per_slot(ranges)
+    trace, cols, stats = run_columns(mixed, mode, window)
+    harvest, rates = trace.inputs()
+    assert list(map(repr, harvest)) == [repr(row) for row, _, k in ranges
+                                        for _ in range(k)]
+    assert list(map(repr, rates)) == [repr(g) for _, g, k in ranges
+                                      for _ in range(k)]
+    shared = Profile(
+        harvest=tuple(row for row, _, k in ranges for _ in range(k)),
+        input_rate=tuple(g for _, g, k in ranges for _ in range(k)))
+    assert shared == mixed
+    assert run_columns(shared, mode, window)[1:] == (cols, stats)
+
+    # the same ranges as floats, built slot by slot and loaded from CSV
+    text = "slot_range,e1,e2,g\n"
+    lo = 0
+    for (e1, e2), g, k in ranges:
+        text += (f"{lo}-{lo + k - 1},{float(e1)!r},{float(e2)!r},"
+                 f"{float(g)!r}\n")
+        lo += k
+    loaded = load_profile(io.StringIO(text))
+    floats = per_slot(ranges, float)
+    assert loaded == floats
+    assert (run_columns(loaded, mode, window)[1:]
+            == run_columns(floats, mode, window)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +198,20 @@ def test_windowed_stats_conserve_the_trace():
         sum(r.packets for r in trace.records))
     assert sum(w.offered for w in stats) == pytest.approx(48000.0)
     assert [w.start_slot for w in stats] == list(range(0, 8000, 1000))
+
+
+def test_windowed_harvest_adds_slot_by_slot():
+    # windows of 333 slots cut across the profile's 1000- and 500-slot
+    # ranges; each window's harvest must be the slot loop's sum, bit for bit
+    trace = run(scenario_params(), profile=load_profile(SCHEDULED),
+                initial_batteries=(5.0, 5.0))
+    rows = list(trace.inputs()[0])
+    for w in windowed_stats(trace, 333):
+        harvested = [0, 0]
+        for row in rows[w.start_slot:w.start_slot + w.length]:
+            for u in range(2):
+                harvested[u] = harvested[u] + row[u]
+        assert repr(w.harvested) == repr(tuple(harvested))
 
 
 def test_windowed_stats_short_final_window():
@@ -251,8 +358,9 @@ def test_feedback_rate_stays_bounded():
     params = scenario_params(g=6.0, ct=0.01, cr=0.05)
     trace = run_with_feedback(params, profile=load_profile(SCHEDULED),
                               initial_batteries=(40.0, 40.0))
-    ceiling = max(sum(row) for row in trace.profile.harvest) / 0.08
-    for g in trace.profile.input_rate:
+    segments = trace.profile.segments
+    ceiling = max(sum(row) for row, _, _ in segments) / 0.08
+    for _, g, _ in segments:
         assert 0 <= g <= max(ceiling, 6.0)
 
 

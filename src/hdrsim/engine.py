@@ -52,7 +52,8 @@ and compares every later such state with it, refreshing it after 1, 2, 4,
 extra memory and one comparison per handover.  Two states match only when
 their levels are equal in type and bits, not just in value: ``-0.0 ==
 0.0`` and ``5 == Fraction(5)``, but each pair prints and computes
-differently.  ``verify_trace`` still replays every slot, the copied ones
+differently.  ``_same_levels`` is that test, and this state match is its
+only use.  ``verify_trace`` still replays every slot, the copied ones
 included.
 """
 
@@ -64,7 +65,7 @@ import math
 import operator
 from array import array
 from fractions import Fraction
-from itertools import compress, count, islice, pairwise, repeat
+from itertools import compress, islice, pairwise, repeat
 from typing import Callable, Optional, Sequence
 
 from .model import (
@@ -77,7 +78,6 @@ from .model import (
     SystemParams,
     Trace,
     _first_slots,
-    _same_levels,
     default_state,
 )
 
@@ -117,14 +117,15 @@ def _level_column(floats: bool = True):
     return array("d") if floats else []
 
 
-def _slot_column(values):
-    """Slot numbers as a ``range`` when they run consecutively, as they do
-    in every trace a run or the CSV writer makes, else as a list."""
-    slots = list(values)
-    start = slots[0] if slots else 0
-    if all(map(operator.eq, slots, count(start))):
-        return range(start, start + len(slots))
-    return slots
+def _same_levels(a, b) -> bool:
+    """Whether two sequences of equal numbers hold them with the same type
+    and bits, which ``==`` does not check: ``-0.0 == 0.0`` and ``5 ==
+    Fraction(5)``, but each pair prints and computes differently.  For the
+    three number types a repr tells both apart; the types are compared as
+    well, so an unchecked cell cannot pass for a number that prints the
+    same."""
+    return (list(map(type, a)) == list(map(type, b))
+            and list(map(repr, a)) == list(map(repr, b)))
 
 
 def _tile(column, start: int, stop: int, total: int) -> None:
@@ -346,7 +347,7 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
                    else "loads must be ints, floats or Fractions")
             raise TypeError(f"steer offered {names} loads to a run whose "
                             f"{why}")
-        profile = Profile.from_segments(offered)
+        profile = Profile(offered)
     return Trace(n_nodes=n, packet_mode=packet_mode,
                  initial_active=first, params=params, profile=profile,
                  slots=range(n_slots),
@@ -368,14 +369,14 @@ def _node_totals(active, packets, n) -> list:
     return totals
 
 
-def detect_cycles(trace: Trace, node: int = 0, warmup: int = 0) -> list[CycleStats]:
-    """Split the trace at handovers to ``node`` and measure each full
+def detect_cycles(trace: Trace, *, warmup: int = 0) -> list[CycleStats]:
+    """Split the trace at handovers to node 1 and measure each full
     rotation of the forwarding role."""
     first = bisect.bisect_left(trace.slots, warmup)
     active, slots = trace.active, trace.slots
     bounds = [i for i in compress(range(first, len(slots)),
                                   trace.switched[first:])
-              if active[i] == node]
+              if active[i] == 0]
     cycles = []
     n = trace.n_nodes
     for a, b in pairwise(bounds):
@@ -570,9 +571,11 @@ _BITS = frozenset((0, 1))
 def read_trace_csv(path) -> Trace:
     """Read a trace written by ``write_trace_csv``.  The rows are turned
     into columns ``_CSV_CHUNK`` at a time, so the file's text is never held
-    whole.  Levels and packets must be finite and flags 0 or 1; a cell
-    that is not raises a ``ValueError`` naming the file and the column."""
-    slots, packets = [], _level_column()
+    whole.  Levels and packets must be finite, flags 0 or 1, and the slot
+    numbers must count up by one from the first; a file that breaks one
+    of these rules raises a ``ValueError`` naming the file."""
+    first = stop = None
+    packets = _level_column()
     active, switched, suppressed = (array("B") for _ in range(3))
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -589,7 +592,16 @@ def read_trace_csv(path) -> Trace:
                     raise ValueError(f"{path}: active node number out of "
                                      f"range")
                 active.extend(nodes)
-                slots.extend(map(int, columns["slot"]))
+                slots = list(map(int, columns["slot"]))
+                if first is None:
+                    first = stop = slots[0]
+                want = list(range(stop, stop + len(slots)))
+                if slots != want:
+                    got, due = next(pair for pair in zip(slots, want)
+                                    if pair[0] != pair[1])
+                    raise ValueError(f"{path}: slot {got} where slot {due} "
+                                     f"is due; slots count up by one")
+                stop += len(slots)
                 for u in range(n):
                     pre[u].extend(_finite_cells(path, columns,
                                                 f"battery_pre{u + 1}"))
@@ -608,8 +620,8 @@ def read_trace_csv(path) -> Trace:
             except KeyError as exc:
                 raise ValueError(f"{path}: no column {exc.args[0]!r}") \
                     from None
-    if not slots:
+    if first is None:
         raise ValueError(f"{path}: empty trace")
-    return Trace(n_nodes=n, slots=_slot_column(slots), battery_pre=pre,
+    return Trace(n_nodes=n, slots=range(first, stop), battery_pre=pre,
                  battery_post=post, active=active, switched=switched,
                  packets=packets, suppressed=suppressed)

@@ -332,7 +332,8 @@ class Trace:
     """A finished run, one column per quantity rather than one object per
     slot.
 
-    slots         slot number of each entry (a ``range`` for a run)
+    slots         slot number of each entry, counting up by one (a
+                  ``range`` for a run and for a re-read trace)
     battery_pre   per node, a column of levels before the slot-end exchange
     battery_post  per node, a column of levels right after it
     active        forwarding node after any handover, 0-based
@@ -344,7 +345,7 @@ class Trace:
     flags in ``array('B')`` columns (so at most 8 nodes).  Runs with a
     ``Fraction`` among their inputs get lists for levels and packets, so
     exact values pass through untouched, and so do whole-packet counts,
-    which stay ints.  ``slots`` ascend.
+    which stay ints.
 
     ``records`` is a read-only view of the same data, one ``SlotRecord``
     named tuple per slot.  A derived trace comes from ``dataclasses.replace`` on the
@@ -457,17 +458,6 @@ class RunSummary:
 # time-varying operating conditions
 # ---------------------------------------------------------------------------
 
-def _same_levels(a, b) -> bool:
-    """Whether two sequences of equal numbers hold them with the same type
-    and bits, which ``==`` does not check: ``-0.0 == 0.0`` and ``5 ==
-    Fraction(5)``, but each pair prints and computes differently.  For the
-    three number types a repr tells both apart; the types are compared as
-    well, so an unchecked cell cannot pass for a number that prints the
-    same."""
-    return (list(map(type, a)) == list(map(type, b))
-            and list(map(repr, a)) == list(map(repr, b)))
-
-
 def _first_slots(segments, n: int) -> tuple:
     """The ``(harvest, load, length)`` segments that cover the first ``n``
     slots of ``segments``, the last one cut short where needed."""
@@ -480,7 +470,7 @@ def _first_slots(segments, n: int) -> tuple:
     return tuple(head)
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True)
 class Profile:
     """Harvest rates and offered load slot by slot, stored as the stretches
     of constant inputs they are made of.
@@ -489,51 +479,20 @@ class Profile:
     for ``length`` slots node ``u`` harvests ``harvest[u]`` and the source
     offers ``load``.  Every cell must be a finite, non-negative int, float
     or Fraction, every row hold one rate per node and every length be a
-    positive int.  ``Profile.from_segments`` takes the triples as they are.
-    ``Profile(harvest=rows, input_rate=loads)`` takes one row and one load
-    per slot, and puts neighbouring slots into one segment only when their
-    cells are the same objects or equal in type and repr, so ``-0.0`` next
-    to ``0.0``, or ``0.5`` next to ``Fraction(1, 2)``, stay apart and a run
-    sees every slot's own cells.  Two profiles are equal when their cells
-    are equal slot by slot, however they are cut into segments.  A
-    constant profile reproduces a plain parameterised run exactly.
+    positive int.  The triples are kept as given, rows as tuples, and two
+    profiles are equal when their segments are.  Slot-by-slot inputs
+    become length-1 segments: ``Profile(tuple((row, g, 1) for row, g in
+    zip(rows, loads)))``.  A constant profile reproduces a plain
+    parameterised run exactly.
     """
 
-    segments: tuple = field(init=False)
-    length: int = field(init=False, repr=False)
+    segments: tuple
+    length: int = field(init=False, repr=False, compare=False)
     # the types of the cells, kept from the checks for engine.run
-    _cell_types: frozenset = field(init=False, repr=False)
+    _cell_types: frozenset = field(init=False, repr=False, compare=False)
 
-    def __init__(self, harvest, input_rate):
-        if len(harvest) != len(input_rate):
-            raise ValueError("harvest and input-rate arrays differ in length")
-        # run-length encoding in one pass over the slots
-        segments = []
-        row = load = None
-        k = 0
-        for r, g in zip(harvest, input_rate):
-            if k and (r is row or _same_levels(r, row)) and (
-                    g is load or _same_levels((g,), (load,))):
-                k += 1
-                continue
-            if k:
-                segments.append((row, load, k))
-            row, load, k = r, g, 1
-        if k:
-            segments.append((row, load, k))
-        self._keep(segments)
-
-    @classmethod
-    def from_segments(cls, segments) -> "Profile":
-        """A profile of ``(harvest, load, length)`` triples, kept as
-        given."""
-        profile = cls.__new__(cls)
-        profile._keep(segments)
-        return profile
-
-    def _keep(self, segments) -> None:
-        """Check the segments and store them, with rows as tuples."""
-        segments = tuple((tuple(row), g, k) for row, g, k in segments)
+    def __post_init__(self):
+        segments = tuple((tuple(row), g, k) for row, g, k in self.segments)
         n = len(segments[0][0]) if segments else 0
         if any(len(row) != n for row, _, _ in segments):
             raise ValueError("ragged harvest rows")
@@ -558,22 +517,3 @@ class Profile:
     @property
     def n_nodes(self) -> int:
         return len(self.segments[0][0]) if self.segments else 0
-
-    def _runs(self) -> list:
-        """The segments as ``[harvest, load, length]`` lists, neighbours of
-        equal cells joined, so equal profiles give equal runs."""
-        runs = []
-        for row, g, k in self.segments:
-            if runs and runs[-1][0] == row and runs[-1][1] == g:
-                runs[-1][2] += k
-            else:
-                runs.append([row, g, k])
-        return runs
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._runs() == other._runs()
-
-    def __hash__(self):
-        return hash(tuple(map(tuple, self._runs())))

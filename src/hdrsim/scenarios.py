@@ -8,7 +8,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from typing import Optional
 
 from .analytic import feedback_input_rate
@@ -98,8 +98,8 @@ def load_profile(source) -> Profile:
             raise ValueError(f"gap in slot ranges before slot {lo}")
         expect = hi + 1
 
-    return Profile.from_segments((e_row, g, hi - lo + 1)
-                                 for lo, hi, e_row, g in pieces)
+    return Profile(tuple((e_row, g, hi - lo + 1)
+                         for lo, hi, e_row, g in pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,9 @@ def load_profile(source) -> Profile:
 
 def windowed_stats(trace: Trace, window: int) -> list[WindowStats]:
     """Offered vs delivered packets per window; the final window may be
-    shorter and is reported with its true length."""
+    shorter and is reported with its true length.  Every total is a left
+    fold from int 0 in slot order, so it does not depend on how ``sum``
+    adds floats (Python 3.12 compensates its float sums)."""
     if window < 1:
         raise ValueError("window must be at least one slot")
     # every column is walked once, window after window, and the inputs
@@ -122,7 +124,7 @@ def windowed_stats(trace: Trace, window: int) -> list[WindowStats]:
     for start in range(0, len(trace), window):
         length = need = min(window, len(trace) - start)
         harvested = [0] * n
-        loads = []
+        offered = 0
         while need:
             if not left:
                 row, load, left = next(segments)
@@ -130,15 +132,15 @@ def windowed_stats(trace: Trace, window: int) -> list[WindowStats]:
             # the slot loop's adds, h + e + e + ..., in the same order
             harvested = [reduce(operator.add, repeat(e, k), h)
                          for h, e in zip(harvested, row)]
-            loads.append(repeat(load, k))
+            offered = reduce(operator.add, repeat(load, k), offered)
             left -= k
             need -= k
         out.append(WindowStats(
             window=len(out),
             start_slot=trace.slots[start],
             length=length,
-            offered=sum(chain.from_iterable(loads)),
-            delivered=sum(islice(packets, length)),
+            offered=offered,
+            delivered=reduce(operator.add, islice(packets, length), 0),
             harvested=tuple(harvested),
             mean_battery=tuple(reduce(operator.add, islice(col, length), 0)
                                / length for col in levels),

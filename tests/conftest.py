@@ -30,8 +30,7 @@ def three(e=(0.1, 0.7, 0.8), g=20.0, c=0.08, h=(5.0, 10.0, 10.0), ct=0,
 
 def constant_profile(params, length):
     """``length`` slots of the constant rates of ``params`` as a profile."""
-    return Profile(harvest=(params.harvest_rates,) * length,
-                   input_rate=(params.input_rate,) * length)
+    return Profile(((params.harvest_rates, params.input_rate, length),))
 
 
 @pytest.fixture

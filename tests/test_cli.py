@@ -1,9 +1,14 @@
 """Command-line behavior: exit codes, outputs, file artifacts."""
 
+import builtins
 import hashlib
 import importlib.resources
 import json
+import math
+import operator
 import random
+from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
@@ -688,6 +693,72 @@ def test_scenario_seeded_profile_golden(tmp_path, capsys, feedback):
     for name, want in (("trace.csv", trace_sha), ("windows.csv", windows_sha)):
         got = hashlib.sha256((tmp_path / "out" / name).read_bytes())
         assert got.hexdigest() == want
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum`` as Python 3.12 computes it: ints exactly, then floats with
+    Neumaier's compensation, ints that fit a C long added to the float
+    total plainly, and anything else by ``+``."""
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for x in items:
+            if type(x) in (int, bool):
+                total += x
+                continue
+            total = total + x
+            break
+        else:
+            return total
+    if type(total) is float:
+        comp = 0.0
+        for x in items:
+            if type(x) is float:
+                t = total + x
+                if abs(total) >= abs(x):
+                    comp += (total - t) + x
+                else:
+                    comp += (x - t) + total
+                total = t
+                continue
+            if isinstance(x, int) and -2**63 <= x < 2**63:
+                total += float(x)
+                continue
+            if comp and math.isfinite(comp):
+                total += comp
+            total = total + x
+            break
+        else:
+            if comp and math.isfinite(comp):
+                total += comp
+            return total
+    for x in items:
+        total = total + x
+    return total
+
+
+def test_compensated_sum_is_not_a_plain_fold():
+    values = [0.1] * 10
+    assert compensated_sum(values) == math.fsum(values) == 1.0
+    assert reduce(operator.add, values, 0) == 0.9999999999999999
+    assert compensated_sum([1, 2, 0.5, 3]) == 6.5
+    assert compensated_sum([0.5, 1, 2], 0.25) == 3.75
+    assert repr(compensated_sum([F(1, 2), 0.25])) == "0.75"
+
+
+@pytest.mark.parametrize("case", [
+    *(pytest.param(key, id=f"{key[0]}-{key[1]}") for key in GOLDEN_SCENARIO),
+    pytest.param(False, id="seeded-False"),
+    pytest.param(True, id="seeded-True")])
+def test_scenario_goldens_hold_under_a_compensated_sum(tmp_path, capsys,
+                                                       monkeypatch, case):
+    # Python 3.12 and later compensate float sums; the scenario outputs
+    # must not depend on that
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    if isinstance(case, tuple):
+        test_scenario_golden_stdout_and_files(tmp_path, capsys, *case)
+    else:
+        test_scenario_seeded_profile_golden(tmp_path, capsys, case)
 
 
 def test_scenario_on_a_header_only_profile_is_a_config_error(tmp_path,

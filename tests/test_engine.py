@@ -264,6 +264,38 @@ def test_read_trace_csv_rejects_bad_cells(tmp_path, column, value, problem):
         read_trace_csv(path)
 
 
+def rewrite_slots(path, slots):
+    header, *rows = path.read_text().splitlines()
+    rows = [",".join([str(k), row.split(",", 1)[1]])
+            for k, row in zip(slots, rows)]
+    path.write_text("\n".join([header, *rows]))
+
+
+@pytest.mark.parametrize("slots, message", [
+    (range(1099, -1, -1), "slot 1098 where slot 1100 is due"),
+    ([5] * 1100, "slot 5 where slot 6 is due"),
+    ([*range(1099), 1100], "slot 1100 where slot 1099 is due")],
+    ids=["descending", "repeated", "gapped"])
+def test_read_trace_csv_rejects_slots_that_do_not_count_up(tmp_path, slots,
+                                                           message):
+    # the gap sits in the last row, past the first chunk of rows
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run(diamond(), n_slots=1100), path)
+    rewrite_slots(path, slots)
+    with pytest.raises(ValueError, match=f"trace.csv: {message}"):
+        read_trace_csv(path)
+
+
+def test_read_trace_csv_keeps_the_first_slot(tmp_path):
+    path = tmp_path / "trace.csv"
+    trace = run(diamond(), n_slots=1100)
+    write_trace_csv(trace, path)
+    rewrite_slots(path, range(7, 1107))
+    back = read_trace_csv(path)
+    assert back.slots == range(7, 1107)
+    assert back.switch_slots() == [k + 7 for k in trace.switch_slots()]
+
+
 @given(
     e1=st.floats(0.1, 1.0), e2=st.floats(0.1, 1.0),
     g=st.floats(2.0, 30.0), h1=st.floats(0.5, 20.0), h2=st.floats(0.5, 20.0),
@@ -502,8 +534,8 @@ def test_run_rejects_profile_cells_and_steered_loads_of_other_types(bad):
     # Profile itself turns away a str cell
     with pytest.raises((TypeError, ValueError),
                        match="Fractions|real number"):
-        run(ints, profile=Profile(harvest=((1, 2),) * 3,
-                                  input_rate=(3, bad, 3)))
+        run(ints, profile=Profile((((1, 2), 3, 1), ((1, 2), bad, 1),
+                                   ((1, 2), 3, 1))))
     exact = exact_diamond(F(4), F(4, 5))
     with pytest.raises(TypeError):
         run(exact, n_slots=10, steer=lambda k, active, switched, e: bad)
@@ -516,8 +548,7 @@ def test_steered_run_keeps_its_loads_as_segments():
         (params.harvest_rates, params.input_rate, 500),)
     # a new load object starts a segment, and so does a new harvest row;
     # slot k + 1 takes the load returned after slot k
-    prof = Profile.from_segments([((0.8, 0.6), 17.5, 300),
-                                  ((0.5, 0.4), 17.5, 300)])
+    prof = Profile((((0.8, 0.6), 17.5, 300), ((0.5, 0.4), 17.5, 300)))
     # an equal load of another object at slot 150
     loads = {99: 12.0, 149: float("12"), 399: 9.5}
     g = [params.input_rate]
@@ -536,8 +567,7 @@ def test_steered_run_keeps_its_loads_as_segments():
 
 
 def test_run_on_the_head_of_a_profile():
-    prof = Profile.from_segments([((0.8, 0.6), 17.5, 30),
-                                  ((0.5, 0.4), 12.0, 30)])
+    prof = Profile((((0.8, 0.6), 17.5, 30), ((0.5, 0.4), 12.0, 30)))
     trace = run(diamond(), n_slots=40, profile=prof)
     assert trace.profile is prof
     assert trace.input_segments() == (((0.8, 0.6), 17.5, 30),

@@ -212,8 +212,7 @@ def test_default_state_accepts_the_range_ends(diamond_params):
 
 
 def test_profile_totals():
-    prof = Profile(harvest=((0.5, 0.25), (0.5, 0.25), (0.1, 0.1)),
-                   input_rate=(10.0, 10.0, 5.0))
+    prof = Profile((((0.5, 0.25), 10.0, 2), ((0.1, 0.1), 5.0, 1)))
     assert prof.length == 3
     assert prof.n_nodes == 2
     assert prof.segments == (((0.5, 0.25), 10.0, 2), ((0.1, 0.1), 5.0, 1))
@@ -224,10 +223,16 @@ def test_profile_totals():
 
 
 def test_profile_shape_mismatch():
+    with pytest.raises(ValueError, match="ragged"):
+        Profile((((0.5, 0.25), 10.0, 1), ((0.5,), 10.0, 1)))
+    # a segment that is not a (harvest, load, length) triple
     with pytest.raises(ValueError):
-        Profile(harvest=((0.5, 0.25), (0.5,)), input_rate=(10.0, 10.0))
-    with pytest.raises(ValueError):
-        Profile(harvest=((0.5, 0.25),), input_rate=(10.0, 10.0))
+        Profile((((0.5, 0.25), 10.0),))
+
+
+def per_slot(harvest, rates) -> Profile:
+    """One length-1 segment per slot."""
+    return Profile(tuple((row, g, 1) for row, g in zip(harvest, rates)))
 
 
 @pytest.mark.parametrize("harvest, rates, match", [
@@ -238,7 +243,7 @@ def test_profile_shape_mismatch():
 ])
 def test_profile_rejects_bad_cells(harvest, rates, match):
     with pytest.raises(ValueError, match=match):
-        Profile(harvest=harvest, input_rate=rates)
+        per_slot(harvest, rates)
 
 
 @pytest.mark.parametrize("bad", [Decimal("1.5"), True, "1.5"])
@@ -253,64 +258,42 @@ def test_numbers_are_ints_floats_or_fractions(bad):
         default_state(diamond(), batteries=(50.0, bad))
     name = type(bad).__name__
     with pytest.raises(ValueError, match=f"profile cells must be .*{name}"):
-        Profile(harvest=((0.5, 0.25), (0.5, bad)), input_rate=(10.0, 10.0))
+        per_slot(((0.5, 0.25), (0.5, bad)), (10.0, 10.0))
     with pytest.raises(ValueError, match=f"Fractions, got {name}"):
-        Profile(harvest=((0.5, 0.25),) * 2, input_rate=(10.0, bad))
+        per_slot(((0.5, 0.25),) * 2, (10.0, bad))
 
 
 def test_profile_keeps_its_cell_types_out_of_sight():
-    prof = Profile(harvest=((F(1, 2), 0.25), (1, 0.25)),
-                   input_rate=(10.0, 10))
+    prof = per_slot(((F(1, 2), 0.25), (1, 0.25)), (10.0, 10))
     assert prof._cell_types == {F, float, int}
     assert "_cell_types" not in repr(prof)
-    assert prof == Profile(harvest=((0.5, 0.25), (1.0, 0.25)),
-                           input_rate=(10.0, 10.0))
-    floats = dataclasses.replace(prof, harvest=((0.5, 0.25), (1.0, 0.25)),
-                                 input_rate=(10.0, 10.0))
+    assert prof == per_slot(((0.5, 0.25), (1.0, 0.25)), (10.0, 10.0))
+    floats = dataclasses.replace(prof, segments=(((0.5, 0.25), 10.0, 1),
+                                                 ((1.0, 0.25), 10.0, 1)))
     assert floats._cell_types == {float}
 
 
-def test_profile_merges_only_slots_of_the_same_cells():
-    # one row object, or rows equal in type and repr, share a segment
-    row = (0.5, 0.25)
-    assert Profile(harvest=(row,) * 3, input_rate=(10.0,) * 3).segments == (
-        (row, 10.0, 3),)
-    fresh = Profile(harvest=((0.5, 0.25), tuple([0.5, 0.25]), [0.5, 0.25]),
-                    input_rate=(10.0, 10.0, 10.0))
-    assert fresh.segments == (((0.5, 0.25), 10.0, 3),)
-    # equal cells of another type or zero sign start a segment of their own
-    for a, b in ((0.0, -0.0), (0.5, F(1, 2)), (0, 0.0), (1, F(1))):
-        prof = Profile(harvest=((a, 0.25), (b, 0.25)), input_rate=(6, 6))
-        assert [repr(row) for row, _, _ in prof.segments] == [
-            repr((a, 0.25)), repr((b, 0.25))]
-        prof = Profile(harvest=((0.5, 0.25),) * 2, input_rate=(a, b))
-        assert [repr(g) for _, g, _ in prof.segments] == [repr(a), repr(b)]
-
-
-def test_profiles_are_equal_when_their_slots_are():
-    prof = Profile(harvest=((0.5, 0.25),) * 3, input_rate=(10.0,) * 3)
-    cut = Profile.from_segments([((0.5, 0.25), 10.0, 1),
-                                 ([F(1, 2), 0.25], 10, 2)])
-    assert len(cut.segments) == 2
-    assert cut == prof and hash(cut) == hash(prof)
-    assert cut != Profile.from_segments([((0.5, 0.25), 10.0, 2)])
-    assert cut != Profile.from_segments([((0.5, 0.25), 10.0, 2),
-                                         ((0.5, 0.25), 9.0, 1)])
+def test_profiles_are_equal_when_their_segments_are():
+    prof = Profile([([0.5, 0.25], 10.0, 3)])
+    assert prof.segments == (((0.5, 0.25), 10.0, 3),)
+    assert prof == Profile((((0.5, 0.25), 10.0, 3),))
+    assert hash(prof) == hash(Profile([((F(1, 2), 0.25), 10, 3)]))
+    assert prof != Profile((((0.5, 0.25), 10.0, 2),))
+    assert prof != Profile((((0.5, 0.25), 10.0, 2), ((0.5, 0.25), 9.0, 1)))
     assert repr(prof) == "Profile(segments=(((0.5, 0.25), 10.0, 3),))"
 
 
 @pytest.mark.parametrize("length", [0, -1, 1.5, True, "2"])
 def test_profile_segment_lengths_are_positive_ints(length):
     with pytest.raises(ValueError, match="segment lengths"):
-        Profile.from_segments([((0.5, 0.25), 10.0, 2),
-                               ((0.5, 0.25), 10.0, length)])
+        Profile((((0.5, 0.25), 10.0, 2), ((0.5, 0.25), 10.0, length)))
 
 
 def test_profile_segments_are_checked_like_cells():
     with pytest.raises(ValueError, match="ragged"):
-        Profile.from_segments([((0.5, 0.25), 10.0, 2), ((0.5,), 10.0, 1)])
+        Profile((((0.5, 0.25), 10.0, 2), ((0.5,), 10.0, 1)))
     with pytest.raises(ValueError, match="non-negative"):
-        Profile.from_segments([((0.5, -0.25), 10.0, 2)])
+        Profile((((0.5, -0.25), 10.0, 2),))
     with pytest.raises(ValueError, match="got Decimal"):
-        Profile.from_segments([((0.5, 0.25), Decimal(1), 2)])
-    assert Profile.from_segments([]).length == 0
+        Profile((((0.5, 0.25), Decimal(1), 2),))
+    assert Profile(()).length == 0

@@ -3,8 +3,10 @@
 import gc
 import importlib.resources
 import io
+import operator
 import tracemalloc
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,11 @@ from conftest import constant_profile, diamond
 DATA = importlib.resources.files("hdrsim") / "data"
 FLAT = str(DATA / "harvest_flat_input.csv")
 SCHEDULED = str(DATA / "harvest_scheduled_input.csv")
+
+
+def fold(values):
+    """``values`` added one by one from int 0, as a slot loop adds them."""
+    return reduce(operator.add, values, 0)
 
 
 def scenario_params(g=6.0, ct=0, cr=0):
@@ -133,12 +140,16 @@ def piecewise(draw):
 
 
 def per_slot(ranges, cell=lambda x: x):
-    """The ranges as a profile built slot by slot, each slot with a row
-    object of its own."""
-    rows = [tuple([cell(x) for x in row]) for row, _, k in ranges
-            for _ in range(k)]
-    loads = [cell(g) for _, g, k in ranges for _ in range(k)]
-    return Profile(harvest=tuple(rows), input_rate=tuple(loads))
+    """The ranges cut into length-1 segments, each slot with a row object
+    of its own."""
+    return Profile(tuple((tuple([cell(x) for x in row]), cell(g), 1)
+                         for row, g, k in ranges for _ in range(k)))
+
+
+def whole(ranges, cell=lambda x: x):
+    """The ranges as one segment each."""
+    return Profile(tuple((tuple(map(cell, row)), cell(g), k)
+                         for row, g, k in ranges))
 
 
 def run_columns(profile, mode, window):
@@ -155,22 +166,17 @@ def run_columns(profile, mode, window):
 @given(piecewise())
 def test_profiles_built_per_slot_or_loaded_run_alike(case):
     ranges, mode, window = case
-    # slot by slot, with -0.0, int-zero and Fraction cells: the run sees
-    # every slot's own cells, and shared row objects change nothing
-    mixed = per_slot(ranges)
-    trace, cols, stats = run_columns(mixed, mode, window)
+    # length-1 segments with -0.0, int-zero and Fraction cells: the run
+    # sees every slot's own cells, and cutting the ranges changes nothing
+    trace, cols, stats = run_columns(per_slot(ranges), mode, window)
     harvest, rates = trace.inputs()
     assert list(map(repr, harvest)) == [repr(row) for row, _, k in ranges
                                         for _ in range(k)]
     assert list(map(repr, rates)) == [repr(g) for _, g, k in ranges
                                       for _ in range(k)]
-    shared = Profile(
-        harvest=tuple(row for row, _, k in ranges for _ in range(k)),
-        input_rate=tuple(g for _, g, k in ranges for _ in range(k)))
-    assert shared == mixed
-    assert run_columns(shared, mode, window)[1:] == (cols, stats)
+    assert run_columns(whole(ranges), mode, window)[1:] == (cols, stats)
 
-    # the same ranges as floats, built slot by slot and loaded from CSV
+    # the same ranges as floats, cut into slots and loaded from CSV
     text = "slot_range,e1,e2,g\n"
     lo = 0
     for (e1, e2), g, k in ranges:
@@ -178,10 +184,9 @@ def test_profiles_built_per_slot_or_loaded_run_alike(case):
                  f"{float(g)!r}\n")
         lo += k
     loaded = load_profile(io.StringIO(text))
-    floats = per_slot(ranges, float)
-    assert loaded == floats
+    assert loaded == whole(ranges, float)
     assert (run_columns(loaded, mode, window)[1:]
-            == run_columns(floats, mode, window)[1:])
+            == run_columns(per_slot(ranges, float), mode, window)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +238,14 @@ def test_windowed_stats_without_a_profile_repeat_the_constants():
     profiled = run(params, profile=constant_profile(params, 2500),
                    initial_batteries=(5.0, 5.0))
     assert stats == windowed_stats(profiled, 1000)
+    # every total is a left fold in slot order, from int 0
     for w in stats:
         window = slice(w.start_slot, w.start_slot + w.length)
-        assert w.offered == sum([params.input_rate] * w.length)
-        assert w.harvested == tuple(sum([e] * w.length)
+        assert w.offered == fold([params.input_rate] * w.length)
+        assert w.harvested == tuple(fold([e] * w.length)
                                     for e in params.harvest_rates)
-        assert w.delivered == sum(trace.packets[window])
-        assert w.mean_battery == tuple(sum(col[window]) / w.length
+        assert w.delivered == fold(trace.packets[window])
+        assert w.mean_battery == tuple(fold(col[window]) / w.length
                                        for col in trace.battery_pre)
 
 
@@ -365,8 +371,8 @@ def test_feedback_rate_stays_bounded():
 
 
 def test_feedback_holds_rate_when_harvest_collapses():
-    rows = [(0.8, 0.6)] * 1200 + [(0.03, 0.03)] * 1200 + [(0.8, 0.6)] * 1200
-    prof = Profile(harvest=tuple(rows), input_rate=(6.0,) * 3600)
+    prof = Profile((((0.8, 0.6), 6.0, 1200), ((0.03, 0.03), 6.0, 1200),
+                    ((0.8, 0.6), 6.0, 1200)))
     params = diamond(e=(0.8, 0.6), g=10.0, h=(5.0, 5.0), ct=0.05, cr=0.05)
     trace = run_with_feedback(params, profile=prof, estimator_window=5)
     log = trace.feedback_log

@@ -134,8 +134,7 @@ def _profile_text() -> str:
     rows = [((0, half, 0), Fraction(5, 2)), ((quarter, 0, 2), 1),
             ((1, 1, 1), 0), ((0, 0, 0), Fraction(0)),
             ((half, Fraction(3, 2), Fraction(5, 4)), Fraction(5, 2))]
-    profile = Profile(harvest=tuple(r[0] for r in rows) * 12,
-                      input_rate=tuple(r[1] for r in rows) * 12)
+    profile = Profile(tuple((row, g, 1) for row, g in rows * 12))
     trace = run(params, profile=profile, initial_batteries=batteries)
     return _columns(trace) + "\n" + _audit(trace)
 

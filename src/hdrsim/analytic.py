@@ -3,9 +3,9 @@
 Everything here is derived under the modelling assumptions that make the
 dynamics piecewise linear: handovers land exactly on threshold differences
 and boundaries are reached at slot ends.  The slot simulator makes neither
-assumption, which is exactly why both exist: the cycle steppers below serve
-as independent oracles for the engine (and vice versa) wherever the
-assumptions hold.
+assumption, which is exactly why both exist: the round-robin cycle stepper
+below, which takes any number of relays, serves as an independent oracle
+for the engine (and vice versa) wherever the assumptions hold.
 
 As in the rest of the package, numbers are ints, floats or Fractions;
 Fraction inputs give exact results.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .model import CycleStats, SystemParams
 
@@ -27,6 +26,7 @@ __all__ = [
     "three_node_away_solution",
     "classify_regime_diamond",
     "steady_input_rate",
+    "cycle_step",
     "cycle_step_diamond",
     "cycle_step_three",
     "feedback_input_rate",
@@ -91,13 +91,12 @@ def _no_control(params: SystemParams, what: str):
 # away from the boundaries
 # ---------------------------------------------------------------------------
 
-def away_cycle_diamond(params: SystemParams, exact: bool = True) -> SteadyStateSummary:
+def away_cycle_diamond(params: SystemParams) -> SteadyStateSummary:
     """Cycle structure with both batteries away from floor and ceiling.
 
-    ``exact`` assumes the combined threshold divides both per-slot gap
-    growth rates, so phases are the plain quotients.  Otherwise phases are
-    rounded up to whole slots, which is the right first-order correction
-    when the quotients are not integers (handovers wait for a slot end).
+    Phases are the plain quotients of the combined threshold by the
+    per-slot gap growth rates; the engine matches them when the quotients
+    are whole slots (handovers otherwise wait for a slot end).
     """
     e1, e2, cg = _diamond(params)
     gap_rate_1 = cg + e2 - e1       # growth of B2-B1 while node 1 forwards
@@ -105,12 +104,8 @@ def away_cycle_diamond(params: SystemParams, exact: bool = True) -> SteadyStateS
     if gap_rate_1 <= 0 or gap_rate_2 <= 0:
         raise ValueError("per-slot load must exceed the harvest imbalance")
     h = params.thresholds.total
-    if exact:
-        slots1 = h / gap_rate_1
-        slots2 = h / gap_rate_2
-    else:
-        slots1 = math.ceil(h / gap_rate_1)
-        slots2 = math.ceil(h / gap_rate_2)
+    slots1 = h / gap_rate_1
+    slots2 = h / gap_rate_2
     length = slots1 + slots2
     g = params.input_rate
     tilde = e1 + e2 - 2 * params.status_energy
@@ -330,115 +325,71 @@ def feedback_input_rate(measured_cycle_length, params: SystemParams):
 
 
 # ---------------------------------------------------------------------------
-# cycle-granularity steppers (zero control)
+# cycle-granularity stepper (zero control, round robin)
 # ---------------------------------------------------------------------------
 
-def cycle_step_diamond(state: CycleStepState, params: SystemParams):
-    """Advance one forwarding phase of the two-relay system.
+def cycle_step(state: CycleStepState, params: SystemParams):
+    """Advance one forwarding phase of ``n`` round-robin relays.
 
-    ``state`` describes the instant the active node took over, with the
-    battery gap exactly at the threshold that fired.  Returns the state at
-    the next handover plus the phase statistics.  Three shapes: the idle
-    node saturates first, the active node empties first, or neither.
+    ``state`` describes the instant the active node ``v`` took over.  The
+    phase ends when its successor ``(v + 1) % n`` leads ``v`` by ``v``'s
+    threshold.  The entry lead is read from the levels, so it is free: on
+    the diamond a handover leaves it at the threshold that fired, while with
+    three or more relays the handover was judged against a different node
+    and the successor may already be past the bar (then the phase has zero
+    length and the roles swap at once).  Three shapes: the successor
+    saturates first, the active node empties first, or neither.  Every
+    other node harvests up to the cap.  Returns the state at the next
+    handover plus the phase statistics.
     """
     _no_control(params, "the cycle stepper")
-    e1, e2, cg = _diamond(params)
-    v = state.active
-    x = 1 - v
-    ev = params.harvest_rates[v]
-    ex = params.harvest_rates[x]
-    if cg <= ev:
-        raise ValueError("per-slot load must exceed the active harvest rate")
-    bv, bx = state.batteries[v], state.batteries[x]
-    cap = params.battery_capacity
-    g = params.input_rate
-    h = params.thresholds.total
-    away = h / (cg + ex - ev)
-
-    if (cap - bx) / ex < away:
-        # idle node saturates; the gap then only grows by the active drain
-        slots = (h - (cap - bx)) / (cg - ev)
-        new_v = bv - slots * (cg - ev)
-        new_x = cap
-        packets = slots * g
-    elif bv / (cg - ev) < away:
-        # active node empties, trickles at harvest rate, waits out the gap
-        drained = bv / (cg - ev)
-        slots = (h - bv) / ex
-        new_v = 0
-        new_x = bx + slots * ex
-        packets = drained * g + (slots - drained) * ev / params.packet_energy
-    else:
-        slots = away
-        new_v = bv - slots * (cg - ev)
-        new_x = bx + slots * ex
-        packets = slots * g
-
-    return _phase_result(state, params, v, x, None, slots, new_v, new_x,
-                         None, packets)
-
-
-def cycle_step_three(state: CycleStepState, params: SystemParams):
-    """Advance one forwarding phase of the three-relay round-robin system.
-
-    Unlike the two-relay stepper the entry gap is free: the handover that
-    started this phase was judged against a different node, so the target's
-    lead over the active node can be anything, including already past the
-    threshold (then the phase has zero length and the roles swap
-    immediately).
-    """
-    _no_control(params, "the cycle stepper")
-    if params.n_nodes != 3:
-        raise ValueError("three-relay stepper requested for a different topology")
+    n = params.n_nodes
+    if n >= 3 and params.thresholds.rule == "es":
+        raise ValueError("the cycle stepper follows the round-robin rule; "
+                         "an earliest-switch policy has no fixed successor")
     cg = params.slot_data_energy
+    rates = params.harvest_rates
     v = state.active
-    x = (v + 1) % 3
-    u = 3 - v - x
-    ev = params.harvest_rates[v]
-    ex = params.harvest_rates[x]
+    x = (v + 1) % n
+    ev, ex = rates[v], rates[x]
     if cg <= ev:
         raise ValueError("per-slot load must exceed the active harvest rate")
-    bv, bx, bu = (state.batteries[i] for i in (v, x, u))
+    if ex == 0:
+        raise ValueError(f"the successor, node {x + 1}, harvests nothing, "
+                         f"so it never gains on the active node")
+    levels = list(state.batteries)
+    bv, bx = levels[v], levels[x]
     cap = params.battery_capacity
     g = params.input_rate
     hv = params.thresholds.threshold_from(v)
 
+    slots = packets = 0
     lead_needed = hv + bv - bx
-    if lead_needed <= 0:
-        return _phase_result(state, params, v, x, u, 0, bv, bx, bu, 0)
+    if lead_needed > 0:
+        target = lead_needed / (cg + ex - ev)
+        if (cap - bx) / ex < target:
+            # successor parks at the cap; the lead then grows by the drain
+            slots = (hv + bv - cap) / (cg - ev)
+            levels[v] = bv - slots * (cg - ev)
+            levels[x] = cap
+            packets = slots * g
+        elif bv / (cg - ev) < target:
+            # active node empties and trickles at its harvest-sustained rate
+            drained = bv / (cg - ev)
+            slots = (hv - bx) / ex
+            levels[v] = 0
+            levels[x] = bx + slots * ex
+            packets = (drained * g
+                       + (slots - drained) * ev / params.packet_energy)
+        else:
+            slots = target
+            levels[v] = bv - slots * (cg - ev)
+            levels[x] = bx + slots * ex
+            packets = slots * g
+        for u in range(n):
+            if u != v and u != x:
+                levels[u] = min(levels[u] + slots * rates[u], cap)
 
-    target = lead_needed / (cg + ex - ev)
-    if (cap - bx) / ex < target:
-        slots = (hv + bv - cap) / (cg - ev)
-        new_v = bv - slots * (cg - ev)
-        new_x = cap
-        packets = slots * g
-    elif bv / (cg - ev) < target:
-        drained = bv / (cg - ev)
-        slots = (hv - bx) / ex
-        new_v = 0
-        new_x = bx + slots * ex
-        packets = drained * g + (slots - drained) * ev / params.packet_energy
-    else:
-        slots = target
-        new_v = bv - slots * (cg - ev)
-        new_x = bx + slots * ex
-        packets = slots * g
-
-    new_u = bu + slots * params.harvest_rates[u]
-    if new_u > cap:
-        new_u = cap
-    return _phase_result(state, params, v, x, u, slots, new_v, new_x, new_u,
-                         packets)
-
-
-def _phase_result(state, params, v, x, u, slots, new_v, new_x, new_u, packets):
-    n = params.n_nodes
-    levels = [None] * n
-    levels[v] = new_v
-    levels[x] = new_x
-    if u is not None:
-        levels[u] = new_u
     active_slots = [0] * n
     active_slots[v] = slots
     per_node = [0] * n
@@ -447,6 +398,10 @@ def _phase_result(state, params, v, x, u, slots, new_v, new_x, new_u, packets):
         length=slots,
         active_slots=tuple(active_slots),
         packets=tuple(per_node),
-        drift=tuple(levels[i] - state.batteries[i] for i in range(n)),
+        drift=tuple(a - b for a, b in zip(levels, state.batteries)),
     )
     return CycleStepState(batteries=tuple(levels), active=x), stats
+
+
+# the former diamond and three-relay names, still called by bench/
+cycle_step_diamond = cycle_step_three = cycle_step

@@ -161,7 +161,7 @@ def cmd_run(args, cfg) -> int:
     params, horizon, warmup, mode, batteries, active, profile = _run_setup(cfg)
     if horizon is None and profile is None:
         raise ConfigError("config needs a horizon or a profile")
-    for note in validate(params).warnings:
+    for note in validate(params):
         print(f"note: {note}", file=sys.stderr)
     trace = engine.run(params, n_slots=horizon, profile=profile,
                        packet_mode=mode, initial_batteries=batteries,

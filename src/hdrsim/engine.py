@@ -571,9 +571,10 @@ _BITS = frozenset((0, 1))
 def read_trace_csv(path) -> Trace:
     """Read a trace written by ``write_trace_csv``.  The rows are turned
     into columns ``_CSV_CHUNK`` at a time, so the file's text is never held
-    whole.  Levels and packets must be finite, flags 0 or 1, and the slot
-    numbers must count up by one from the first; a file that breaks one
-    of these rules raises a ``ValueError`` naming the file."""
+    whole.  Every row must be as wide as the header, levels and packets
+    finite, flags 0 or 1, and the slot numbers must count up by one from
+    the first; a file that breaks one of these rules raises a
+    ``ValueError`` naming the file."""
     first = stop = None
     packets = _level_column()
     active, switched, suppressed = (array("B") for _ in range(3))
@@ -583,7 +584,14 @@ def read_trace_csv(path) -> Trace:
         n = sum(1 for k in header if k.startswith("battery_pre"))
         pre = tuple(_level_column() for _ in range(n))
         post = tuple(_level_column() for _ in range(n))
+        width = {len(header)}
         for rows in iter(lambda: list(islice(reader, _CSV_CHUNK)), []):
+            if not width.issuperset(map(len, rows)):
+                i, cells = next((i, len(r)) for i, r in enumerate(rows)
+                                if len(r) != len(header))
+                line = i + 2 + (0 if first is None else stop - first)
+                raise ValueError(f"{path}: line {line} has {cells} cells "
+                                 f"where the header has {len(header)}")
             columns = dict(zip(header, zip(*rows)))
             try:
                 nodes = list(map(operator.sub, map(int, columns["active"]),

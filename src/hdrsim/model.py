@@ -33,7 +33,6 @@ __all__ = [
     "CycleStats",
     "RunSummary",
     "Profile",
-    "ValidationReport",
     "validate",
     "default_state",
 ]
@@ -238,14 +237,7 @@ class SystemParams:
         return replace(self, input_rate=g)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    errors: tuple[str, ...] = ()
-    warnings: tuple[str, ...] = ()
-
-
-def validate(params: SystemParams, strict: bool = False) -> ValidationReport:
+def validate(params: SystemParams) -> tuple[str, ...]:
     """Check the operating-regime assumptions behind the analytic results.
 
     Structural problems (negative energies, capacity under the control
@@ -253,7 +245,7 @@ def validate(params: SystemParams, strict: bool = False) -> ValidationReport:
     built.  This reports the softer regime conditions: the forwarding node
     should drain (load above every harvest rate) and every node should
     stay solvent for control traffic (every harvest rate above the control
-    floor).  With ``strict`` those become errors instead of warnings.
+    floor).  Returns one warning per broken condition, none when all hold.
     """
     notes = []
     cg = float(params.slot_data_energy)
@@ -271,9 +263,7 @@ def validate(params: SystemParams, strict: bool = False) -> ValidationReport:
                     f"node {u + 1}: harvest {float(e)} does not cover the "
                     f"control floor {floor}"
                 )
-    if strict and notes:
-        return ValidationReport(ok=False, errors=tuple(notes))
-    return ValidationReport(ok=True, warnings=tuple(notes))
+    return tuple(notes)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +406,8 @@ class Trace:
 @dataclass(frozen=True)
 class CycleStats:
     """One full rotation of the forwarding role (or one leg of it when
-    produced by the closed-form steppers, which advance a single active
-    period per call)."""
+    produced by the closed-form ``cycle_step``, which advances a single
+    active period per call)."""
 
     length: float                  # slots
     active_slots: tuple            # per node

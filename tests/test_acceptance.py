@@ -14,8 +14,7 @@ import pytest
 from hdrsim import (
     CycleStepState,
     away_cycle_diamond,
-    cycle_step_diamond,
-    cycle_step_three,
+    cycle_step,
     detect_cycles,
     run,
     run_with_feedback,
@@ -140,8 +139,8 @@ def _gap_rows():
     return rows, traces, time.perf_counter() - t0
 
 
-def _oracle_errors(params, b0, settle, horizon, stepper):
-    """Worst |engine - stepper| discrepancy over 20 rotations."""
+def _oracle_errors(params, b0, settle, horizon):
+    """Worst |engine - cycle_step| discrepancy over 20 rotations."""
     trace = run(params, n_slots=horizon, initial_batteries=b0)
     records = trace.records
     starts = [i for i, r in enumerate(records) if r.switched and r.active == 0]
@@ -152,7 +151,7 @@ def _oracle_errors(params, b0, settle, horizon, stepper):
     worst = 0.0
     phases = 0
     for _ in range(20 * params.n_nodes):
-        state, stats = stepper(state, params)
+        state, stats = cycle_step(state, params)
         length = stats.length
         n_slots = round(length)
         if abs(length - n_slots) > 1e-9 or n_slots < 1:
@@ -225,14 +224,12 @@ def suite():
     oracle = []
     for e1, e2, g, h1, h2, cap, b0, settle, horizon in ORACLE_DIAMOND:
         params = diamond(e=(e1, e2), g=g, c=0.0625, h=(h1, h2), cap=cap)
-        worst, trace, phases = _oracle_errors(params, b0, settle, horizon,
-                                              cycle_step_diamond)
+        worst, trace, phases = _oracle_errors(params, b0, settle, horizon)
         oracle.append((params, worst, phases))
         data["traces"].append((params, trace))
     for e, g, h in ORACLE_THREE:
         params = three(e=e, g=g, c=0.0625, h=(h, h, h), cap=900.0)
-        worst, trace, phases = _oracle_errors(params, (400.0,) * 3, 3, 4000,
-                                              cycle_step_three)
+        worst, trace, phases = _oracle_errors(params, (400.0,) * 3, 3, 4000)
         oracle.append((params, worst, phases))
         data["traces"].append((params, trace))
     data["oracle"] = oracle

@@ -1,19 +1,18 @@
 """Closed-form results: cycle structure, regime table, sustainable rate."""
 
-import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hdrsim import (
     CycleStepState,
     Hysteresis2,
+    analytic,
     away_cycle_diamond,
     away_cycle_three,
     classify_regime_diamond,
-    cycle_step_diamond,
-    cycle_step_three,
+    cycle_step,
     feedback_input_rate,
     steady_input_rate,
     three_node_away_solution,
@@ -33,14 +32,6 @@ def test_away_cycle_diamond_phase_lengths():
     assert s.cycle_length == F(25, 3) + F(25, 4)
     assert s.throughput == F(35, 2)
     assert s.drift == 0  # balanced harvest, no control cost
-
-
-def test_away_cycle_diamond_rounded_phases():
-    exact = away_cycle_diamond(diamond(h=(6.2, 5.0)))
-    rounded = away_cycle_diamond(diamond(h=(6.2, 5.0)), exact=False)
-    for a, b in zip(exact.active_slots, rounded.active_slots):
-        assert b == math.ceil(a)
-    assert rounded.cycle_length >= exact.cycle_length
 
 
 def test_away_cycle_diamond_rejects_dominating_harvest():
@@ -236,7 +227,7 @@ def test_classifier_is_total_and_consistent(e1, e2, g, h1, h2):
 
 
 # ---------------------------------------------------------------------------
-# cycle steppers
+# cycle stepper
 # ---------------------------------------------------------------------------
 
 def _stepper_params(cap=F(100), h=(F(3), F(3))):
@@ -244,9 +235,10 @@ def _stepper_params(cap=F(100), h=(F(3), F(3))):
 
 
 def test_stepper_away_branch():
-    state, stats = cycle_step_diamond(
-        CycleStepState(batteries=(F(20), F(10)), active=0), _stepper_params())
-    assert state.batteries == (F(16), F(12))
+    # node 1 just took over, so it leads by node 2's threshold
+    state, stats = cycle_step(
+        CycleStepState(batteries=(F(13), F(10)), active=0), _stepper_params())
+    assert state.batteries == (F(9), F(12))
     assert state.active == 1
     assert stats.length == 8           # combined threshold 6 over gap rate 3/4
     assert stats.packets == (F(64), 0)
@@ -255,32 +247,121 @@ def test_stepper_away_branch():
 
 def test_stepper_ceiling_branch():
     # idle node parks at the cap; the gap then opens only by the drain
-    state, stats = cycle_step_diamond(
-        CycleStepState(batteries=(F(20), F(10)), active=0),
+    state, stats = cycle_step(
+        CycleStepState(batteries=(F(13), F(10)), active=0),
         _stepper_params(cap=F(11)))
-    assert state.batteries == (F(15), F(11))
+    assert state.batteries == (F(8), F(11))
     assert stats.length == 10
     assert stats.packets == (F(80), 0)
 
 
 def test_stepper_floor_branch():
     # active node empties and trickles at its harvest-sustained rate
-    state, stats = cycle_step_diamond(
-        CycleStepState(batteries=(F(2), F(10)), active=0), _stepper_params())
-    assert state.batteries == (0, F(14))
-    assert stats.length == 16
-    assert stats.packets == (F(80), 0)  # 4 slots at 8/slot, then 12 at 4
+    state, stats = cycle_step(
+        CycleStepState(batteries=(F(3), F(0)), active=0), _stepper_params())
+    assert state.batteries == (0, F(3))
+    assert stats.length == 12
+    assert stats.packets == (F(72), 0)  # 6 slots at 8/slot, then 6 at 4
 
 
 def test_stepper_requires_draining_load():
     with pytest.raises(ValueError):
-        cycle_step_diamond(
+        cycle_step(
             CycleStepState(batteries=(F(20), F(10)), active=0),
             diamond(e=(F(1, 2), F(1, 4)), g=F(2), c=F(1, 8)))
     with pytest.raises(ValueError):
-        cycle_step_diamond(
+        cycle_step(
             CycleStepState(batteries=(F(20), F(10)), active=0),
             diamond(ct=0.01))
+
+
+def test_stepper_old_names_are_the_stepper():
+    assert analytic.cycle_step_diamond is cycle_step
+    assert analytic.cycle_step_three is cycle_step
+    assert {"cycle_step", "cycle_step_diamond",
+            "cycle_step_three"} <= set(analytic.__all__)
+
+
+def test_stepper_refuses_earliest_switch():
+    params = three(e=(F(1, 4), F(1, 4), F(3, 4)), g=F(8), c=F(1, 8),
+                   h=(F(10), F(5), F(5)), cap=F(40), es=True)
+    with pytest.raises(ValueError, match="earliest-switch"):
+        cycle_step(CycleStepState(batteries=(F(38), F(30), F(2)), active=1),
+                   params)
+
+
+@pytest.mark.parametrize("params, batteries, active", [
+    (diamond(e=(F(1, 2), 0), g=F(8), c=F(1, 8), h=(F(3), F(3))),
+     (F(13), F(10)), 0),
+    (three(e=(0.25, 0.25, 0.0), g=8.0, c=0.125), (20.0, 10.0, 5.0), 1)])
+def test_stepper_refuses_a_successor_that_harvests_nothing(params, batteries,
+                                                           active):
+    with pytest.raises(ValueError, match="harvests nothing"):
+        cycle_step(CycleStepState(batteries=batteries, active=active), params)
+
+
+def _old_diamond_step(state, params):
+    """The two-relay stepper as it was before the round-robin one replaced
+    it: the entry gap is taken to be the threshold that fired."""
+    cg = params.slot_data_energy
+    v = state.active
+    x = 1 - v
+    ev = params.harvest_rates[v]
+    ex = params.harvest_rates[x]
+    bv, bx = state.batteries[v], state.batteries[x]
+    cap = params.battery_capacity
+    g = params.input_rate
+    h = params.thresholds.total
+    away = h / (cg + ex - ev)
+    if (cap - bx) / ex < away:
+        slots = (h - (cap - bx)) / (cg - ev)
+        new_v = bv - slots * (cg - ev)
+        new_x = cap
+        packets = slots * g
+    elif bv / (cg - ev) < away:
+        drained = bv / (cg - ev)
+        slots = (h - bv) / ex
+        new_v = 0
+        new_x = bx + slots * ex
+        packets = drained * g + (slots - drained) * ev / params.packet_energy
+    else:
+        slots = away
+        new_v = bv - slots * (cg - ev)
+        new_x = bx + slots * ex
+        packets = slots * g
+    levels = [None, None]
+    levels[v], levels[x] = new_v, new_x
+    return tuple(levels), slots, packets
+
+
+_eighths = st.integers(1, 16).map(lambda k: F(k, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(e1=_eighths, e2=_eighths, c=_eighths, g=st.integers(1, 8),
+       h1=st.integers(1, 20), h2=st.integers(1, 20), cap=st.integers(1, 40),
+       active=st.integers(0, 1), headroom=st.integers(0, 20))
+def test_stepper_matches_the_old_diamond_stepper(e1, e2, c, g, h1, h2, cap,
+                                                 active, headroom):
+    # on every state a handover can leave (the new active node leads by the
+    # threshold that fired, both levels inside [0, cap]) the round-robin
+    # stepper gives what the two-relay one gave, in value and in type
+    params = diamond(e=(e1, e2), g=F(g), c=c, h=(F(h1), F(h2)), cap=F(cap))
+    cg = params.slot_data_energy
+    fired = params.thresholds.threshold_from(1 - active)
+    bv = F(cap - headroom)
+    bx = bv - fired
+    assume(cg > params.harvest_rates[active] and bx >= 0)
+    levels = [None, None]
+    levels[active], levels[1 - active] = bv, bx
+    state = CycleStepState(batteries=tuple(levels), active=active)
+    new, stats = cycle_step(state, params)
+    want, slots, packets = _old_diamond_step(state, params)
+    got = (new.batteries, stats.length, stats.packets[active])
+    assert got == (want, slots, packets)
+    assert list(map(type, got[0])) == list(map(type, want))
+    assert (type(got[1]), type(got[2])) == (type(slots), type(packets))
+    assert new.active == 1 - active
 
 
 def _three_stepper_params():
@@ -290,7 +371,7 @@ def _three_stepper_params():
 
 def test_three_stepper_immediate_handover():
     # successor already leads by more than the bar: zero-length phase
-    state, stats = cycle_step_three(
+    state, stats = cycle_step(
         CycleStepState(batteries=(F(5), F(20), F(30)), active=0),
         _three_stepper_params())
     assert state.active == 1
@@ -300,7 +381,7 @@ def test_three_stepper_immediate_handover():
 
 
 def test_three_stepper_clips_the_bystander():
-    state, stats = cycle_step_three(
+    state, stats = cycle_step(
         CycleStepState(batteries=(F(38), F(30), F(2)), active=1),
         _three_stepper_params())
     assert stats.length == 22
@@ -320,7 +401,7 @@ def test_three_stepper_fixed_point_matches_closed_form():
     _slots, _drift, batteries = three_node_away_solution(params, F(500))
     state = CycleStepState(batteries=batteries, active=0)
     for v in range(3):
-        state, stats = cycle_step_three(state, params)
+        state, stats = cycle_step(state, params)
         assert stats.length == closed.active_slots[v]
     assert state.batteries == batteries
     assert state.active == 0
@@ -336,7 +417,7 @@ def test_three_stepper_off_balance_drifts_uniformly():
     assert drift == closed.drift
     state = CycleStepState(batteries=batteries, active=0)
     for v in range(3):
-        state, stats = cycle_step_three(state, params)
+        state, stats = cycle_step(state, params)
         assert stats.length == closed.active_slots[v]
     for before, after in zip(batteries, state.batteries):
         assert after - before == closed.drift

@@ -264,6 +264,24 @@ def test_read_trace_csv_rejects_bad_cells(tmp_path, column, value, problem):
         read_trace_csv(path)
 
 
+@pytest.mark.parametrize("n_slots, row", [(5, 2), (1100, 1099)])
+@pytest.mark.parametrize("change", [lambda cells: cells[:-1],
+                                    lambda cells: cells + ["0", "0"]],
+                         ids=["short", "long"])
+def test_read_trace_csv_rejects_rows_of_another_width(tmp_path, n_slots, row,
+                                                      change):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run(diamond(), n_slots=n_slots), path)
+    header, *rows = path.read_text().splitlines()
+    cells = change(rows[row].split(","))
+    rows[row] = ",".join(cells)
+    path.write_text("\n".join([header, *rows]))
+    with pytest.raises(ValueError, match=f"trace.csv: line {row + 2} has "
+                                         f"{len(cells)} cells where the "
+                                         f"header has 10"):
+        read_trace_csv(path)
+
+
 def rewrite_slots(path, slots):
     header, *rows = path.read_text().splitlines()
     rows = [",".join([str(k), row.split(",", 1)[1]])

@@ -173,15 +173,16 @@ def test_derived_quantities():
 
 def test_validate_flags_uncovered_regime():
     # harvesting cannot keep up with even one node's duty: worth a warning
-    report = validate(diamond(e=(2.0, 0.6), g=17.5))
-    assert any("1.4" in w or "harvest" in w for w in report.warnings)
-    assert not validate(diamond()).warnings
+    warnings = validate(diamond(e=(2.0, 0.6), g=17.5))
+    assert any("1.4" in w or "harvest" in w for w in warnings)
+    assert validate(diamond()) == ()
 
 
-def test_validate_strict_promotes_warnings():
+def test_validate_flags_the_control_floor():
     p = diamond(e=(0.02, 0.6), ct=0.01, cr=0.05)
-    assert validate(p).warnings
-    assert validate(p, strict=True).errors
+    (warning,) = validate(p)
+    assert warning.startswith("node 1: harvest 0.02 does not cover the "
+                              "control floor 0.06")
 
 
 def test_default_state(diamond_params):

@@ -35,8 +35,9 @@ operation only where it is an identity on the operands in hand:
    out of the energy balance, and passes equal values at ``tol >= 0``
    without computing ``abs(want - got)`` when they are ints or Fractions.
 4. ``run`` stops calling the slot rule once a run with constant inputs
-   (no profile, no ``steer``) is on its limit cycle, and fills the rest
-   of every column with copies of one period.
+   (no profile, no ``steer``) is on its limit cycle, fills the rest of
+   every column with copies of one period, and records that cycle on the
+   trace as ``trace.cycle = (start, period)``.
 
 ``x - 0`` is ``x``, type and repr included, for every int, float and
 Fraction, so shortcuts 1 and 3 need no check of the types in hand.  Floats
@@ -52,9 +53,16 @@ and compares every later such state with it, refreshing it after 1, 2, 4,
 extra memory and one comparison per handover.  Two states match only when
 their levels are equal in type and bits, not just in value: ``-0.0 ==
 0.0`` and ``5 == Fraction(5)``, but each pair prints and computes
-differently.  ``_same_levels`` is that test, and this state match is its
-only use.  ``verify_trace`` still replays every slot, the copied ones
-included.
+differently.  ``_same_levels`` is that test; ``_cycle_holds`` uses it
+too, for list columns.  ``verify_trace`` still replays every slot, the
+copied ones included.
+
+``write_trace_csv`` reads the recorded cycle, once ``_cycle_holds`` has
+checked the claim against the columns: it formats the rows of one period
+and gives each later row the text of the row one period earlier.  A claim
+that does not hold only sends it the long way, to the same file.
+``summarize`` needs no claim: it counts the rotations from their first and
+last bounds instead of measuring each one.
 """
 
 from __future__ import annotations
@@ -65,7 +73,7 @@ import math
 import operator
 from array import array
 from fractions import Fraction
-from itertools import compress, islice, pairwise, repeat
+from itertools import compress, cycle, islice, pairwise, repeat
 from typing import Callable, Optional, Sequence
 
 from .model import (
@@ -298,7 +306,7 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     # since it was kept; only a run without a profile takes it, and such a
     # run is one segment, so the break ends the run
     constant = profile is None
-    kept_at = kept_v = kept = None
+    kept_at = kept_v = kept = orbit = None
     power = lam = 1
     pre, v = levels, first
     start = 0
@@ -323,6 +331,7 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
             elif sw and constant:
                 if v == kept_v and pre == kept and _same_levels(pre, kept):
                     stop = k + 1
+                    orbit = (kept_at, stop - kept_at)
                     for column, width in ((pre_flat, n), (post_flat, n),
                                           (packets, 1), (active, 1),
                                           (switched, 1), (suppressed, 1)):
@@ -354,7 +363,36 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
                  battery_pre=tuple(pre_flat[u::n] for u in range(n)),
                  battery_post=tuple(post_flat[u::n] for u in range(n)),
                  active=active, switched=switched, packets=packets,
-                 suppressed=suppressed)
+                 suppressed=suppressed, cycle=orbit)
+
+
+def _cycle_holds(trace: Trace) -> bool:
+    """Whether ``trace.cycle`` is a claim the columns bear out: ``(start,
+    period)`` ints with ``0 <= start``, ``period >= 1`` and ``start +
+    period <= len(trace)``, and every column as long as the trace and equal
+    from entry ``start + period`` on to itself ``period`` entries earlier.
+    Arrays are compared by their bytes, since ``-0.0 == 0.0``; other
+    columns entry by entry, by identity or else by type and repr (see
+    ``_same_levels``).  A claim that fails costs its reader only speed."""
+    if trace.cycle is None:
+        return False
+    start, period = trace.cycle
+    size = len(trace)
+    if not (type(start) is type(period) is int and 0 <= start
+            and period >= 1 and start + period <= size):
+        return False
+    for column in (*trace.battery_pre, *trace.battery_post, trace.active,
+                   trace.switched, trace.packets, trace.suppressed):
+        if len(column) != size:
+            return False
+        tail, shifted = column[start + period:], column[start:size - period]
+        if isinstance(column, array):
+            if tail.tobytes() != shifted.tobytes():
+                return False
+        elif not (all(map(operator.is_, tail, shifted))
+                  or _same_levels(tail, shifted)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +407,20 @@ def _node_totals(active, packets, n) -> list:
     return totals
 
 
+def _rotation_bounds(trace: Trace, first: int) -> list:
+    """The entries from ``first`` on whose exchange handed the forwarding
+    role to node 1; each pair of neighbours bounds one rotation."""
+    active = trace.active
+    return [i for i in compress(range(first, len(trace)),
+                                trace.switched[first:])
+            if active[i] == 0]
+
+
 def detect_cycles(trace: Trace, *, warmup: int = 0) -> list[CycleStats]:
     """Split the trace at handovers to node 1 and measure each full
     rotation of the forwarding role."""
-    first = bisect.bisect_left(trace.slots, warmup)
     active, slots = trace.active, trace.slots
-    bounds = [i for i in compress(range(first, len(slots)),
-                                  trace.switched[first:])
-              if active[i] == 0]
+    bounds = _rotation_bounds(trace, bisect.bisect_left(slots, warmup))
     cycles = []
     n = trace.n_nodes
     for a, b in pairwise(bounds):
@@ -392,20 +436,28 @@ def detect_cycles(trace: Trace, *, warmup: int = 0) -> list[CycleStats]:
 
 
 def summarize(trace: Trace, warmup: int = 0) -> RunSummary:
+    """Statistics of the trace's slots from ``warmup`` on: packets per node
+    (each summed in slot order), throughput, handovers, and the count and
+    mean length of the rotations ``detect_cycles`` finds.  The rotation
+    lengths telescope, so their mean is the span from the first handover
+    to node 1 to the last over their count, the same int over int as the
+    sum of the lengths over the count, without building the rotations."""
     first = bisect.bisect_left(trace.slots, warmup)
     slots = len(trace) - first
     per_node = _node_totals(trace.active[first:], trace.packets[first:],
                             trace.n_nodes)
     total = sum(per_node)
-    cycles = detect_cycles(trace, warmup=warmup)
-    mean_len = (sum(c.length for c in cycles) / len(cycles)) if cycles else None
+    bounds = _rotation_bounds(trace, first)
+    count = max(len(bounds) - 1, 0)
+    mean_len = ((trace.slots[bounds[-1]] - trace.slots[bounds[0]]) / count
+                if count else None)
     return RunSummary(
         slots=slots,
         packets_total=total,
         throughput=total / slots if slots else 0.0,
         per_node_packets=tuple(per_node),
         switch_count=sum(trace.switched[first:]),
-        cycle_count=len(cycles),
+        cycle_count=count,
         mean_cycle_length=mean_len,
     )
 
@@ -528,7 +580,11 @@ _CSV_CHUNK = 1024       # rows read_trace_csv holds as text at once
 
 
 def write_trace_csv(trace: Trace, path) -> None:
-    """Node indices are 1-based in the file; floats keep full precision."""
+    """Node indices are 1-based in the file; floats keep full precision.
+
+    When ``trace.cycle`` holds (``_cycle_holds``), the rows of one period
+    are formatted once: each later row is its slot number and the text of
+    the row one period earlier.  The file is the same either way."""
     n = trace.n_nodes
     header = ["slot", "active", "switched", "packets"]
     header += [f"battery_pre{u + 1}" for u in range(n)]
@@ -541,9 +597,20 @@ def write_trace_csv(trace: Trace, path) -> None:
     rows = zip(trace.slots, map(operator.add, trace.active, repeat(1)),
                trace.switched, trace.packets, *trace.battery_pre,
                *trace.battery_post, map(flags.__getitem__, trace.suppressed))
+    head, period = len(trace), 0
+    if _cycle_holds(trace):
+        head, period = trace.cycle
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(map(row.__mod__, rows))
+        fh.writelines(map(row.__mod__, islice(rows, head)))
+        if period:
+            texts = list(map(row.__mod__, islice(rows, period)))
+            fh.writelines(texts)
+            # each text less its slot number, the comma after it kept
+            bodies = [text[text.index(","):] for text in texts]
+            fh.writelines(map(operator.add,
+                              map("%d".__mod__, trace.slots[head + period:]),
+                              cycle(bodies)))
 
 
 def _finite_cells(path, columns: dict, column: str) -> list:

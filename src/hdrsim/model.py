@@ -341,6 +341,15 @@ class Trace:
     named tuple per slot.  A derived trace comes from ``dataclasses.replace`` on the
     columns, which starts the copy with an empty view.
     ``params``/``profile`` are None for traces re-read from CSV.
+
+    ``cycle`` is a claim, ``(start, period)``, that from entry ``start +
+    period`` on every column repeats its entries ``period`` slots earlier.
+    ``run`` makes it when it tiles a run's limit cycle and leaves it None
+    otherwise.  Readers check a claim before they use it and never trust
+    it (see ``engine._cycle_holds``), so a stale one, say from a
+    ``dataclasses.replace`` that changed a column, or a bogus one costs
+    only speed.  Equality ignores it: a re-read or hand-built trace equals
+    the run's.
     """
 
     n_nodes: int
@@ -356,6 +365,7 @@ class Trace:
     params: Optional[SystemParams] = None
     profile: Optional["Profile"] = None
     feedback_log: list = field(default_factory=list)
+    cycle: Optional[tuple] = field(default=None, compare=False)
     _records: Optional[list] = field(default=None, init=False, repr=False,
                                      compare=False)
 

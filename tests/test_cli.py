@@ -85,6 +85,54 @@ def test_run_warns_on_shaky_parameters(tmp_path, capsys):
     assert "note:" in capsys.readouterr().err
 
 
+# `hdrsim run` on configs whose runs reach their limit cycle and are tiled:
+# the README point over 20000 slots (on its 19-slot orbit from slot 4797)
+# and a three-relay round robin in whole packets (on a 17-slot orbit from
+# slot 84).  Stdout byte for byte and the sha256 of trace.csv and
+# summary.csv, captured before the trace writer read the run's cycle.
+GOLDEN_TILED_RUN = {
+    "hyst2": (
+        dict(horizon=20000, warmup=300),
+        "slots 19700\n"
+        "packets_total 338281.5\n"
+        "throughput 17.1716497462\n"
+        "per_node_packets 193756 144525.5\n"
+        "node_share 0.572765581328 0.427234418672\n"
+        "switches 2079\n"
+        "cycles 1038\n"
+        "mean_cycle_length 18.9527938343\n",
+        "5eae4c62a63750a3581dbf3eac1e6caede47b25657f8225c7447a5fec8f263ca",
+        "5114a2dc9acf72cd0425f8bda3c0e0965c3f4146f75018aed341eae8d5fb58f2"),
+    "rr3-whole": (
+        dict(policy="rr3", harvest_rates=[0.25, 0.5, 0.75], input_rate=16.0,
+             packet_energy=0.0625, status_energy=0.03125, switch_energy=None,
+             thresholds=[2.0, 3.0, 2.0], battery_capacity=16.0,
+             packet_mode="whole", horizon=5000),
+        "slots 5000\n"
+        "packets_total 80000\n"
+        "throughput 16\n"
+        "per_node_packets 14064 28192 37744\n"
+        "node_share 0.1758 0.3524 0.4718\n"
+        "switches 883\n"
+        "cycles 293\n"
+        "mean_cycle_length 16.9965870307\n",
+        "0a345ddb128ffcbda62bb0c0ef0a18f11c522d7cfc09a0491a9a732b09089f95",
+        "f49f5dd1c22d3a1cd54b0f314bd3b499c2204b4d356384b2b2d3192ab2320650"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_TILED_RUN))
+def test_tiled_run_golden_stdout_and_files(tmp_path, capsys, name):
+    overrides, stdout, trace_sha, summary_sha = GOLDEN_TILED_RUN[name]
+    cfg = write_config(tmp_path / "c.json", out=str(tmp_path / "out"),
+                       **overrides)
+    assert main(["run", "--config", cfg]) == 0
+    assert capsys.readouterr().out == stdout
+    for file, want in (("trace.csv", trace_sha), ("summary.csv", summary_sha)):
+        got = hashlib.sha256((tmp_path / "out" / file).read_bytes())
+        assert got.hexdigest() == want
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

@@ -6,8 +6,14 @@ The reference is the same run through ``constant_profile``, which keeps the
 per-slot path.  Every column must come out with the same repr, and float
 columns with the same bytes, so a level that differs only in type (``5``
 against ``Fraction(5)``) or in the sign of a zero shows.
+
+A tiled run records its cycle on the trace.  The readers of that claim,
+``write_trace_csv`` and ``summarize``, must give what they give without
+it, and a claim that does not hold must cost them only speed.  The audit
+these shortcuts rest on must catch a change to any one cell.
 """
 
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -15,16 +21,21 @@ from array import array
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hdrsim import (
     EarliestSwitch3,
     Hysteresis2,
     RoundRobin3,
     SystemParams,
+    Trace,
+    detect_cycles,
     engine,
+    read_trace_csv,
     run,
+    summarize,
     verify_trace,
+    write_trace_csv,
 )
 from conftest import constant_profile, diamond, three
 
@@ -215,3 +226,226 @@ def test_tiled_fraction_trace_shares_its_values():
     # the repeated slots hold references to the orbit's Fractions (about
     # 57 bytes a slot), not Fractions of their own (about 280)
     assert held / 10**5 <= 100
+
+
+# ---------------------------------------------------------------------------
+# the cycle a tiled run records, and its readers
+# ---------------------------------------------------------------------------
+
+# tiled runs of each column kind: float levels, Fraction levels, and whole
+# packet counts next to float and Fraction levels; each is on its orbit
+# within a few hundred slots
+CLAIMED = {
+    "float": (diamond(e=(0.25, 0.5), g=20.0, c=0.0625, h=(2.5, 2.5),
+                      ct=0.015625, cr=0.03125, cap=400.0), "fractional",
+              (12.0, 12.0)),
+    "fraction": (diamond(e=(F(1, 4), F(3, 4)), g=F(20), c=F(1, 16),
+                         h=(F(56), F(40)), ct=F(1, 64), cr=F(1, 32),
+                         cap=F(64)), "fractional", (F(12), F(63))),
+    "whole-float": (three(e=(0.25, 0.5, 0.75), g=16.0, c=0.0625,
+                          h=(2.0, 3.0, 2.0), ct=0.03125, cap=16.0), "whole",
+                    None),
+    "whole-fraction": (three(e=(F(1, 10), F(7, 10), F(4, 5)), g=F(20),
+                             c=F(2, 25), h=(F(5), F(10), F(10)), cap=F(12)),
+                       "whole", None),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CLAIMED))
+def claimed(request):
+    """A tiled run that records its cycle."""
+    params, mode, start = CLAIMED[request.param]
+    trace = run(params, n_slots=1500, packet_mode=mode,
+                initial_batteries=start)
+    assert trace.cycle is not None
+    assert engine._cycle_holds(trace)
+    return trace
+
+
+def csv_bytes(trace, tmp_path, name="trace.csv"):
+    path = tmp_path / name
+    write_trace_csv(trace, path)
+    return path.read_bytes()
+
+
+def bump(column, k, value):
+    """A copy of ``column`` with entry ``k`` set to ``value``."""
+    column = column[:]
+    column[k] = value
+    return column
+
+
+def test_run_records_the_cycle_it_tiles(claimed):
+    start, period = claimed.cycle
+    assert 0 <= start and period >= 1 and start + period <= len(claimed)
+    # the per-slot run takes every slot and makes no claim; the traces are
+    # equal all the same once the profile that steers it is dropped
+    per_slot = run(claimed.params, len(claimed),
+                   profile=constant_profile(claimed.params, len(claimed)),
+                   packet_mode=claimed.packet_mode,
+                   initial_batteries=tuple(c[0] for c in
+                                           claimed.battery_pre))
+    assert per_slot.cycle is None
+    assert dataclasses.replace(per_slot, profile=None) == claimed
+
+
+def test_runs_that_do_not_tile_make_no_claim():
+    params = diamond(**README_POINT)
+    assert run(params, 2000).cycle is None           # still in transit
+    assert run(params, 2000, profile=constant_profile(params, 2000)).cycle \
+        is None
+
+
+def test_claims_cost_the_writer_only_speed(claimed, tmp_path):
+    honest = csv_bytes(dataclasses.replace(claimed, cycle=None), tmp_path)
+    assert csv_bytes(claimed, tmp_path) == honest
+    start, period = claimed.cycle
+    size = len(claimed)
+    # a stale claim: one cell past the first period changed, the claim kept
+    packets = bump(claimed.packets, size - 3, claimed.packets[size - 3] + 1)
+    stale = dataclasses.replace(claimed, packets=packets)
+    assert stale.cycle == claimed.cycle and not engine._cycle_holds(stale)
+    assert csv_bytes(stale, tmp_path) == csv_bytes(
+        dataclasses.replace(stale, cycle=None), tmp_path, "plain.csv")
+    assert csv_bytes(stale, tmp_path) != honest
+    # bogus claims
+    for claim in ((start, 0), (-1, period), (start, size), (size, 1),
+                  (size - period + 1, period), (start, -period),
+                  (float(start), period)):
+        bogus = dataclasses.replace(claimed, cycle=claim)
+        assert not engine._cycle_holds(bogus), claim
+        assert csv_bytes(bogus, tmp_path) == honest, claim
+    # a true claim other than the run's: a later start, two periods
+    for claim in ((start + 5, period), (start, 2 * period)):
+        other = dataclasses.replace(claimed, cycle=claim)
+        assert engine._cycle_holds(other), claim
+        assert csv_bytes(other, tmp_path) == honest, claim
+
+
+def test_a_stale_claim_fails_in_every_column(claimed):
+    for column, change in mutants(claimed, len(claimed) - 1, 1, 1, 0):
+        stale = dataclasses.replace(claimed, **change)
+        assert not engine._cycle_holds(stale), column
+    # a column shorter than the trace
+    short = dataclasses.replace(claimed, packets=claimed.packets[:-1])
+    assert not engine._cycle_holds(short)
+
+
+def test_a_claim_tells_equal_values_apart_by_bits_and_type(tmp_path):
+    # a float column: -0.0 == 0.0, but the file prints them differently
+    levels = array("d", [1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+    flags = array("B", [0] * 6)
+    trace = Trace(n_nodes=1, slots=range(6), battery_pre=(levels,),
+                  battery_post=(levels,), active=flags, switched=flags,
+                  packets=levels, suppressed=flags, cycle=(0, 2))
+    assert engine._cycle_holds(trace)
+    signed = dataclasses.replace(trace, packets=bump(levels, 5, -0.0))
+    assert not engine._cycle_holds(signed)
+    assert csv_bytes(signed, tmp_path).endswith(b"\r\n5,1,0,-0,0,0,0\r\n")
+    # a list column: 5 == Fraction(5), but they compute differently
+    values = [F(5), F(1, 2)] * 3
+    listed = dataclasses.replace(trace, packets=values)
+    assert engine._cycle_holds(listed)
+    assert engine._cycle_holds(
+        dataclasses.replace(trace, packets=bump(values, 4, F(10, 2))))
+    assert not engine._cycle_holds(
+        dataclasses.replace(trace, packets=bump(values, 4, 5)))
+
+
+def test_a_claimed_tail_writes_its_own_slot_numbers(tmp_path):
+    # a re-read trace starting at slot 40 with a hand-made claim
+    params = diamond(**README_POINT)
+    trace = run(params, 6000)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    (tmp_path / "tail.csv").write_bytes(b"".join(lines[:1] + lines[41:]))
+    back = read_trace_csv(tmp_path / "tail.csv")
+    assert back.cycle is None and back.slots[0] == 40
+    start, period = trace.cycle
+    claimed = dataclasses.replace(back, cycle=(start - 40, period))
+    assert engine._cycle_holds(claimed)
+    assert csv_bytes(claimed, tmp_path, "again.csv") == \
+        (tmp_path / "tail.csv").read_bytes()
+
+
+def rotation_stats(trace, warmup):
+    """Count and mean length of the rotations, from ``detect_cycles``."""
+    cycles = detect_cycles(trace, warmup=warmup)
+    if not cycles:
+        return 0, None
+    return len(cycles), (sum(c.length for c in cycles) / len(cycles)).hex()
+
+
+def assert_summary_counts_the_rotations(trace, warmup):
+    got = summarize(trace, warmup=warmup)
+    mean = got.mean_cycle_length
+    assert (got.cycle_count, None if mean is None else mean.hex()) == \
+        rotation_stats(trace, warmup)
+
+
+@given(systems(), st.integers(1, 400), st.data())
+@settings(max_examples=60, deadline=None)
+def test_summarize_telescopes_the_rotations(system, n_slots, data):
+    params, kwargs = system
+    trace = run(params, n_slots, **kwargs)
+    for warmup in (0, data.draw(st.integers(0, n_slots - 1))):
+        assert_summary_counts_the_rotations(trace, warmup)
+
+
+@pytest.mark.parametrize("n_slots, rotations", [(1, 0), (9, 0), (30, 1),
+                                                (45, 2), (3000, None)])
+def test_summarize_counts_few_rotations(n_slots, rotations, tmp_path):
+    # the README point from node 2 hands over to node 1 at slots 4, 23, 42
+    trace = run(diamond(**README_POINT), n_slots, initial_active=1)
+    if rotations is not None:
+        assert summarize(trace).cycle_count == rotations
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    back = read_trace_csv(path)
+    for warmup in (0, 6, n_slots // 2):
+        assert_summary_counts_the_rotations(trace, warmup)
+        assert_summary_counts_the_rotations(back, warmup)
+        assert summarize(back, warmup) == summarize(trace, warmup)
+
+
+# ---------------------------------------------------------------------------
+# the audit catches a change to any one cell
+# ---------------------------------------------------------------------------
+
+def mutants(trace, k, step, shift, bit):
+    """One copy of ``trace`` per column, each with its entry ``k`` changed:
+    a level or packet count moved by ``step``, the active node moved
+    ``shift`` nodes on, the switched flag or bit ``bit`` of the suppressed
+    mask flipped."""
+    for name in ("battery_pre", "battery_post"):
+        for u in range(trace.n_nodes):
+            cols = list(getattr(trace, name))
+            cols[u] = bump(cols[u], k, cols[u][k] + step)
+            yield f"{name}{u + 1}", {name: tuple(cols)}
+    yield "packets", {"packets": bump(trace.packets, k,
+                                      trace.packets[k] + step)}
+    yield "active", {"active": bump(trace.active, k, (trace.active[k] + shift)
+                                    % trace.n_nodes)}
+    yield "switched", {"switched": bump(trace.switched, k,
+                                        1 - trace.switched[k])}
+    yield "suppressed", {"suppressed": bump(trace.suppressed, k,
+                                            trace.suppressed[k] ^ 1 << bit)}
+
+
+@given(systems(), st.integers(0, 99),
+       st.sampled_from((1, -1, F(1, 1000), F(-1, 1000), 1e-6, -1e-6)),
+       st.data())
+@settings(max_examples=30, deadline=None)
+def test_audit_catches_every_single_cell_change(system, k, step, data):
+    params, kwargs = system
+    trace = run(params, 100, **kwargs)
+    # some regimes break the energy balance unmutated (a handover slot
+    # charges the new forwarder below zero); only clean traces count
+    assume(verify_trace(trace) == [])
+    n = trace.n_nodes
+    shift = data.draw(st.integers(1, n - 1))
+    bit = data.draw(st.integers(0, n - 1))
+    for column, change in mutants(trace, k, step, shift, bit):
+        bad = dataclasses.replace(trace, **change)
+        assert verify_trace(bad), f"{column} at slot {k}"

@@ -34,10 +34,10 @@ operation only where it is an identity on the operands in hand:
 3. The audit (``verify_trace``, ``_ledger_rows``) leaves int-zero terms
    out of the energy balance, and passes equal values at ``tol >= 0``
    without computing ``abs(want - got)`` when they are ints or Fractions.
-4. ``run`` stops calling the slot rule once a run with constant inputs
-   (no profile, no ``steer``) is on its limit cycle, fills the rest of
-   every column with copies of one period, and records that cycle on the
-   trace as ``trace.cycle = (start, period)``.
+4. ``run`` without ``steer`` stops calling the slot rule once a segment
+   is on its limit cycle, fills every column with copies of one period to
+   the segment's end, and records that stretch on the trace as a claim
+   ``(start, period, stop)`` in ``trace.cycles``.
 
 ``x - 0`` is ``x``, type and repr included, for every int, float and
 Fraction, so shortcuts 1 and 3 need no check of the types in hand.  Floats
@@ -45,24 +45,28 @@ keep the full tolerance check since ``inf - inf`` is nan, and so does a
 negative ``tol``, at which the full check fails even for equal values.
 
 Shortcut 4 is exact because a slot's outcome depends only on the state
-entering it, the levels and the active node, once the harvest and load are
-constant: when that state recurs, every later slot repeats the slots since
-its first visit.  ``run`` keeps one state entered right after a handover
-and compares every later such state with it, refreshing it after 1, 2, 4,
-8, ... handovers (Brent's cycle finding), so it finds the cycle with O(1)
-extra memory and one comparison per handover.  Two states match only when
-their levels are equal in type and bits, not just in value: ``-0.0 ==
+entering it, the levels and the active node, while the harvest and load
+are constant: when that state recurs within a segment, every later slot of
+the segment repeats the slots since its first visit.  In each segment
+``run`` keeps the state entering one slot and compares the state entering
+every later slot with it, refreshing it after 1, 2, 4, 8, ... slots
+(Brent's cycle finding), so it finds the cycle, a fixed point included,
+with O(1) extra memory and one comparison per slot.  Two states match only
+when their levels are equal in type and bits, not just in value: ``-0.0 ==
 0.0`` and ``5 == Fraction(5)``, but each pair prints and computes
-differently.  ``_same_levels`` is that test; ``_cycle_holds`` uses it
-too, for list columns.  ``verify_trace`` still replays every slot, the
-copied ones included.
+differently.  ``_same_levels`` is that test; ``_claim_holds`` uses it too,
+for list columns.  The next segment starts from the live state objects,
+reached by stepping the kept state through the last partial period, since
+a float column has turned an int level into a float.  ``verify_trace``
+still replays every slot, the copied ones included.
 
-``write_trace_csv`` reads the recorded cycle, once ``_cycle_holds`` has
-checked the claim against the columns: it formats the rows of one period
-and gives each later row the text of the row one period earlier.  A claim
-that does not hold only sends it the long way, to the same file.
-``summarize`` needs no claim: it counts the rotations from their first and
-last bounds instead of measuring each one.
+``write_trace_csv`` reads the recorded stretches, once ``_claim_holds``
+has checked each claim against the columns: it formats the rows of a
+stretch's first period and gives each later row of the stretch the text
+of the row one period earlier.  A claim that does not hold only sends it
+the long way, to the same file.  ``summarize`` needs no claim: it counts
+the rotations from their first and last bounds instead of measuring each
+one.
 """
 
 from __future__ import annotations
@@ -256,10 +260,12 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     run whose inputs are all floats or ints stores floats, so there a
     steered load must be a float or an int.  Loads are checked at the end.
 
-    Without a profile or ``steer`` the inputs are constant, and once the
-    run is on its limit cycle ``run`` copies one period to the end instead
-    of simulating it (shortcut 4 in the module docstring); the trace is
-    the one the per-slot loop gives, bit for bit.
+    Without ``steer`` the inputs are constant over each profile segment
+    (a run without a profile is one segment), and once the run is on the
+    segment's limit cycle ``run`` copies one period to the segment's end
+    instead of simulating it, and records the stretch in ``trace.cycles``
+    (shortcut 4 in the module docstring); the trace is the one the
+    per-slot loop gives, bit for bit.  ``n_slots`` must be an int.
     """
     levels, first = default_state(params, packet_mode, initial_batteries,
                                   initial_active)
@@ -268,12 +274,14 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
             raise ValueError("profile node count does not match parameters")
         if n_slots is None:
             n_slots = profile.length
-        elif n_slots > profile.length:
-            raise ValueError("profile shorter than requested run")
     elif n_slots is None:
         raise ValueError("n_slots required when no profile is given")
+    if type(n_slots) is not int:
+        raise ValueError(f"n_slots must be an int, got {n_slots!r}")
     if n_slots < 1:
         raise ValueError("n_slots must be at least 1")
+    if profile is not None and n_slots > profile.length:
+        raise ValueError("profile shorter than requested run")
 
     n = params.n_nodes
     whole = packet_mode == WHOLE
@@ -300,21 +308,23 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
                                       packets.append)
     add_active, add_switched, add_suppressed = (
         active.append, switched.append, suppressed.append)
+    columns = ((pre_flat, n), (post_flat, n), (packets, 1), (active, 1),
+               (switched, 1), (suppressed, 1))
 
-    # shortcut 4: the state entered right after a handover is kept after
-    # 1, 2, 4, ... handovers, and when it recurs, the run repeats the slots
-    # since it was kept; only a run without a profile takes it, and such a
-    # run is one segment, so the break ends the run
-    constant = profile is None
-    kept_at = kept_v = kept = orbit = None
-    power = lam = 1
+    cycles = []                 # (start, period, stop) of each tiled stretch
     pre, v = levels, first
     start = 0
     for e, load, m in segments:
+        end = start + m
         if steer is None:
             g = load
         since = start           # first slot of the current steered load
-        for k in range(start, start + m):
+        # shortcut 4: the state entering a slot is kept after 1, 2, 4, ...
+        # slots of the segment, and when it recurs, the segment repeats the
+        # slots since it was kept
+        kept_v = kept = None
+        power = lam = 1
+        for k in range(start, end):
             add_pre(pre)
             post, pre, w, sw, pk, quiet = slot(pre, v, e, g)
             add_post(post)
@@ -328,22 +338,27 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
                 if nxt is not g:
                     offered.append((e, g, k + 1 - since))
                     since, g = k + 1, nxt
-            elif sw and constant:
-                if v == kept_v and pre == kept and _same_levels(pre, kept):
-                    stop = k + 1
-                    orbit = (kept_at, stop - kept_at)
-                    for column, width in ((pre_flat, n), (post_flat, n),
-                                          (packets, 1), (active, 1),
-                                          (switched, 1), (suppressed, 1)):
+            elif pre == kept and v == kept_v and _same_levels(pre, kept):
+                stop = k + 1
+                if stop < end:
+                    period = stop - kept_at
+                    for column, width in columns:
                         _tile(column, kept_at * width, stop * width,
-                              n_slots * width)
-                    break
+                              end * width)
+                    cycles.append((kept_at, period, end))
+                    # the state entering the next segment, from the live
+                    # objects: the stored levels may have become floats
+                    pre, v = kept, kept_v
+                    for _ in range((end - kept_at) % period):
+                        _, pre, v, *_ = slot(pre, v, e, g)
+                break
+            else:
                 if lam == power:
                     kept_at, kept_v, kept = k + 1, v, pre
                     power *= 2
                     lam = 0
                 lam += 1
-        start += m
+        start = end
         if steer is not None and since < start:
             offered.append((e, g, start - since))
 
@@ -363,29 +378,31 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
                  battery_pre=tuple(pre_flat[u::n] for u in range(n)),
                  battery_post=tuple(post_flat[u::n] for u in range(n)),
                  active=active, switched=switched, packets=packets,
-                 suppressed=suppressed, cycle=orbit)
+                 suppressed=suppressed, cycles=tuple(cycles))
 
 
-def _cycle_holds(trace: Trace) -> bool:
-    """Whether ``trace.cycle`` is a claim the columns bear out: ``(start,
-    period)`` ints with ``0 <= start``, ``period >= 1`` and ``start +
-    period <= len(trace)``, and every column as long as the trace and equal
-    from entry ``start + period`` on to itself ``period`` entries earlier.
-    Arrays are compared by their bytes, since ``-0.0 == 0.0``; other
-    columns entry by entry, by identity or else by type and repr (see
-    ``_same_levels``).  A claim that fails costs its reader only speed."""
-    if trace.cycle is None:
+def _claim_holds(trace: Trace, claim) -> bool:
+    """Whether ``claim``, one of ``trace.cycles``, is borne out by the
+    columns: ``(start, period, stop)`` ints with ``0 <= start``, ``period
+    >= 1`` and ``start + period <= stop <= len(trace)``, and every column
+    as long as the trace and equal from entry ``start + period`` to
+    ``stop`` to itself ``period`` entries earlier.  Arrays are compared by
+    their bytes, since ``-0.0 == 0.0``; other columns entry by entry, by
+    identity or else by type and repr (see ``_same_levels``).  A claim that
+    fails costs its reader only speed."""
+    if not (type(claim) is tuple and len(claim) == 3
+            and all(type(x) is int for x in claim)):
         return False
-    start, period = trace.cycle
+    start, period, stop = claim
     size = len(trace)
-    if not (type(start) is type(period) is int and 0 <= start
-            and period >= 1 and start + period <= size):
+    if not (0 <= start and period >= 1 and start + period <= stop <= size):
         return False
     for column in (*trace.battery_pre, *trace.battery_post, trace.active,
                    trace.switched, trace.packets, trace.suppressed):
         if len(column) != size:
             return False
-        tail, shifted = column[start + period:], column[start:size - period]
+        tail = column[start + period:stop]
+        shifted = column[start:stop - period]
         if isinstance(column, array):
             if tail.tobytes() != shifted.tobytes():
                 return False
@@ -582,9 +599,11 @@ _CSV_CHUNK = 1024       # rows read_trace_csv holds as text at once
 def write_trace_csv(trace: Trace, path) -> None:
     """Node indices are 1-based in the file; floats keep full precision.
 
-    When ``trace.cycle`` holds (``_cycle_holds``), the rows of one period
-    are formatted once: each later row is its slot number and the text of
-    the row one period earlier.  The file is the same either way."""
+    For each claim of ``trace.cycles`` that holds (``_claim_holds``) and
+    starts past the stretch before it, the rows of its first period are
+    formatted once: each later row up to its stop is its slot number and
+    the text of the row one period earlier.  The file is the same either
+    way."""
     n = trace.n_nodes
     header = ["slot", "active", "switched", "packets"]
     header += [f"battery_pre{u + 1}" for u in range(n)]
@@ -594,23 +613,36 @@ def write_trace_csv(trace: Trace, path) -> None:
     row = ",".join(["%d"] * 3 + ["%.17g"] * (1 + 2 * n)) + ",%s\r\n"
     flags = [",".join(str(m >> u & 1) for u in range(n))
              for m in range(1 << n)]
-    rows = zip(trace.slots, map(operator.add, trace.active, repeat(1)),
-               trace.switched, trace.packets, *trace.battery_pre,
-               *trace.battery_post, map(flags.__getitem__, trace.suppressed))
-    head, period = len(trace), 0
-    if _cycle_holds(trace):
-        head, period = trace.cycle
+
+    def rows(a, b):
+        """The text of entries ``a`` to ``b``; arrays are read through
+        views, not copied."""
+        cols = [memoryview(col)[a:b] if isinstance(col, array) else col[a:b]
+                for col in (trace.slots, trace.active, trace.switched,
+                            trace.packets, *trace.battery_pre,
+                            *trace.battery_post, trace.suppressed)]
+        cols[1] = map(operator.add, cols[1], repeat(1))
+        cols[-1] = map(flags.__getitem__, cols[-1])
+        return map(row.__mod__, zip(*cols))
+
+    done = 0                    # entries written
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(map(row.__mod__, islice(rows, head)))
-        if period:
-            texts = list(map(row.__mod__, islice(rows, period)))
+        for start, period, stop in sorted(
+                c for c in trace.cycles if _claim_holds(trace, c)):
+            if start < done:
+                continue
+            fh.writelines(rows(done, start))
+            texts = list(rows(start, start + period))
             fh.writelines(texts)
             # each text less its slot number, the comma after it kept
             bodies = [text[text.index(","):] for text in texts]
             fh.writelines(map(operator.add,
-                              map("%d".__mod__, trace.slots[head + period:]),
+                              map("%d".__mod__,
+                                  trace.slots[start + period:stop]),
                               cycle(bodies)))
+            done = stop
+        fh.writelines(rows(done, len(trace)))
 
 
 def _finite_cells(path, columns: dict, column: str) -> list:
@@ -661,6 +693,8 @@ def read_trace_csv(path) -> Trace:
                                  f"where the header has {len(header)}")
             columns = dict(zip(header, zip(*rows)))
             try:
+                if not n:       # no level column names the node count
+                    raise KeyError("battery_pre1")
                 nodes = list(map(operator.sub, map(int, columns["active"]),
                                  repeat(1)))
                 if min(nodes) < 0 or max(nodes) >= n:

@@ -342,14 +342,14 @@ class Trace:
     columns, which starts the copy with an empty view.
     ``params``/``profile`` are None for traces re-read from CSV.
 
-    ``cycle`` is a claim, ``(start, period)``, that from entry ``start +
-    period`` on every column repeats its entries ``period`` slots earlier.
-    ``run`` makes it when it tiles a run's limit cycle and leaves it None
-    otherwise.  Readers check a claim before they use it and never trust
-    it (see ``engine._cycle_holds``), so a stale one, say from a
+    ``cycles`` holds one claim, ``(start, period, stop)``, per stretch
+    that ``run`` tiled (``()`` when it tiled none): from entry ``start +
+    period`` up to ``stop`` every column repeats its entries ``period``
+    slots earlier.  Readers check a claim before they use it and never
+    trust it (see ``engine._claim_holds``), so a stale one, say from a
     ``dataclasses.replace`` that changed a column, or a bogus one costs
-    only speed.  Equality ignores it: a re-read or hand-built trace equals
-    the run's.
+    only speed.  Equality ignores them: a re-read or hand-built trace
+    equals the run's.
     """
 
     n_nodes: int
@@ -365,7 +365,7 @@ class Trace:
     params: Optional[SystemParams] = None
     profile: Optional["Profile"] = None
     feedback_log: list = field(default_factory=list)
-    cycle: Optional[tuple] = field(default=None, compare=False)
+    cycles: tuple = field(default=(), compare=False)
     _records: Optional[list] = field(default=None, init=False, repr=False,
                                      compare=False)
 
@@ -477,13 +477,13 @@ class Profile:
 
     ``segments`` holds one ``(harvest, load, length)`` triple per stretch:
     for ``length`` slots node ``u`` harvests ``harvest[u]`` and the source
-    offers ``load``.  Every cell must be a finite, non-negative int, float
-    or Fraction, every row hold one rate per node and every length be a
-    positive int.  The triples are kept as given, rows as tuples, and two
-    profiles are equal when their segments are.  Slot-by-slot inputs
-    become length-1 segments: ``Profile(tuple((row, g, 1) for row, g in
-    zip(rows, loads)))``.  A constant profile reproduces a plain
-    parameterised run exactly.
+    offers ``load``.  There must be at least one segment, every cell must
+    be a finite, non-negative int, float or Fraction, every row hold one
+    rate per node and every length be a positive int.  The triples are
+    kept as given, rows as tuples, and two profiles are equal when their
+    segments are.  Slot-by-slot inputs become length-1 segments:
+    ``Profile(tuple((row, g, 1) for row, g in zip(rows, loads)))``.  A
+    constant profile reproduces a plain parameterised run exactly.
     """
 
     segments: tuple
@@ -493,7 +493,9 @@ class Profile:
 
     def __post_init__(self):
         segments = tuple((tuple(row), g, k) for row, g, k in self.segments)
-        n = len(segments[0][0]) if segments else 0
+        if not segments:
+            raise ValueError("a profile needs at least one segment")
+        n = len(segments[0][0])
         if any(len(row) != n for row, _, _ in segments):
             raise ValueError("ragged harvest rows")
         lengths = [k for _, _, k in segments]
@@ -516,4 +518,4 @@ class Profile:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.segments[0][0]) if self.segments else 0
+        return len(self.segments[0][0])

@@ -111,6 +111,8 @@ def windowed_stats(trace: Trace, window: int) -> list[WindowStats]:
     shorter and is reported with its true length.  Every total is a left
     fold from int 0 in slot order, so it does not depend on how ``sum``
     adds floats (Python 3.12 compensates its float sums)."""
+    if type(window) is not int:
+        raise ValueError(f"window must be an int, got {window!r}")
     if window < 1:
         raise ValueError("window must be at least one slot")
     # every column is walked once, window after window, and the inputs

@@ -147,6 +147,16 @@ def test_run_rejects_empty_horizon():
         run(diamond())  # neither horizon nor profile
 
 
+@pytest.mark.parametrize("n_slots", [True, False, 2.5, 3.0, "3",
+                                     F(3)])
+def test_run_refuses_a_horizon_that_is_not_an_int(n_slots):
+    params = diamond()
+    with pytest.raises(ValueError, match="n_slots must be an int"):
+        run(params, n_slots=n_slots)
+    with pytest.raises(ValueError, match="n_slots must be an int"):
+        run(params, n_slots=n_slots, profile=constant_profile(params, 50))
+
+
 def test_run_rejects_short_profile():
     params = diamond()
     with pytest.raises(ValueError):
@@ -279,6 +289,19 @@ def test_read_trace_csv_rejects_rows_of_another_width(tmp_path, n_slots, row,
     with pytest.raises(ValueError, match=f"trace.csv: line {row + 2} has "
                                          f"{len(cells)} cells where the "
                                          f"header has 10"):
+        read_trace_csv(path)
+
+
+def test_read_trace_csv_names_a_missing_level_column(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run(diamond(), n_slots=5), path)
+    header, *rows = path.read_text().splitlines()
+    keep = [i for i, name in enumerate(header.split(","))
+            if not name.startswith("battery_pre")]
+    path.write_text("\n".join(",".join(line.split(",")[i] for i in keep)
+                              for line in [header, *rows]))
+    with pytest.raises(ValueError,
+                       match="trace.csv: no column 'battery_pre1'"):
         read_trace_csv(path)
 
 

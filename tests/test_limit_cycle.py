@@ -1,16 +1,18 @@
-"""The limit-cycle shortcut of ``run``: a run with constant inputs stops
-simulating once a state entered right after a handover comes back, and
-repeats the slots in between.
+"""The limit-cycle shortcut of ``run``: within each stretch of constant
+inputs, a profile segment or a whole run without a profile, a run stops
+simulating once the state entering a slot comes back, and repeats the
+slots in between up to the end of the stretch.
 
-The reference is the same run through ``constant_profile``, which keeps the
+The reference is the same run steered by a ``steer`` that offers the
+profile's own load object for each next slot: a steered run keeps the
 per-slot path.  Every column must come out with the same repr, and float
 columns with the same bytes, so a level that differs only in type (``5``
 against ``Fraction(5)``) or in the sign of a zero shows.
 
-A tiled run records its cycle on the trace.  The readers of that claim,
-``write_trace_csv`` and ``summarize``, must give what they give without
-it, and a claim that does not hold must cost them only speed.  The audit
-these shortcuts rest on must catch a change to any one cell.
+A tiled run records each tiled stretch on the trace.  The readers of those
+claims, ``write_trace_csv`` and ``summarize``, must give what they give
+without them, and a claim that does not hold must cost them only speed.
+The audit these shortcuts rest on must catch a change to any one cell.
 """
 
 import dataclasses
@@ -19,6 +21,7 @@ import math
 import tracemalloc
 from array import array
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -26,6 +29,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hdrsim import (
     EarliestSwitch3,
     Hysteresis2,
+    Profile,
     RoundRobin3,
     SystemParams,
     Trace,
@@ -54,12 +58,29 @@ def columns(trace):
             [c.tobytes() for c in cols if isinstance(c, array)])
 
 
-def assert_tiling_is_exact(params, n_slots, **kwargs):
-    """Run ``params`` with and without the shortcut and compare."""
-    tiled = run(params, n_slots, **kwargs)
-    per_slot = run(params, n_slots, profile=constant_profile(params, n_slots),
-                   **kwargs)
+def per_slot_run(params, n_slots, profile=None, **kwargs):
+    """The run of ``params`` on ``profile`` (default: its constant inputs)
+    through the per-slot path: a steered run never tiles, and this
+    ``steer`` offers the profile's own load object for every slot.  Slot 0
+    of a steered run gets ``params.input_rate``, so the profile must start
+    with that object."""
+    if profile is None:
+        profile = constant_profile(params, n_slots)
+    loads = [g for _, g, k in profile.segments for _ in range(k)]
+    assert loads[0] is params.input_rate
+    loads.append(loads[-1])         # asked for after the last slot
+    return run(params, n_slots, profile=profile,
+               steer=lambda k, *_: loads[k + 1], **kwargs)
+
+
+def assert_tiling_is_exact(params, n_slots, profile=None, **kwargs):
+    """Run ``params`` with and without the shortcut and compare; every
+    claim of the tiled run must hold."""
+    tiled = run(params, n_slots, profile=profile, **kwargs)
+    per_slot = per_slot_run(params, n_slots, profile, **kwargs)
     assert columns(tiled) == columns(per_slot)
+    assert per_slot.cycles == ()
+    assert all(engine._claim_holds(tiled, c) for c in tiled.cycles)
     return tiled
 
 
@@ -130,6 +151,61 @@ def systems(draw):
 def test_tiled_runs_match_the_per_slot_path(system):
     params, kwargs = system
     assert_tiling_is_exact(params, 500, **kwargs)
+
+
+@st.composite
+def profiled_systems(draw):
+    """A system from ``systems``, a profile of 1-6 segments in its number
+    type, and a run length that cuts the last segment short.  Harvest rates
+    reach past a full slot of forwarding, so both nodes can sit at the cap,
+    and down to zero, so relays go broke.  The first segment offers the
+    system's own load object, as slot 0 of a steered run does."""
+    params, kwargs = draw(systems())
+    num = type(params.packet_energy)        # int, float or Fraction
+    den = 1 if num is int else draw(st.sampled_from((4, 10, 16)))
+
+    def units(hi):
+        k = draw(st.integers(0, hi))
+        return num(F(k, den)) if k else draw(st.sampled_from((0, num(0))))
+
+    segments = []
+    for i in range(draw(st.integers(1, 6))):
+        row = tuple(units(8 * den) for _ in range(params.n_nodes))
+        load = params.input_rate if i == 0 else units(30 * den)
+        segments.append((row, load, draw(st.integers(2, 300))))
+    cut = draw(st.integers(1, segments[-1][2] - 1))
+    n_slots = sum(k for _, _, k in segments) - cut
+    return params, Profile(segments), n_slots, kwargs
+
+
+@given(profiled_systems())
+@settings(max_examples=100, deadline=None)
+def test_tiled_profile_runs_match_the_per_slot_path(system):
+    params, profile, n_slots, kwargs = system
+    trace = assert_tiling_is_exact(params, n_slots, profile, **kwargs)
+    # each claim tiles one segment to its end, in slot order
+    ends = list(accumulate(k for _, _, k in profile.segments))
+    ends[-1] = n_slots
+    stops = [stop for _, _, stop in trace.cycles]
+    assert stops == sorted(set(stops)) and set(stops) <= set(ends)
+
+
+def test_profile_segments_tile_one_at_a_time(slot_calls):
+    # an orbit, a fixed point with both nodes at the cap, a slower orbit
+    # and a broke relay that never settles
+    params = diamond(**README_POINT)
+    e = params.harvest_rates
+    g = params.input_rate
+    profile = Profile(((e, g, 6000), ((2.0, 2.0), g, 4000),
+                       ((0.4, 0.3), g, 4000), ((0.0, 0.0), g, 400)))
+    trace = run(params, profile=profile)
+    assert [stop for _, _, stop in trace.cycles] == [6000, 10000, 14000]
+    assert trace.cycles[1][1] == 1
+    # the first orbit is reached after about 4800 slots
+    assert slot_calls[0] < 6000
+    assert_tiling_is_exact(params, profile.length, profile)
+    assert verify_trace(trace) == verify_trace(
+        per_slot_run(params, profile.length, profile))
 
 
 @pytest.mark.parametrize("params, start, mode", [
@@ -257,8 +333,8 @@ def claimed(request):
     params, mode, start = CLAIMED[request.param]
     trace = run(params, n_slots=1500, packet_mode=mode,
                 initial_batteries=start)
-    assert trace.cycle is not None
-    assert engine._cycle_holds(trace)
+    (claim,) = trace.cycles
+    assert engine._claim_holds(trace, claim)
     return trace
 
 
@@ -276,59 +352,110 @@ def bump(column, k, value):
 
 
 def test_run_records_the_cycle_it_tiles(claimed):
-    start, period = claimed.cycle
-    assert 0 <= start and period >= 1 and start + period <= len(claimed)
+    (start, period, stop), = claimed.cycles
+    # a run without a profile is one stretch, tiled to its end
+    assert 0 <= start and period >= 1 and start + period < stop
+    assert stop == len(claimed)
     # the per-slot run takes every slot and makes no claim; the traces are
     # equal all the same once the profile that steers it is dropped
-    per_slot = run(claimed.params, len(claimed),
-                   profile=constant_profile(claimed.params, len(claimed)),
-                   packet_mode=claimed.packet_mode,
-                   initial_batteries=tuple(c[0] for c in
-                                           claimed.battery_pre))
-    assert per_slot.cycle is None
+    per_slot = per_slot_run(claimed.params, len(claimed),
+                            packet_mode=claimed.packet_mode,
+                            initial_batteries=tuple(c[0] for c in
+                                                    claimed.battery_pre))
+    assert per_slot.cycles == ()
     assert dataclasses.replace(per_slot, profile=None) == claimed
 
 
 def test_runs_that_do_not_tile_make_no_claim():
     params = diamond(**README_POINT)
-    assert run(params, 2000).cycle is None           # still in transit
-    assert run(params, 2000, profile=constant_profile(params, 2000)).cycle \
-        is None
+    assert run(params, 2000).cycles == ()           # still in transit
+    assert run(params, 2000,
+               profile=constant_profile(params, 2000)).cycles == ()
+    # steered runs take every slot
+    assert run(params, 10**4).cycles != ()
+    assert per_slot_run(params, 10**4).cycles == ()
 
 
 def test_claims_cost_the_writer_only_speed(claimed, tmp_path):
-    honest = csv_bytes(dataclasses.replace(claimed, cycle=None), tmp_path)
+    honest = csv_bytes(dataclasses.replace(claimed, cycles=()), tmp_path)
     assert csv_bytes(claimed, tmp_path) == honest
-    start, period = claimed.cycle
+    (start, period, stop), = claimed.cycles
     size = len(claimed)
     # a stale claim: one cell past the first period changed, the claim kept
     packets = bump(claimed.packets, size - 3, claimed.packets[size - 3] + 1)
     stale = dataclasses.replace(claimed, packets=packets)
-    assert stale.cycle == claimed.cycle and not engine._cycle_holds(stale)
+    assert stale.cycles == claimed.cycles
+    assert not engine._claim_holds(stale, stale.cycles[0])
     assert csv_bytes(stale, tmp_path) == csv_bytes(
-        dataclasses.replace(stale, cycle=None), tmp_path, "plain.csv")
+        dataclasses.replace(stale, cycles=()), tmp_path, "plain.csv")
     assert csv_bytes(stale, tmp_path) != honest
     # bogus claims
-    for claim in ((start, 0), (-1, period), (start, size), (size, 1),
-                  (size - period + 1, period), (start, -period),
-                  (float(start), period)):
-        bogus = dataclasses.replace(claimed, cycle=claim)
-        assert not engine._cycle_holds(bogus), claim
+    for claim in ((start, 0, stop), (-1, period, stop), (start, size, stop),
+                  (size, 1, size + 1), (start, period, size + 1),
+                  (start, period, start + period - 1), (start, -period, stop),
+                  (float(start), period, stop), (start, period),
+                  [start, period, stop], None):
+        bogus = dataclasses.replace(claimed, cycles=(claim,))
+        assert not engine._claim_holds(bogus, claim), claim
         assert csv_bytes(bogus, tmp_path) == honest, claim
-    # a true claim other than the run's: a later start, two periods
-    for claim in ((start + 5, period), (start, 2 * period)):
-        other = dataclasses.replace(claimed, cycle=claim)
-        assert engine._cycle_holds(other), claim
+    # true claims other than the run's: a later start, two periods, an
+    # earlier stop, an empty tail
+    for claim in ((start + 5, period, stop), (start, 2 * period, stop),
+                  (start, period, stop - 7), (start, period, start + period)):
+        other = dataclasses.replace(claimed, cycles=(claim,))
+        assert engine._claim_holds(other, claim), claim
         assert csv_bytes(other, tmp_path) == honest, claim
 
 
+@pytest.fixture(scope="module", params=sorted(CLAIMED))
+def several(request):
+    """A profile run of each column kind with a claim per tiled segment:
+    a fixed point at the cap, the run's own orbit and a slower one, the
+    last segment cut short."""
+    params, mode, start = CLAIMED[request.param]
+    e, g = params.harvest_rates, params.input_rate
+    rows = (tuple(type(x)(4) for x in e), e, tuple(x / 2 for x in e), e)
+    trace = run(params, n_slots=2300, packet_mode=mode,
+                initial_batteries=start,
+                profile=Profile(tuple((row, g, 600) for row in rows)))
+    assert len(trace.cycles) >= 2
+    assert all(engine._claim_holds(trace, c) for c in trace.cycles)
+    return trace
+
+
+def test_several_claims_cost_the_writer_only_speed(several, tmp_path):
+    honest = csv_bytes(dataclasses.replace(several, cycles=()), tmp_path)
+    assert csv_bytes(several, tmp_path) == honest
+    claims = several.cycles
+    # one stale claim per stretch: a cell of each tail bumped
+    packets = several.packets[:]
+    for _, _, stop in claims:
+        packets[stop - 1] += 1
+    stale = dataclasses.replace(several, packets=packets)
+    assert not any(engine._claim_holds(stale, c) for c in claims)
+    assert csv_bytes(stale, tmp_path) == csv_bytes(
+        dataclasses.replace(stale, cycles=()), tmp_path, "plain.csv")
+    # overlapping claims, claims out of order, claims past the end
+    size = len(several)
+    (a, pa, sa), (b, pb, _) = claims[:2]
+    for cycles in (claims[::-1], claims[1:] + claims[:1],
+                   claims + ((a + 1, pa, sa), (a, 2 * pa, sa)),
+                   ((a, pa, sa - 3), (a + pa, pa, sa)) + claims[1:],
+                   ((a, pa, b + pb),) + claims,
+                   claims[:-1] + ((claims[-1][0], claims[-1][1], size + 1),),
+                   ((size - 1, 1, size + 5),) + claims):
+        other = dataclasses.replace(several, cycles=cycles)
+        assert csv_bytes(other, tmp_path) == honest, cycles
+
+
 def test_a_stale_claim_fails_in_every_column(claimed):
+    claim, = claimed.cycles
     for column, change in mutants(claimed, len(claimed) - 1, 1, 1, 0):
         stale = dataclasses.replace(claimed, **change)
-        assert not engine._cycle_holds(stale), column
+        assert not engine._claim_holds(stale, claim), column
     # a column shorter than the trace
     short = dataclasses.replace(claimed, packets=claimed.packets[:-1])
-    assert not engine._cycle_holds(short)
+    assert not engine._claim_holds(short, claim)
 
 
 def test_a_claim_tells_equal_values_apart_by_bits_and_type(tmp_path):
@@ -337,19 +464,20 @@ def test_a_claim_tells_equal_values_apart_by_bits_and_type(tmp_path):
     flags = array("B", [0] * 6)
     trace = Trace(n_nodes=1, slots=range(6), battery_pre=(levels,),
                   battery_post=(levels,), active=flags, switched=flags,
-                  packets=levels, suppressed=flags, cycle=(0, 2))
-    assert engine._cycle_holds(trace)
+                  packets=levels, suppressed=flags, cycles=((0, 2, 6),))
+    claim, = trace.cycles
+    assert engine._claim_holds(trace, claim)
     signed = dataclasses.replace(trace, packets=bump(levels, 5, -0.0))
-    assert not engine._cycle_holds(signed)
+    assert not engine._claim_holds(signed, claim)
     assert csv_bytes(signed, tmp_path).endswith(b"\r\n5,1,0,-0,0,0,0\r\n")
     # a list column: 5 == Fraction(5), but they compute differently
     values = [F(5), F(1, 2)] * 3
     listed = dataclasses.replace(trace, packets=values)
-    assert engine._cycle_holds(listed)
-    assert engine._cycle_holds(
-        dataclasses.replace(trace, packets=bump(values, 4, F(10, 2))))
-    assert not engine._cycle_holds(
-        dataclasses.replace(trace, packets=bump(values, 4, 5)))
+    assert engine._claim_holds(listed, claim)
+    assert engine._claim_holds(
+        dataclasses.replace(trace, packets=bump(values, 4, F(10, 2))), claim)
+    assert not engine._claim_holds(
+        dataclasses.replace(trace, packets=bump(values, 4, 5)), claim)
 
 
 def test_a_claimed_tail_writes_its_own_slot_numbers(tmp_path):
@@ -361,10 +489,11 @@ def test_a_claimed_tail_writes_its_own_slot_numbers(tmp_path):
     lines = path.read_bytes().splitlines(keepends=True)
     (tmp_path / "tail.csv").write_bytes(b"".join(lines[:1] + lines[41:]))
     back = read_trace_csv(tmp_path / "tail.csv")
-    assert back.cycle is None and back.slots[0] == 40
-    start, period = trace.cycle
-    claimed = dataclasses.replace(back, cycle=(start - 40, period))
-    assert engine._cycle_holds(claimed)
+    assert back.cycles == () and back.slots[0] == 40
+    (start, period, stop), = trace.cycles
+    claimed = dataclasses.replace(back, cycles=((start - 40, period,
+                                                 stop - 40),))
+    assert engine._claim_holds(claimed, claimed.cycles[0])
     assert csv_bytes(claimed, tmp_path, "again.csv") == \
         (tmp_path / "tail.csv").read_bytes()
 

@@ -297,4 +297,5 @@ def test_profile_segments_are_checked_like_cells():
         Profile((((0.5, -0.25), 10.0, 2),))
     with pytest.raises(ValueError, match="got Decimal"):
         Profile((((0.5, 0.25), Decimal(1), 2),))
-    assert Profile(()).length == 0
+    with pytest.raises(ValueError, match="at least one segment"):
+        Profile(())

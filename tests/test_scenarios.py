@@ -228,6 +228,13 @@ def test_windowed_stats_short_final_window():
         windowed_stats(trace, 0)
 
 
+@pytest.mark.parametrize("window", [True, 2.5, 1000.0, "1000"])
+def test_windowed_stats_refuse_a_window_that_is_not_an_int(window):
+    trace = run(scenario_params(), n_slots=20, initial_batteries=(5.0, 5.0))
+    with pytest.raises(ValueError, match="window must be an int"):
+        windowed_stats(trace, window)
+
+
 def test_windowed_stats_without_a_profile_repeat_the_constants():
     # a trace without a profile takes its inputs from the parameters; the
     # windows must come out as for the same run on a constant profile

@@ -32,15 +32,13 @@ __all__ = [
     "feedback_input_rate",
 ]
 
-REGIMES = ("away", "balanced", "down_a", "down_b", "down_c",
-           "up_a", "up_b", "up_c")
-
 
 @dataclass(frozen=True)
 class SteadyStateSummary:
     """Predicted cycle structure.
 
-    regime         one of REGIMES; "away" means boundaries ignored
+    regime         "away" (boundaries ignored), "balanced", "down_a",
+                   "down_b", "down_c", "up_a", "up_b" or "up_c"
     active_slots   per-node slots of forwarding duty per cycle
     cycle_length   total slots per cycle
     cycle_packets  per-node packets per cycle

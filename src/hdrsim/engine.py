@@ -89,7 +89,7 @@ from .model import (
     RunSummary,
     SystemParams,
     Trace,
-    _first_slots,
+    _run_segments,
     default_state,
 )
 
@@ -280,8 +280,7 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
         raise ValueError(f"n_slots must be an int, got {n_slots!r}")
     if n_slots < 1:
         raise ValueError("n_slots must be at least 1")
-    if profile is not None and n_slots > profile.length:
-        raise ValueError("profile shorter than requested run")
+    segments = _run_segments(params, profile, n_slots)
 
     n = params.n_nodes
     whole = packet_mode == WHOLE
@@ -289,10 +288,6 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     # and loads it starts from are all floats or ints
     floats = _number_types(params, profile, levels) <= {float, int}
     slot = _slot_rule(params, whole)
-    if profile is None:
-        segments = ((params.harvest_rates, params.input_rate, n_slots),)
-    else:
-        segments = _first_slots(profile.segments, n_slots)
     g = params.input_rate
     # a steered run's (harvest, load, length) segments, a new one wherever
     # steer returns another load object or the harvest changes
@@ -372,9 +367,8 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
             raise TypeError(f"steer offered {names} loads to a run whose "
                             f"{why}")
         profile = Profile(offered)
-    return Trace(n_nodes=n, packet_mode=packet_mode,
-                 initial_active=first, params=params, profile=profile,
-                 slots=range(n_slots),
+    return Trace(packet_mode=packet_mode, initial_active=first,
+                 params=params, profile=profile,
                  battery_pre=tuple(pre_flat[u::n] for u in range(n)),
                  battery_post=tuple(post_flat[u::n] for u in range(n)),
                  active=active, switched=switched, packets=packets,
@@ -479,7 +473,7 @@ def summarize(trace: Trace, warmup: int = 0) -> RunSummary:
     )
 
 
-def energy_ledger(trace: Trace, params: Optional[SystemParams] = None):
+def energy_ledger(trace: Trace):
     """Per-record, per-node residual of the slot energy balance.
 
     For each consecutive record pair the change in a node's battery must
@@ -488,19 +482,20 @@ def energy_ledger(trace: Trace, params: Optional[SystemParams] = None):
     the charge: the level lands exactly on the capacity and the shortfall is
     the discarded surplus, so the residual is negative.  A positive residual
     is energy from nowhere and never legitimate.  Returns a list of
-    (slot, node, residual, clipped_at_cap) tuples.
+    (slot, node, residual, clipped_at_cap) tuples, from the trace's own
+    ``params`` and inputs.
     """
-    p = params or trace.params
-    if p is None:
+    if trace.params is None:
         raise ValueError("parameters required to audit a bare trace")
-    return list(_ledger_rows(trace, p, trace.inputs(p)[0]))
+    return list(_ledger_rows(trace, trace.inputs()[0]))
 
 
-def _ledger_rows(trace: Trace, p: SystemParams, harvest):
+def _ledger_rows(trace: Trace, harvest):
     """The rows of ``energy_ledger``, one at a time; ``harvest`` holds the
     slots' harvest rates.  An absent charge (the status of a suppressed
     node, the handover of a slot without one, the spend of an idle node, a
     cost of int 0) is left out rather than subtracted."""
+    p = trace.params
     c, status, switch = p.packet_energy, p.status_energy, p.switch_energy
     cap = p.battery_capacity
     nodes = range(p.n_nodes)
@@ -525,18 +520,23 @@ def _ledger_rows(trace: Trace, p: SystemParams, harvest):
             yield slot, u, (b[u] - a[u]) - expect, b[u] == cap
 
 
-def verify_trace(trace: Trace, params: Optional[SystemParams] = None,
-                 tol: float = 1e-9) -> list[str]:
+def verify_trace(trace: Trace, *, tol: float = 1e-9) -> list[str]:
     """Audit a finished trace against the model rules.
 
     Replays every slot from its own recorded levels and checks the handover
     decision, control charges, packet count and resulting levels, plus
     battery bounds and the energy balance.  Returns human-readable
-    violation strings; an empty list means the trace is consistent.
+    violation strings; an empty list means the trace is consistent.  The
+    run's context comes from the trace alone: ``params``, ``packet_mode``,
+    ``initial_active`` and ``profile``.  A trace that lacks one of the
+    first three, such as a re-read one, raises a ``ValueError``.
     """
-    p = params or trace.params
-    if p is None:
-        raise ValueError("parameters required to audit a bare trace")
+    missing = [name for name in ("params", "packet_mode", "initial_active")
+               if getattr(trace, name) is None]
+    if missing:
+        raise ValueError(f"trace lacks its run's {', '.join(missing)}; put "
+                         f"the context back with dataclasses.replace")
+    p = trace.params
     problems = []
     report = problems.append
     nodes = range(p.n_nodes)
@@ -547,11 +547,7 @@ def verify_trace(trace: Trace, params: Optional[SystemParams] = None,
     finite = _FINITE if tol >= 0 else ()
 
     prev_active = trace.initial_active
-    if prev_active is None and len(trace):
-        # best effort for re-read traces: a switch in the first record means
-        # the run began on some other node, which we cannot recover
-        prev_active = trace.active[0]
-    harvest, rates = trace.inputs(p)
+    harvest, rates = trace.inputs()
     for slot, pre, post, v, switched, packets, mask, e, g in zip(
             trace.slots, zip(*trace.battery_pre), zip(*trace.battery_post),
             trace.active, trace.switched, trace.packets, trace.suppressed,
@@ -580,7 +576,7 @@ def verify_trace(trace: Trace, params: Optional[SystemParams] = None,
                        f"mismatch")
         prev_active = v
 
-    for slot, u, resid, at_cap in _ledger_rows(trace, p, trace.inputs(p)[0]):
+    for slot, u, resid, at_cap in _ledger_rows(trace, trace.inputs()[0]):
         if resid == 0 <= tol or abs(resid) <= tol:
             continue
         if at_cap and resid < 0:
@@ -673,7 +669,8 @@ def read_trace_csv(path) -> Trace:
     whole.  Every row must be as wide as the header, levels and packets
     finite, flags 0 or 1, and the slot numbers must count up by one from
     the first; a file that breaks one of these rules raises a
-    ``ValueError`` naming the file."""
+    ``ValueError`` naming the file.  The trace is bare: the file holds no
+    ``params``, ``packet_mode``, ``initial_active`` or ``profile``."""
     first = stop = None
     packets = _level_column()
     active, switched, suppressed = (array("B") for _ in range(3))
@@ -731,6 +728,6 @@ def read_trace_csv(path) -> Trace:
                     from None
     if first is None:
         raise ValueError(f"{path}: empty trace")
-    return Trace(n_nodes=n, slots=range(first, stop), battery_pre=pre,
-                 battery_post=post, active=active, switched=switched,
-                 packets=packets, suppressed=suppressed)
+    return Trace(battery_pre=pre, battery_post=post, active=active,
+                 switched=switched, packets=packets, suppressed=suppressed,
+                 first_slot=first)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, compress, repeat
 from typing import NamedTuple, Optional, Sequence
 
@@ -322,14 +323,15 @@ class Trace:
     """A finished run, one column per quantity rather than one object per
     slot.
 
-    slots         slot number of each entry, counting up by one (a
-                  ``range`` for a run and for a re-read trace)
     battery_pre   per node, a column of levels before the slot-end exchange
     battery_post  per node, a column of levels right after it
     active        forwarding node after any handover, 0-based
     switched      1 where the exchange handed the role over, else 0
     packets       packets the active node carries in the following slot
     suppressed    bit ``u`` set where node ``u`` withheld its status message
+    first_slot    slot number of the first entry; ``slots`` is the range
+                  from it, one per entry of ``active``, and ``n_nodes``
+                  the number of level columns
 
     Float runs keep levels and packets in ``array('d')`` columns and the
     flags in ``array('B')`` columns (so at most 8 nodes).  Runs with a
@@ -337,10 +339,12 @@ class Trace:
     exact values pass through untouched, and so do whole-packet counts,
     which stay ints.
 
-    ``records`` is a read-only view of the same data, one ``SlotRecord``
-    named tuple per slot.  A derived trace comes from ``dataclasses.replace`` on the
-    columns, which starts the copy with an empty view.
-    ``params``/``profile`` are None for traces re-read from CSV.
+    ``packet_mode``, ``initial_active``, ``params`` and ``profile`` are the
+    run's context, which the audit and ``inputs`` read; a trace re-read
+    from CSV has none of them until ``dataclasses.replace`` puts them back.
+    ``records`` is a read-only view of the columns, one ``SlotRecord`` per
+    slot, built on first access; ``dataclasses.replace`` starts a copy
+    with an empty view.
 
     ``cycles`` holds one claim, ``(start, period, stop)``, per stretch
     that ``run`` tiled (``()`` when it tiled none): from entry ``start +
@@ -348,67 +352,65 @@ class Trace:
     slots earlier.  Readers check a claim before they use it and never
     trust it (see ``engine._claim_holds``), so a stale one, say from a
     ``dataclasses.replace`` that changed a column, or a bogus one costs
-    only speed.  Equality ignores them: a re-read or hand-built trace
-    equals the run's.
+    only speed.  Equality ignores them: a float run's trace, re-read with
+    its context put back, equals the run's.
     """
 
-    n_nodes: int
-    slots: Sequence
     battery_pre: tuple
     battery_post: tuple
     active: Sequence
     switched: Sequence
     packets: Sequence
     suppressed: Sequence
-    packet_mode: str = FRACTIONAL
+    first_slot: int = 0
+    packet_mode: Optional[str] = None
     initial_active: Optional[int] = None
     params: Optional[SystemParams] = None
     profile: Optional["Profile"] = None
     feedback_log: list = field(default_factory=list)
     cycles: tuple = field(default=(), compare=False)
-    _records: Optional[list] = field(default=None, init=False, repr=False,
-                                     compare=False)
 
     def __len__(self):
-        return len(self.slots)
+        return len(self.active)
 
     @property
+    def n_nodes(self) -> int:
+        return len(self.battery_pre)
+
+    @property
+    def slots(self) -> range:
+        return range(self.first_slot, self.first_slot + len(self.active))
+
+    @cached_property
     def records(self) -> list:
-        """The trace as a list of ``SlotRecord``, built on first access and
-        kept; the library's own functions read the columns instead."""
-        if self._records is None:
-            flags = [tuple(bool(m >> u & 1) for u in range(self.n_nodes))
-                     for m in range(1 << self.n_nodes)]
-            # tuple.__new__ fills each named tuple from a row in C
-            self._records = list(map(tuple.__new__, repeat(SlotRecord), zip(
-                self.slots, zip(*self.battery_pre), zip(*self.battery_post),
-                self.active, map(bool, self.switched), self.packets,
-                map(flags.__getitem__, self.suppressed))))
-        return self._records
+        """The trace as a list of ``SlotRecord``; the library's own
+        functions read the columns instead."""
+        flags = [tuple(bool(m >> u & 1) for u in range(self.n_nodes))
+                 for m in range(1 << self.n_nodes)]
+        # tuple.__new__ fills each named tuple from a row in C
+        return list(map(tuple.__new__, repeat(SlotRecord), zip(
+            self.slots, zip(*self.battery_pre), zip(*self.battery_post),
+            self.active, map(bool, self.switched), self.packets,
+            map(flags.__getitem__, self.suppressed))))
 
     def switch_slots(self) -> list[int]:
         return list(compress(self.slots, self.switched))
 
-    def input_segments(self, params: Optional[SystemParams] = None) -> tuple:
+    def input_segments(self) -> tuple:
         """The harvest rates and offered load of the trace's slots as
-        ``(harvest, load, length)`` segments (see ``Profile``): the
-        profile's, cut at the trace's end, else the constants of ``params``
-        (default: the trace's own parameters) as one segment."""
-        if self.profile is not None:
-            if self.profile.length < len(self):
-                raise ValueError("profile shorter than the trace")
-            return _first_slots(self.profile.segments, len(self))
-        p = params or self.params
-        if p is None:
+        ``(harvest, load, length)`` segments (see ``Profile``), as the run
+        took them: the profile's, cut at the trace's end, else the
+        constants of ``params`` as one segment."""
+        if self.profile is None and self.params is None:
             raise ValueError("trace carries no harvest or offered-load "
                              "information")
-        return ((p.harvest_rates, p.input_rate, len(self)),)
+        return _run_segments(self.params, self.profile, len(self))
 
-    def inputs(self, params: Optional[SystemParams] = None) -> tuple:
+    def inputs(self) -> tuple:
         """Harvest rates and offered load of every slot, as two iterables
-        that repeat each of ``input_segments(params)`` for its length, in
+        that repeat each of ``input_segments()`` for its length, in
         O(segments) memory.  Take fresh ones for each pass."""
-        segments = self.input_segments(params)
+        segments = self.input_segments()
         return (chain.from_iterable(repeat(row, k) for row, _, k in segments),
                 chain.from_iterable(repeat(g, k) for _, g, k in segments))
 
@@ -428,10 +430,6 @@ class CycleStats:
     @property
     def packets_total(self):
         return sum(self.packets)
-
-    @property
-    def throughput(self):
-        return self.packets_total / self.length
 
 
 @dataclass(frozen=True)
@@ -458,11 +456,16 @@ class RunSummary:
 # time-varying operating conditions
 # ---------------------------------------------------------------------------
 
-def _first_slots(segments, n: int) -> tuple:
-    """The ``(harvest, load, length)`` segments that cover the first ``n``
-    slots of ``segments``, the last one cut short where needed."""
+def _run_segments(params, profile, n: int) -> tuple:
+    """The ``(harvest, load, length)`` segments of a run's first ``n``
+    slots: the profile's, the last one cut short where needed, else the
+    constants of ``params`` as one segment."""
+    if profile is None:
+        return ((params.harvest_rates, params.input_rate, n),)
+    if profile.length < n:
+        raise ValueError("profile shorter than the run")
     head = []
-    for row, g, k in segments:
+    for row, g, k in profile.segments:
         if n <= 0:
             break
         head.append((row, g, min(k, n)))

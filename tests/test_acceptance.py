@@ -430,8 +430,8 @@ def test_acceptance_7_threshold_sweep(suite, capsys):
 def test_acceptance_8_trace_invariants(suite, capsys):
     problems = 0
     audited = 0
-    for params, trace in suite["traces"]:
-        problems += len(verify_trace(trace, params))
+    for _, trace in suite["traces"]:
+        problems += len(verify_trace(trace))
         audited += len(trace.records)
     ok = problems == 0 and audited > 0
     assert announce(capsys, 8, "trace invariants", ok)

@@ -54,6 +54,14 @@ def test_away_cycle_three_rejects_degenerate_spread():
         away_cycle_three(three(e=(0.0, 0.0, 1.0), g=12.5))
 
 
+@pytest.mark.parametrize("solve", [
+    away_cycle_three, lambda params: three_node_away_solution(params, 50.0)],
+    ids=["closed-form", "linear-solution"])
+def test_three_relay_results_refuse_a_diamond(solve):
+    with pytest.raises(ValueError, match="different topology"):
+        solve(diamond())
+
+
 def test_linear_solution_matches_closed_form_exactly():
     params = three(e=(F(1, 10), F(7, 10), F(4, 5)), g=F(20), c=F(2, 25),
                    h=(F(5), F(10), F(10)), ct=F(1, 100), cr=F(1, 20),

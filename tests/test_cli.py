@@ -147,6 +147,24 @@ def test_invalid_json(tmp_path):
     assert main(["run", "--config", str(bad)]) == 1
 
 
+def test_config_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text("[1, 2]")
+    assert main(["run", "--config", str(path)]) == 1
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, message", [
+    ("run", "config needs a horizon or a profile"),
+    ("compare", "compare needs a horizon")])
+def test_run_without_a_horizon_is_a_config_error(tmp_path, capsys, command,
+                                                 message):
+    cfg = write_config(tmp_path / "c.json", horizon=None,
+                       out=str(tmp_path / "out"))
+    assert main([command, "--config", cfg]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_unknown_config_key(tmp_path):
     assert main(["run", "--config",
                  write_config(tmp_path / "c.json", typo_key=3)]) == 1
@@ -175,6 +193,7 @@ def test_bad_initial_active(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("horizon", "200"), ("horizon", 200.5), ("initial_active", "1"),
     ("warmup", None), ("horizon", True), ("profile", True), ("profile", 0),
+    ("packet_mode", "half"),
 ])
 def test_run_key_of_the_wrong_type_is_a_config_error(tmp_path, capsys, key,
                                                       value):

@@ -2,10 +2,13 @@
 
 import dataclasses
 import gc
+import importlib.resources
+import operator
 import tracemalloc
 from array import array
 from decimal import Decimal
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,10 +19,12 @@ from hdrsim import (
     ThresholdPolicy,
     detect_cycles,
     energy_ledger,
+    load_profile,
     read_trace_csv,
     run,
     summarize,
     verify_trace,
+    windowed_stats,
     write_trace_csv,
 )
 from conftest import constant_profile, diamond, three
@@ -203,7 +208,7 @@ def test_summarize_matches_manual_accounting():
 def test_energy_ledger_closes():
     params = diamond(e=(0.8, 0.6), g=17.5, h=(5, 5), ct=0.01, cr=0.05)
     trace = run(params, n_slots=400)
-    for slot, node, residual, clipped in energy_ledger(trace, params):
+    for slot, node, residual, clipped in energy_ledger(trace):
         if clipped:
             assert residual <= 1e-9  # clipping can only discard energy
         else:
@@ -212,9 +217,9 @@ def test_energy_ledger_closes():
 
 def test_verify_trace_accepts_honest_run():
     params = three(g=20.0, cap=100.0)
-    assert verify_trace(run(params, n_slots=600), params) == []
+    assert verify_trace(run(params, n_slots=600)) == []
     whole = run(params, n_slots=600, packet_mode="whole")
-    assert verify_trace(whole, params) == []
+    assert verify_trace(whole) == []
 
 
 def test_verify_trace_catches_tampering():
@@ -223,7 +228,15 @@ def test_verify_trace_catches_tampering():
     packets = trace.packets[:]
     packets[25] += 1.0
     bad = dataclasses.replace(trace, packets=packets)
-    assert verify_trace(bad, params)
+    assert verify_trace(bad)
+
+
+def in_run_context(back, trace):
+    """The re-read ``back`` with the context of the run that made
+    ``trace`` put back."""
+    return dataclasses.replace(
+        back, params=trace.params, packet_mode=trace.packet_mode,
+        profile=trace.profile, initial_active=trace.initial_active)
 
 
 def test_trace_csv_round_trip(tmp_path):
@@ -232,6 +245,7 @@ def test_trace_csv_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     back = read_trace_csv(path)
+    assert verify_trace(in_run_context(back, trace)) == []
     assert back.n_nodes == 3
     assert len(back.records) == len(trace.records)
     for a, b in zip(trace.records, back.records):
@@ -240,6 +254,51 @@ def test_trace_csv_round_trip(tmp_path):
         assert a.battery_pre == b.battery_pre  # .17g survives the trip
         assert a.battery_post == b.battery_post
         assert a.packets == b.packets
+
+
+FLAT = str(importlib.resources.files("hdrsim") / "data"
+           / "harvest_flat_input.csv")
+
+
+@pytest.mark.parametrize("make", [
+    # node 2 leads by 80 at slot 0, so the run hands over at once
+    lambda: run(diamond(), n_slots=500, initial_batteries=(10.0, 90.0)),
+    lambda: run(diamond(), n_slots=500, packet_mode="whole"),
+    lambda: run(diamond(e=(0.3, 0.2), g=6.0, h=(10.0, 10.0)),
+                profile=load_profile(FLAT),
+                initial_batteries=(5.0, 5.0)),
+], ids=["handover-at-slot-0", "whole-packets", "flat-profile"])
+def test_a_re_read_trace_audits_clean_in_its_run_context(tmp_path, make):
+    trace = make()
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    back = read_trace_csv(path)
+    assert (back.params, back.packet_mode, back.profile,
+            back.initial_active) == (None, None, None, None)
+    restored = in_run_context(back, trace)
+    assert verify_trace(restored) == []
+    if trace.packet_mode == "fractional":
+        # whole packet counts come back as floats, so only here
+        assert restored == trace
+    # the audit guesses no part of the context
+    with pytest.raises(ValueError, match="lacks its run's params, "
+                                         "packet_mode, initial_active; "
+                                         ".* dataclasses.replace"):
+        verify_trace(back)
+    with pytest.raises(ValueError,
+                       match="lacks its run's packet_mode, initial_active;"):
+        verify_trace(dataclasses.replace(back, params=trace.params))
+    with pytest.raises(ValueError, match="parameters required"):
+        energy_ledger(back)
+
+
+def test_read_trace_csv_refuses_a_header_only_file(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run(diamond(), n_slots=5), path)
+    header = path.read_text().splitlines()[0]
+    path.write_text(header + "\n")
+    with pytest.raises(ValueError, match="trace.csv: empty trace"):
+        read_trace_csv(path)
 
 
 @pytest.mark.parametrize("value", ["0", "3", "300"])
@@ -347,7 +406,7 @@ def test_invariants_hold_without_control_costs(e1, e2, g, h1, h2):
     # are only guaranteed when its lead covers the slot energy
     assume(min(h1, h2) + min(e1, e2) >= 0.08 * g + 1e-6)
     params = diamond(e=(e1, e2), g=g, h=(h1, h2))
-    assert verify_trace(run(params, n_slots=250), params) == []
+    assert verify_trace(run(params, n_slots=250)) == []
 
 
 @given(
@@ -363,7 +422,7 @@ def test_invariants_hold_with_control_costs(e1, e2, e3, g, h, es, whole):
     params = three(e=(e1, e2, e3), g=g, h=(h, h, h), ct=0.01, cr=0.05, es=es)
     trace = run(params, n_slots=250,
                 packet_mode="whole" if whole else "fractional")
-    assert verify_trace(trace, params) == []
+    assert verify_trace(trace) == []
 
 
 # ---------------------------------------------------------------------------
@@ -562,11 +621,21 @@ def test_replace_starts_with_an_empty_records_view():
 
 @pytest.mark.parametrize("levels", [
     (float("nan"), 50.0), (50.0, float("inf")), (500.0, -30.0),
-    (100.5, 50.0), (50.0, -1e-9),
+    (100.5, 50.0), (50.0, -1e-9), (50.0,), (50.0, 50.0, 50.0),
 ])
 def test_run_rejects_bad_initial_levels(levels):
     with pytest.raises(ValueError, match="initial battery level"):
         run(diamond(), n_slots=10, initial_batteries=levels)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"initial_active": 2}, "active node index 2 out of range"),
+    ({"profile": Profile((((0.1, 0.7, 0.8), 20.0, 10),))},
+     "profile node count does not match parameters"),
+])
+def test_run_refuses_a_start_or_profile_for_other_nodes(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        run(diamond(), n_slots=10, **kwargs)
 
 
 @pytest.mark.parametrize("bad", [Decimal("1.5"), True, "1.5"])
@@ -614,3 +683,16 @@ def test_run_on_the_head_of_a_profile():
     assert trace.input_segments() == (((0.8, 0.6), 17.5, 30),
                                       ((0.5, 0.4), 12.0, 10))
     assert verify_trace(trace) == []
+    # a cut inside the first segment leaves out the two after it
+    prof = Profile((((0.8, 0.6), 17.5, 30), ((0.5, 0.4), 12.0, 30),
+                    ((0.2, 0.1), 9.0, 30)))
+    trace = run(diamond(), n_slots=20, profile=prof)
+    assert trace.input_segments() == (((0.8, 0.6), 17.5, 20),)
+    assert verify_trace(trace) == []
+    stats = windowed_stats(trace, 8)
+    assert [w.length for w in stats] == [8, 8, 4]
+    assert [w.offered for w in stats] == [
+        reduce(operator.add, [17.5] * k, 0) for k in (8, 8, 4)]
+    assert [w.harvested for w in stats] == [
+        tuple(reduce(operator.add, [e] * k, 0) for e in (0.8, 0.6))
+        for k in (8, 8, 4)]

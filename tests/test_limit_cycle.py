@@ -462,9 +462,9 @@ def test_a_claim_tells_equal_values_apart_by_bits_and_type(tmp_path):
     # a float column: -0.0 == 0.0, but the file prints them differently
     levels = array("d", [1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
     flags = array("B", [0] * 6)
-    trace = Trace(n_nodes=1, slots=range(6), battery_pre=(levels,),
-                  battery_post=(levels,), active=flags, switched=flags,
-                  packets=levels, suppressed=flags, cycles=((0, 2, 6),))
+    trace = Trace(battery_pre=(levels,), battery_post=(levels,),
+                  active=flags, switched=flags, packets=levels,
+                  suppressed=flags, cycles=((0, 2, 6),))
     claim, = trace.cycles
     assert engine._claim_holds(trace, claim)
     signed = dataclasses.replace(trace, packets=bump(levels, 5, -0.0))

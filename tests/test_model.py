@@ -89,6 +89,14 @@ def test_params_arity_must_match_policy():
                      packet_energy=0.08, thresholds=RoundRobin3(1, 1, 1))
 
 
+@pytest.mark.parametrize("n", [1, 4])
+def test_params_take_two_or_three_relays(n):
+    with pytest.raises(ValueError,
+                       match=f"expected 2 or 3 relay nodes, got {n}"):
+        SystemParams(harvest_rates=(0.5,) * n, input_rate=10,
+                     packet_energy=0.08, thresholds=ThresholdPolicy((1,) * n))
+
+
 def test_params_take_a_threshold_policy_only():
     with pytest.raises(ValueError, match="thresholds must be a "
                                          "ThresholdPolicy, got tuple"):

@@ -70,6 +70,7 @@ def test_load_profile_three_node_column():
     ("slot_range,e1,e2,g\n0-9,0.1,0.2,6\n5-14,0.1,0.2,6\n", "overlap"),
     ("slot_range,e1,e2,g\n0-9,0.1,0.2,6\n20-29,0.1,0.2,6\n", "gap"),
     ("slot_range,e1,e2,g\n", "empty profile"),
+    ("slot_range,e1,e2,e3,e4,g\n0-9,0.1,0.2,0.3,0.4,6\n", "2 or 3 nodes"),
 ])
 def test_load_profile_rejects_malformed_input(text, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -337,7 +338,7 @@ def test_zero_harvest_node_can_dip_below_empty():
     params = scenario_params(ct=0.01, cr=0.05)
     trace = run(params, profile=load_profile(FLAT),
                 initial_batteries=(5.0, 5.0))
-    problems = verify_trace(trace, params)
+    problems = verify_trace(trace)
     assert problems
     for msg in problems:
         assert "node 1" in msg and "outside" in msg

@@ -60,13 +60,9 @@ reached by stepping the kept state through the last partial period, since
 a float column has turned an int level into a float.  ``verify_trace``
 still replays every slot, the copied ones included.
 
-``write_trace_csv`` reads the recorded stretches, once ``_claim_holds``
-has checked each claim against the columns: it formats the rows of a
-stretch's first period and gives each later row of the stretch the text
-of the row one period earlier.  A claim that does not hold only sends it
-the long way, to the same file.  ``summarize`` needs no claim: it counts
-the rotations from their first and last bounds instead of measuring each
-one.
+A trace file has one layout, ``_trace_header(n)`` over one row per slot
+from 0: ``write_trace_csv`` writes it, copying the text of each stretch
+``_claim_holds`` confirms, and ``read_trace_csv`` accepts no other.
 """
 
 from __future__ import annotations
@@ -375,26 +371,39 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
                  suppressed=suppressed, cycles=tuple(cycles))
 
 
+def _shape_problems(trace: Trace) -> list[str]:
+    """One line per column that does not hold ``len(trace)`` entries, and
+    one if ``battery_post`` and ``battery_pre`` differ in node count."""
+    named = [(f"{side}[{u}]", col) for side in ("battery_pre", "battery_post")
+             for u, col in enumerate(getattr(trace, side))]
+    named += [(k, getattr(trace, k)) for k in ("switched", "packets",
+                                                "suppressed")]
+    problems = [f"column {name} holds {len(col)} entries, not {len(trace)}"
+                for name, col in named if len(col) != len(trace)]
+    if len(trace.battery_post) != trace.n_nodes:
+        problems.append(f"battery_post has {len(trace.battery_post)} "
+                        f"columns, not {trace.n_nodes}")
+    return problems
+
+
 def _claim_holds(trace: Trace, claim) -> bool:
     """Whether ``claim``, one of ``trace.cycles``, is borne out by the
     columns: ``(start, period, stop)`` ints with ``0 <= start``, ``period
-    >= 1`` and ``start + period <= stop <= len(trace)``, and every column
-    as long as the trace and equal from entry ``start + period`` to
-    ``stop`` to itself ``period`` entries earlier.  Arrays are compared by
-    their bytes, since ``-0.0 == 0.0``; other columns entry by entry, by
-    identity or else by type and repr (see ``_same_levels``).  A claim that
-    fails costs its reader only speed."""
+    >= 1`` and ``start + period <= stop <= len(trace)``, a trace without
+    ``_shape_problems``, and every column equal from entry ``start +
+    period`` to ``stop`` to itself ``period`` entries earlier.  Arrays are
+    compared by their bytes, since ``-0.0 == 0.0``; other columns entry by
+    entry, by identity or else by type and repr (see ``_same_levels``).  A
+    claim that fails costs its reader only speed."""
     if not (type(claim) is tuple and len(claim) == 3
             and all(type(x) is int for x in claim)):
         return False
     start, period, stop = claim
-    size = len(trace)
-    if not (0 <= start and period >= 1 and start + period <= stop <= size):
+    if (not 0 <= start < start + period <= stop <= len(trace)
+            or _shape_problems(trace)):
         return False
     for column in (*trace.battery_pre, *trace.battery_post, trace.active,
                    trace.switched, trace.packets, trace.suppressed):
-        if len(column) != size:
-            return False
         tail = column[start + period:stop]
         shifted = column[start:stop - period]
         if isinstance(column, array):
@@ -430,20 +439,15 @@ def _rotation_bounds(trace: Trace, first: int) -> list:
 def detect_cycles(trace: Trace, *, warmup: int = 0) -> list[CycleStats]:
     """Split the trace at handovers to node 1 and measure each full
     rotation of the forwarding role."""
-    active, slots = trace.active, trace.slots
-    bounds = _rotation_bounds(trace, bisect.bisect_left(slots, warmup))
-    cycles = []
+    bounds = _rotation_bounds(trace, bisect.bisect_left(trace.slots, warmup))
     n = trace.n_nodes
-    for a, b in pairwise(bounds):
-        cycle_active = active[a:b]
-        cycles.append(CycleStats(
-            length=slots[b] - slots[a],
-            active_slots=tuple(cycle_active.count(u) for u in range(n)),
-            packets=tuple(_node_totals(cycle_active, trace.packets[a:b], n)),
-            drift=tuple(col[b] - col[a] for col in trace.battery_pre),
-            start_slot=slots[a],
-        ))
-    return cycles
+    return [CycleStats(
+        length=b - a,
+        active_slots=tuple(trace.active[a:b].count(u) for u in range(n)),
+        packets=tuple(_node_totals(trace.active[a:b], trace.packets[a:b], n)),
+        drift=tuple(col[b] - col[a] for col in trace.battery_pre),
+        start_slot=a,
+    ) for a, b in pairwise(bounds)]
 
 
 def summarize(trace: Trace, warmup: int = 0) -> RunSummary:
@@ -460,8 +464,7 @@ def summarize(trace: Trace, warmup: int = 0) -> RunSummary:
     total = sum(per_node)
     bounds = _rotation_bounds(trace, first)
     count = max(len(bounds) - 1, 0)
-    mean_len = ((trace.slots[bounds[-1]] - trace.slots[bounds[0]]) / count
-                if count else None)
+    mean_len = (bounds[-1] - bounds[0]) / count if count else None
     return RunSummary(
         slots=slots,
         packets_total=total,
@@ -526,18 +529,20 @@ def verify_trace(trace: Trace, *, tol: float = 1e-9) -> list[str]:
     Replays every slot from its own recorded levels and checks the handover
     decision, control charges, packet count and resulting levels, plus
     battery bounds and the energy balance.  Returns human-readable
-    violation strings; an empty list means the trace is consistent.  The
-    run's context comes from the trace alone: ``params``, ``packet_mode``,
-    ``initial_active`` and ``profile``.  A trace that lacks one of the
-    first three, such as a re-read one, raises a ``ValueError``.
+    violation strings, only the ``_shape_problems`` of a ragged trace; an
+    empty list means the trace is consistent.  The run's context comes
+    from the trace alone: ``params``, ``packet_mode``, ``initial_active``
+    and ``profile``.  A trace that lacks one of the first three, such as a
+    re-read one, raises a ``ValueError``.
     """
     missing = [name for name in ("params", "packet_mode", "initial_active")
                if getattr(trace, name) is None]
     if missing:
         raise ValueError(f"trace lacks its run's {', '.join(missing)}; put "
                          f"the context back with dataclasses.replace")
+    if problems := _shape_problems(trace):
+        return problems
     p = trace.params
-    problems = []
     report = problems.append
     nodes = range(p.n_nodes)
     low, high = -tol, p.battery_capacity + tol
@@ -592,19 +597,26 @@ def verify_trace(trace: Trace, *, tol: float = 1e-9) -> list[str]:
 _CSV_CHUNK = 1024       # rows read_trace_csv holds as text at once
 
 
+def _trace_header(n: int) -> list[str]:
+    """The column names of an ``n``-node trace file, in their order."""
+    return ["slot", "active", "switched", "packets"] + [
+        f"{name}{u}" for name in ("battery_pre", "battery_post", "suppressed")
+        for u in range(1, n + 1)]
+
+
 def write_trace_csv(trace: Trace, path) -> None:
     """Node indices are 1-based in the file; floats keep full precision.
+    A trace of a ragged shape (``_shape_problems``) raises a
+    ``ValueError``.
 
     For each claim of ``trace.cycles`` that holds (``_claim_holds``) and
     starts past the stretch before it, the rows of its first period are
     formatted once: each later row up to its stop is its slot number and
     the text of the row one period earlier.  The file is the same either
     way."""
+    if problems := _shape_problems(trace):
+        raise ValueError(f"ragged trace: {'; '.join(problems)}")
     n = trace.n_nodes
-    header = ["slot", "active", "switched", "packets"]
-    header += [f"battery_pre{u + 1}" for u in range(n)]
-    header += [f"battery_post{u + 1}" for u in range(n)]
-    header += [f"suppressed{u + 1}" for u in range(n)]
     # one %-template per row, the same text as csv.writer with %.17g floats
     row = ",".join(["%d"] * 3 + ["%.17g"] * (1 + 2 * n)) + ",%s\r\n"
     flags = [",".join(str(m >> u & 1) for u in range(n))
@@ -623,7 +635,7 @@ def write_trace_csv(trace: Trace, path) -> None:
 
     done = 0                    # entries written
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(",".join(_trace_header(n)) + "\r\n")
         for start, period, stop in sorted(
                 c for c in trace.cycles if _claim_holds(trace, c)):
             if start < done:
@@ -641,19 +653,19 @@ def write_trace_csv(trace: Trace, path) -> None:
         fh.writelines(rows(done, len(trace)))
 
 
-def _finite_cells(path, columns: dict, column: str) -> list:
+def _finite_cells(path, cells, column: str) -> list:
     """A chunk of a level or packets column as floats; nan and inf are
     refused."""
-    values = list(map(float, columns[column]))
+    values = list(map(float, cells))
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{path}: column {column!r} holds a value that is "
                          f"not finite")
     return values
 
 
-def _flag_cells(path, columns: dict, column: str) -> list:
+def _flag_cells(path, cells, column: str) -> list:
     """A chunk of a switched or suppressed column as ints 0 and 1."""
-    bits = list(map(int, columns[column]))
+    bits = list(map(int, cells))
     if not _BITS.issuperset(bits):
         raise ValueError(f"{path}: column {column!r} holds a value other "
                          f"than 0 or 1")
@@ -664,70 +676,56 @@ _BITS = frozenset((0, 1))
 
 
 def read_trace_csv(path) -> Trace:
-    """Read a trace written by ``write_trace_csv``.  The rows are turned
-    into columns ``_CSV_CHUNK`` at a time, so the file's text is never held
-    whole.  Every row must be as wide as the header, levels and packets
-    finite, flags 0 or 1, and the slot numbers must count up by one from
-    the first; a file that breaks one of these rules raises a
-    ``ValueError`` naming the file.  The trace is bare: the file holds no
-    ``params``, ``packet_mode``, ``initial_active`` or ``profile``."""
-    first = stop = None
+    """Read a trace written by ``write_trace_csv``: the header must be
+    ``_trace_header(n)`` for 1 to 8 nodes (the flag columns are
+    ``array('B')``), and the slots count up by one from 0.  The rows are
+    turned into columns by position, ``_CSV_CHUNK`` at a time, so the
+    file's text is never held whole.  Every row must be as wide as the
+    header, levels and packets finite and flags 0 or 1; a file that breaks
+    one of these rules raises a ``ValueError`` naming the file.  The trace
+    is bare: the file holds no ``params``, ``packet_mode``,
+    ``initial_active`` or ``profile``."""
     packets = _level_column()
     active, switched, suppressed = (array("B") for _ in range(3))
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        n = sum(1 for k in header if k.startswith("battery_pre"))
-        pre = tuple(_level_column() for _ in range(n))
-        post = tuple(_level_column() for _ in range(n))
+        n = (len(header) - 4) // 3
+        if not (1 <= n <= 8 and header == _trace_header(n)):
+            raise ValueError(f"{path}: header {','.join(header)!r} is not a "
+                             f"trace header for 1 to 8 nodes")
+        levels = tuple(_level_column() for _ in range(2 * n))
         width = {len(header)}
         for rows in iter(lambda: list(islice(reader, _CSV_CHUNK)), []):
             if not width.issuperset(map(len, rows)):
-                i, cells = next((i, len(r)) for i, r in enumerate(rows)
-                                if len(r) != len(header))
-                line = i + 2 + (0 if first is None else stop - first)
+                line, cells = next((k, len(r)) for k, r in
+                                   enumerate(rows, len(active) + 2)
+                                   if len(r) != len(header))
                 raise ValueError(f"{path}: line {line} has {cells} cells "
                                  f"where the header has {len(header)}")
-            columns = dict(zip(header, zip(*rows)))
-            try:
-                if not n:       # no level column names the node count
-                    raise KeyError("battery_pre1")
-                nodes = list(map(operator.sub, map(int, columns["active"]),
-                                 repeat(1)))
-                if min(nodes) < 0 or max(nodes) >= n:
-                    raise ValueError(f"{path}: active node number out of "
-                                     f"range")
-                active.extend(nodes)
-                slots = list(map(int, columns["slot"]))
-                if first is None:
-                    first = stop = slots[0]
-                want = list(range(stop, stop + len(slots)))
-                if slots != want:
-                    got, due = next(pair for pair in zip(slots, want)
-                                    if pair[0] != pair[1])
+            slots, nodes, flags, counts, *cols = zip(*rows)
+            nodes = list(map(operator.sub, map(int, nodes), repeat(1)))
+            if min(nodes) < 0 or max(nodes) >= n:
+                raise ValueError(f"{path}: active node number out of range")
+            for due, got in enumerate(map(int, slots), len(active)):
+                if got != due:
                     raise ValueError(f"{path}: slot {got} where slot {due} "
-                                     f"is due; slots count up by one")
-                stop += len(slots)
-                for u in range(n):
-                    pre[u].extend(_finite_cells(path, columns,
-                                                f"battery_pre{u + 1}"))
-                for u in range(n):
-                    post[u].extend(_finite_cells(path, columns,
-                                                 f"battery_post{u + 1}"))
-                # bit u of each slot's mask is node u's suppressed flag
-                masks = repeat(0, len(rows))
-                for u in range(n):
-                    bits = _flag_cells(path, columns, f"suppressed{u + 1}")
-                    masks = map(operator.or_, masks,
-                                map(operator.lshift, bits, repeat(u)))
-                suppressed.extend(masks)
-                switched.extend(_flag_cells(path, columns, "switched"))
-                packets.extend(_finite_cells(path, columns, "packets"))
-            except KeyError as exc:
-                raise ValueError(f"{path}: no column {exc.args[0]!r}") \
-                    from None
-    if first is None:
+                                     f"is due; slots count up by one from 0")
+            active.extend(nodes)
+            named = list(zip(cols, header[4:]))
+            for column, (cells, name) in zip(levels, named):
+                column.extend(_finite_cells(path, cells, name))
+            # bit u of each slot's mask is node u's suppressed flag
+            masks = repeat(0, len(rows))
+            for u, (cells, name) in enumerate(named[2 * n:]):
+                bits = _flag_cells(path, cells, name)
+                masks = map(operator.or_, masks,
+                            map(operator.lshift, bits, repeat(u)))
+            suppressed.extend(masks)
+            switched.extend(_flag_cells(path, flags, "switched"))
+            packets.extend(_finite_cells(path, counts, "packets"))
+    if not active:
         raise ValueError(f"{path}: empty trace")
-    return Trace(battery_pre=pre, battery_post=post, active=active,
-                 switched=switched, packets=packets, suppressed=suppressed,
-                 first_slot=first)
+    return Trace(battery_pre=levels[:n], battery_post=levels[n:],
+                 active=active, switched=switched, packets=packets,
+                 suppressed=suppressed)

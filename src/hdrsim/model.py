@@ -276,8 +276,8 @@ def default_state(params: SystemParams, packet_mode: str = FRACTIONAL,
                   active: int = 0) -> tuple:
     """The checked start of a run, ``(levels, active)``: half-full
     batteries and node 1 forwarding unless given.  Given levels must be
-    ints, floats or Fractions in ``[0, battery_capacity]``, ``active``
-    must name a node and ``packet_mode`` be one of ``PACKET_MODES``."""
+    ints, floats or Fractions in ``[0, battery_capacity]``, ``active`` an
+    int that names a node and ``packet_mode`` one of ``PACKET_MODES``."""
     if packet_mode not in PACKET_MODES:
         raise ValueError(f"unknown packet mode {packet_mode!r}")
     n = params.n_nodes
@@ -294,8 +294,9 @@ def default_state(params: SystemParams, packet_mode: str = FRACTIONAL,
                 raise ValueError(f"initial battery level of node {u + 1} "
                                  f"must be an int, float or Fraction in "
                                  f"[0, {cap}], got {b!r}")
-    if not 0 <= active < n:
-        raise ValueError(f"active node index {active} out of range")
+    if type(active) is not int or not 0 <= active < n:
+        raise ValueError(f"active node index {active!r} out of range; it "
+                         f"must be an int below {n}")
     return batteries, active
 
 
@@ -329,9 +330,9 @@ class Trace:
     switched      1 where the exchange handed the role over, else 0
     packets       packets the active node carries in the following slot
     suppressed    bit ``u`` set where node ``u`` withheld its status message
-    first_slot    slot number of the first entry; ``slots`` is the range
-                  from it, one per entry of ``active``, and ``n_nodes``
-                  the number of level columns
+
+    Entry ``k`` of each column is slot ``k``, so ``slots`` is
+    ``range(len(active))``; ``n_nodes`` is the number of level columns.
 
     Float runs keep levels and packets in ``array('d')`` columns and the
     flags in ``array('B')`` columns (so at most 8 nodes).  Runs with a
@@ -362,7 +363,6 @@ class Trace:
     switched: Sequence
     packets: Sequence
     suppressed: Sequence
-    first_slot: int = 0
     packet_mode: Optional[str] = None
     initial_active: Optional[int] = None
     params: Optional[SystemParams] = None
@@ -379,7 +379,7 @@ class Trace:
 
     @property
     def slots(self) -> range:
-        return range(self.first_slot, self.first_slot + len(self.active))
+        return range(len(self.active))
 
     @cached_property
     def records(self) -> list:

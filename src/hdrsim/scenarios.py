@@ -139,7 +139,7 @@ def windowed_stats(trace: Trace, window: int) -> list[WindowStats]:
             need -= k
         out.append(WindowStats(
             window=len(out),
-            start_slot=trace.slots[start],
+            start_slot=start,
             length=length,
             offered=offered,
             delivered=reduce(operator.add, islice(packets, length), 0),
@@ -186,8 +186,9 @@ def run_with_feedback(params: SystemParams, horizon: Optional[int] = None,
     is ignored (the controller owns the load).  The returned trace carries
     the effective profile: actual harvest and the load actually offered.
     """
-    if estimator_window < 1:
-        raise ValueError("estimator window must be at least one cycle")
+    if type(estimator_window) is not int or estimator_window < 1:
+        raise ValueError(f"estimator window {estimator_window!r} is not an "
+                         f"int >= 1")
     if profile is None and horizon is None:
         raise ValueError("horizon required when no profile is given")
     g = params.input_rate

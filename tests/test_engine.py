@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import importlib.resources
 import operator
+import re
 import tracemalloc
 from array import array
 from decimal import Decimal
@@ -360,7 +361,46 @@ def test_read_trace_csv_names_a_missing_level_column(tmp_path):
     path.write_text("\n".join(",".join(line.split(",")[i] for i in keep)
                               for line in [header, *rows]))
     with pytest.raises(ValueError,
-                       match="trace.csv: no column 'battery_pre1'"):
+                       match="trace.csv: header 'slot,active,switched,"
+                             "packets,battery_post1,.*' is not a trace "
+                             "header"):
+        read_trace_csv(path)
+
+
+HEADER = ("slot,active,switched,packets,battery_pre1,battery_pre2,"
+          "battery_post1,battery_post2,suppressed1,suppressed2").split(",")
+
+
+@pytest.mark.parametrize("header", [
+    HEADER[1::-1] + HEADER[2:],
+    HEADER[:4] + HEADER[6:8] + HEADER[4:6] + HEADER[8:],
+    HEADER + ["note"],
+    [name for name in HEADER if name != "battery_pre1"],
+], ids=["shuffled", "post-before-pre", "extra-column", "no-battery_pre1"])
+def test_read_trace_csv_refuses_a_header_it_does_not_write(tmp_path, header):
+    # the header is refused before any row is read
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run(diamond(), n_slots=5), path)
+    first, *rows = path.read_text().splitlines()
+    assert first.split(",") == HEADER
+    path.write_text("\n".join([",".join(header), *rows]))
+    with pytest.raises(ValueError, match="trace.csv: header '.*' is not a "
+                                         "trace header for 1 to 8 nodes"):
+        read_trace_csv(path)
+
+
+def test_read_trace_csv_refuses_nine_nodes(tmp_path):
+    # the flag columns are array('B'), which cannot hold a ninth node's bit
+    header = HEADER[:4] + [f"{name}{u}" for name in ("battery_pre",
+                                                     "battery_post",
+                                                     "suppressed")
+                           for u in range(1, 10)]
+    path = tmp_path / "trace.csv"
+    path.write_text(",".join(header) + "\n"
+                    + ",".join(["0", "9"] + ["0"] * 29) + "\n")
+    with pytest.raises(ValueError, match="trace.csv: header 'slot,.*,"
+                                         "suppressed9' is not a trace "
+                                         "header for 1 to 8 nodes"):
         read_trace_csv(path)
 
 
@@ -372,8 +412,8 @@ def rewrite_slots(path, slots):
 
 
 @pytest.mark.parametrize("slots, message", [
-    (range(1099, -1, -1), "slot 1098 where slot 1100 is due"),
-    ([5] * 1100, "slot 5 where slot 6 is due"),
+    (range(1099, -1, -1), "slot 1099 where slot 0 is due"),
+    ([5] * 1100, "slot 5 where slot 0 is due"),
     ([*range(1099), 1100], "slot 1100 where slot 1099 is due")],
     ids=["descending", "repeated", "gapped"])
 def test_read_trace_csv_rejects_slots_that_do_not_count_up(tmp_path, slots,
@@ -386,14 +426,38 @@ def test_read_trace_csv_rejects_slots_that_do_not_count_up(tmp_path, slots,
         read_trace_csv(path)
 
 
-def test_read_trace_csv_keeps_the_first_slot(tmp_path):
+def test_read_trace_csv_refuses_a_first_slot_other_than_0(tmp_path):
+    # entry k of a trace is slot k, so a file counts from 0
     path = tmp_path / "trace.csv"
-    trace = run(diamond(), n_slots=1100)
-    write_trace_csv(trace, path)
+    write_trace_csv(run(diamond(), n_slots=1100), path)
     rewrite_slots(path, range(7, 1107))
-    back = read_trace_csv(path)
-    assert back.slots == range(7, 1107)
-    assert back.switch_slots() == [k + 7 for k in trace.switch_slots()]
+    with pytest.raises(ValueError,
+                       match="trace.csv: slot 7 where slot 0 is due"):
+        read_trace_csv(path)
+
+
+@pytest.mark.parametrize("change, problem", [
+    (lambda t: {"packets": t.packets[:10]},
+     "column packets holds 10 entries, not 200"),
+    (lambda t: {"switched": t.switched[:10]},
+     "column switched holds 10 entries, not 200"),
+    (lambda t: {"suppressed": t.suppressed[:10]},
+     "column suppressed holds 10 entries, not 200"),
+    (lambda t: {"battery_post": (t.battery_post[0][:10], t.battery_post[1])},
+     "column battery_post[0] holds 10 entries, not 200"),
+    (lambda t: {"battery_post": t.battery_post[:1]},
+     "battery_post has 1 columns, not 2"),
+], ids=["packets", "switched", "suppressed", "battery_post[0]",
+        "one-post-column"])
+def test_a_ragged_trace_is_refused_by_the_audit_and_the_writer(
+        tmp_path, change, problem):
+    trace = run(diamond(), n_slots=200)
+    cut = dataclasses.replace(trace, **change(trace))
+    assert verify_trace(cut) == [problem]
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        write_trace_csv(cut, path)
+    assert not path.exists()
 
 
 @given(
@@ -632,6 +696,10 @@ def test_run_rejects_bad_initial_levels(levels):
     ({"initial_active": 2}, "active node index 2 out of range"),
     ({"profile": Profile((((0.1, 0.7, 0.8), 20.0, 10),))},
      "profile node count does not match parameters"),
+    ({"initial_active": True}, "active node index True out of range; it "
+                               "must be an int"),
+    ({"initial_active": 1.0}, "active node index 1.0 out of range"),
+    ({"initial_active": -0.0}, "active node index -0.0 out of range"),
 ])
 def test_run_refuses_a_start_or_profile_for_other_nodes(kwargs, message):
     with pytest.raises(ValueError, match=message):

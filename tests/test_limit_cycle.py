@@ -480,22 +480,16 @@ def test_a_claim_tells_equal_values_apart_by_bits_and_type(tmp_path):
         dataclasses.replace(trace, packets=bump(values, 4, 5)), claim)
 
 
-def test_a_claimed_tail_writes_its_own_slot_numbers(tmp_path):
-    # a re-read trace starting at slot 40 with a hand-made claim
-    params = diamond(**README_POINT)
-    trace = run(params, 6000)
+def test_a_file_of_a_trace_tail_is_refused(tmp_path):
+    # entry k of a trace is slot k, so a tail from slot 40 has no trace
+    trace = run(diamond(**README_POINT), 6000)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     lines = path.read_bytes().splitlines(keepends=True)
     (tmp_path / "tail.csv").write_bytes(b"".join(lines[:1] + lines[41:]))
-    back = read_trace_csv(tmp_path / "tail.csv")
-    assert back.cycles == () and back.slots[0] == 40
-    (start, period, stop), = trace.cycles
-    claimed = dataclasses.replace(back, cycles=((start - 40, period,
-                                                 stop - 40),))
-    assert engine._claim_holds(claimed, claimed.cycles[0])
-    assert csv_bytes(claimed, tmp_path, "again.csv") == \
-        (tmp_path / "tail.csv").read_bytes()
+    with pytest.raises(ValueError,
+                       match="tail.csv: slot 40 where slot 0 is due"):
+        read_trace_csv(tmp_path / "tail.csv")
 
 
 def rotation_stats(trace, warmup):

@@ -396,5 +396,9 @@ def test_feedback_rejects_bad_setup():
     params = diamond()
     with pytest.raises(ValueError):
         run_with_feedback(params, horizon=100, estimator_window=0)
+    for window in (True, 2.5):
+        with pytest.raises(ValueError, match=f"estimator window {window} is "
+                                             f"not an int"):
+            run_with_feedback(params, horizon=100, estimator_window=window)
     with pytest.raises(ValueError):
         run_with_feedback(params)  # neither horizon nor profile

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import CycleStats, SystemParams
+from .model import CycleStats, SystemParams, _left_sum
 
 __all__ = [
     "SteadyStateSummary",
@@ -56,7 +56,7 @@ class SteadyStateSummary:
 
     @property
     def cycle_packets_total(self):
-        return sum(self.cycle_packets)
+        return _left_sum(self.cycle_packets)
 
     @property
     def split(self) -> tuple:
@@ -288,7 +288,7 @@ def steady_input_rate(params: SystemParams):
     cr = params.switch_energy
     ct = params.status_energy
     n = params.n_nodes
-    tilde = sum(params.harvest_rates) - n * ct
+    tilde = _left_sum(params.harvest_rates) - n * ct
     if cr == 0:
         return tilde / params.packet_energy
     if n == 2:
@@ -314,7 +314,7 @@ def feedback_input_rate(measured_cycle_length, params: SystemParams):
     if measured_cycle_length <= 0:
         raise ValueError("cycle length must be positive")
     n = params.n_nodes
-    tilde = sum(params.harvest_rates) - n * params.status_energy
+    tilde = _left_sum(params.harvest_rates) - n * params.status_energy
     overhead = n * n * params.switch_energy / measured_cycle_length
     g = (tilde - overhead) / params.packet_energy
     if g <= 0:

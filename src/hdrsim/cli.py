@@ -19,7 +19,7 @@ import sys
 
 from . import analytic, engine, scenarios
 from .model import (PACKET_MODES, SystemParams, ThresholdPolicy,
-                    default_state, validate)
+                    _left_sum, default_state, validate)
 
 __all__ = ["main"]
 
@@ -43,7 +43,7 @@ def _fmt(x) -> str:
 
 def _load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
@@ -170,7 +170,8 @@ def cmd_run(args, cfg) -> int:
     engine.write_trace_csv(trace, os.path.join(out, "trace.csv"))
     summary = engine.summarize(trace, warmup=warmup)
     _print_summary(summary)
-    with open(os.path.join(out, "summary.csv"), "w") as fh:
+    with open(os.path.join(out, "summary.csv"), "w",
+              encoding="utf-8") as fh:
         fh.write("slots,packets_total,throughput,switches,cycles,"
                  "mean_cycle_length\n")
         mean = summary.mean_cycle_length
@@ -230,10 +231,11 @@ def cmd_compare(args, cfg) -> int:
         raise RuntimeError("no full cycles after warmup; nothing to compare")
 
     count = len(cycles)
-    sim_len = sum(c.length for c in cycles) / count
-    sim_thru = (sum(c.packets_total for c in cycles)
-                / sum(c.length for c in cycles))
-    sim_drift = sum(sum(c.drift) / len(c.drift) for c in cycles) / count
+    slots = _left_sum(c.length for c in cycles)
+    sim_len = slots / count
+    sim_thru = _left_sum(c.packets_total for c in cycles) / slots
+    sim_drift = _left_sum(_left_sum(c.drift) / len(c.drift)
+                          for c in cycles) / count
 
     def row(name, sim, ref):
         dev = "" if ref == 0 else _fmt((sim - ref) / ref)
@@ -313,7 +315,7 @@ def cmd_sweep(args, cfg) -> int:
                              _fmt(pred.drift)]) + "\n")
     if cfg.get("out"):
         path = os.path.join(_out_dir(cfg), "sweep.csv")
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text.getvalue())
         print(f"wrote {path}")
     else:
@@ -340,8 +342,8 @@ def cmd_scenario(args, cfg) -> int:
     print("window offered delivered")
     for w in stats:
         print(w.window, _fmt(w.offered), _fmt(w.delivered))
-    print("total_offered", _fmt(sum(w.offered for w in stats)))
-    print("total_delivered", _fmt(sum(w.delivered for w in stats)))
+    print("total_offered", _fmt(_left_sum(w.offered for w in stats)))
+    print("total_delivered", _fmt(_left_sum(w.delivered for w in stats)))
     if args.feedback and trace.feedback_log:
         last = trace.feedback_log[-1]
         print("feedback_updates", len(trace.feedback_log))

@@ -67,7 +67,6 @@ from 0: ``write_trace_csv`` writes it, copying the text of each stretch
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 import operator
@@ -85,6 +84,7 @@ from .model import (
     RunSummary,
     SystemParams,
     Trace,
+    _left_sum,
     _run_segments,
     default_state,
 )
@@ -371,27 +371,13 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
                  suppressed=suppressed, cycles=tuple(cycles))
 
 
-def _shape_problems(trace: Trace) -> list[str]:
-    """One line per column that does not hold ``len(trace)`` entries, and
-    one if ``battery_post`` and ``battery_pre`` differ in node count."""
-    named = [(f"{side}[{u}]", col) for side in ("battery_pre", "battery_post")
-             for u, col in enumerate(getattr(trace, side))]
-    named += [(k, getattr(trace, k)) for k in ("switched", "packets",
-                                                "suppressed")]
-    problems = [f"column {name} holds {len(col)} entries, not {len(trace)}"
-                for name, col in named if len(col) != len(trace)]
-    if len(trace.battery_post) != trace.n_nodes:
-        problems.append(f"battery_post has {len(trace.battery_post)} "
-                        f"columns, not {trace.n_nodes}")
-    return problems
-
-
 def _claim_holds(trace: Trace, claim) -> bool:
     """Whether ``claim``, one of ``trace.cycles``, is borne out by the
     columns: ``(start, period, stop)`` ints with ``0 <= start``, ``period
-    >= 1`` and ``start + period <= stop <= len(trace)``, a trace without
-    ``_shape_problems``, and every column equal from entry ``start +
-    period`` to ``stop`` to itself ``period`` entries earlier.  Arrays are
+    >= 1`` and ``start + period <= stop <= len(trace)``, and every column,
+    each ``len(trace)`` entries long as ``Trace`` ensures, equal from entry
+    ``start + period`` to ``stop`` to itself ``period`` entries earlier.
+    Arrays are
     compared by their bytes, since ``-0.0 == 0.0``; other columns entry by
     entry, by identity or else by type and repr (see ``_same_levels``).  A
     claim that fails costs its reader only speed."""
@@ -399,8 +385,7 @@ def _claim_holds(trace: Trace, claim) -> bool:
             and all(type(x) is int for x in claim)):
         return False
     start, period, stop = claim
-    if (not 0 <= start < start + period <= stop <= len(trace)
-            or _shape_problems(trace)):
+    if not 0 <= start < start + period <= stop <= len(trace):
         return False
     for column in (*trace.battery_pre, *trace.battery_post, trace.active,
                    trace.switched, trace.packets, trace.suppressed):
@@ -436,10 +421,17 @@ def _rotation_bounds(trace: Trace, first: int) -> list:
             if active[i] == 0]
 
 
+def _warmup_end(trace: Trace, warmup) -> int:
+    """The first entry after ``warmup`` slots, an int >= 0."""
+    if type(warmup) is not int or warmup < 0:
+        raise ValueError(f"warmup must be an int >= 0, got {warmup!r}")
+    return min(warmup, len(trace))
+
+
 def detect_cycles(trace: Trace, *, warmup: int = 0) -> list[CycleStats]:
     """Split the trace at handovers to node 1 and measure each full
-    rotation of the forwarding role."""
-    bounds = _rotation_bounds(trace, bisect.bisect_left(trace.slots, warmup))
+    rotation of the forwarding role after the first ``warmup`` slots."""
+    bounds = _rotation_bounds(trace, _warmup_end(trace, warmup))
     n = trace.n_nodes
     return [CycleStats(
         length=b - a,
@@ -451,17 +443,18 @@ def detect_cycles(trace: Trace, *, warmup: int = 0) -> list[CycleStats]:
 
 
 def summarize(trace: Trace, warmup: int = 0) -> RunSummary:
-    """Statistics of the trace's slots from ``warmup`` on: packets per node
-    (each summed in slot order), throughput, handovers, and the count and
-    mean length of the rotations ``detect_cycles`` finds.  The rotation
-    lengths telescope, so their mean is the span from the first handover
-    to node 1 to the last over their count, the same int over int as the
-    sum of the lengths over the count, without building the rotations."""
-    first = bisect.bisect_left(trace.slots, warmup)
+    """Statistics of the trace's slots after the first ``warmup``: packets
+    per node (each a left fold in slot order), throughput, handovers, and
+    the count and mean length of the rotations ``detect_cycles`` finds.
+    The rotation lengths telescope, so their mean is the span from the
+    first handover to node 1 to the last over their count, the same int
+    over int as the sum of the lengths over the count, without building
+    the rotations."""
+    first = _warmup_end(trace, warmup)
     slots = len(trace) - first
     per_node = _node_totals(trace.active[first:], trace.packets[first:],
                             trace.n_nodes)
-    total = sum(per_node)
+    total = _left_sum(per_node)
     bounds = _rotation_bounds(trace, first)
     count = max(len(bounds) - 1, 0)
     mean_len = (bounds[-1] - bounds[0]) / count if count else None
@@ -529,20 +522,19 @@ def verify_trace(trace: Trace, *, tol: float = 1e-9) -> list[str]:
     Replays every slot from its own recorded levels and checks the handover
     decision, control charges, packet count and resulting levels, plus
     battery bounds and the energy balance.  Returns human-readable
-    violation strings, only the ``_shape_problems`` of a ragged trace; an
-    empty list means the trace is consistent.  The run's context comes
-    from the trace alone: ``params``, ``packet_mode``, ``initial_active``
-    and ``profile``.  A trace that lacks one of the first three, such as a
-    re-read one, raises a ``ValueError``.
+    violation strings; an empty list means the trace follows the model.
+    The run's context comes from the trace alone: ``params``,
+    ``packet_mode``, ``initial_active`` and ``profile``.  A trace that
+    lacks one of the first three, such as a re-read one, raises a
+    ``ValueError``.  ``Trace`` has checked the columns' shape and context.
     """
     missing = [name for name in ("params", "packet_mode", "initial_active")
                if getattr(trace, name) is None]
     if missing:
         raise ValueError(f"trace lacks its run's {', '.join(missing)}; put "
                          f"the context back with dataclasses.replace")
-    if problems := _shape_problems(trace):
-        return problems
     p = trace.params
+    problems = []
     report = problems.append
     nodes = range(p.n_nodes)
     low, high = -tol, p.battery_capacity + tol
@@ -606,16 +598,13 @@ def _trace_header(n: int) -> list[str]:
 
 def write_trace_csv(trace: Trace, path) -> None:
     """Node indices are 1-based in the file; floats keep full precision.
-    A trace of a ragged shape (``_shape_problems``) raises a
-    ``ValueError``.
+    Every column holds one entry per row, as ``Trace`` ensures.
 
     For each claim of ``trace.cycles`` that holds (``_claim_holds``) and
     starts past the stretch before it, the rows of its first period are
     formatted once: each later row up to its stop is its slot number and
     the text of the row one period earlier.  The file is the same either
     way."""
-    if problems := _shape_problems(trace):
-        raise ValueError(f"ragged trace: {'; '.join(problems)}")
     n = trace.n_nodes
     # one %-template per row, the same text as csv.writer with %.17g floats
     row = ",".join(["%d"] * 3 + ["%.17g"] * (1 + 2 * n)) + ",%s\r\n"
@@ -634,7 +623,7 @@ def write_trace_csv(trace: Trace, path) -> None:
         return map(row.__mod__, zip(*cols))
 
     done = 0                    # entries written
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_trace_header(n)) + "\r\n")
         for start, period, stop in sorted(
                 c for c in trace.cycles if _claim_holds(trace, c)):
@@ -687,7 +676,7 @@ def read_trace_csv(path) -> Trace:
     ``initial_active`` or ``profile``."""
     packets = _level_column()
     active, switched, suppressed = (array("B") for _ in range(3))
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         n = (len(header) - 4) // 3

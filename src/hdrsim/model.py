@@ -14,9 +14,10 @@ production paths use floats.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, compress, repeat
 from typing import NamedTuple, Optional, Sequence
 
@@ -67,6 +68,13 @@ def _finite_numbers(values) -> bool:
     return NUMBER_TYPES.issuperset(map(type, values)) and _all_finite(values)
 
 
+def _left_sum(values):
+    """``values`` added left to right from int 0, as ``sum`` adds them up
+    to Python 3.11; from 3.12 on ``sum`` compensates float sums, so its
+    bits depend on the Python version."""
+    return reduce(operator.add, values, 0)
+
+
 def _finite(name: str, value) -> bool:
     """``math.isfinite`` for one number of the field ``name``, raising a
     ``ValueError`` naming the field for an int or Fraction too large for a
@@ -111,7 +119,7 @@ class ThresholdPolicy:
 
     @property
     def total(self):
-        return sum(self.values)
+        return _left_sum(self.values)
 
     @property
     def threshold1(self):
@@ -319,7 +327,7 @@ class SlotRecord(NamedTuple):
     suppressed: tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trace:
     """A finished run, one column per quantity rather than one object per
     slot.
@@ -333,6 +341,13 @@ class Trace:
 
     Entry ``k`` of each column is slot ``k``, so ``slots`` is
     ``range(len(active))``; ``n_nodes`` is the number of level columns.
+
+    A trace is frozen and consistent by construction.  The constructor,
+    which ``run``, ``read_trace_csv`` and ``dataclasses.replace`` all call,
+    raises one ``ValueError`` listing every ragged column and every part
+    of the context that does not fit the columns: ``params`` or
+    ``profile`` for another node count, a profile shorter than the trace,
+    an unknown ``packet_mode``, an ``initial_active`` not naming a node.
 
     Float runs keep levels and packets in ``array('d')`` columns and the
     flags in ``array('B')`` columns (so at most 8 nodes).  Runs with a
@@ -369,6 +384,35 @@ class Trace:
     profile: Optional["Profile"] = None
     feedback_log: list = field(default_factory=list)
     cycles: tuple = field(default=(), compare=False)
+
+    def __post_init__(self):
+        n, size = len(self.battery_pre), len(self.active)
+        named = [(f"{side}[{u}]", col)
+                 for side in ("battery_pre", "battery_post")
+                 for u, col in enumerate(getattr(self, side))]
+        named += [(k, getattr(self, k)) for k in ("switched", "packets",
+                                                   "suppressed")]
+        problems = [f"column {name} holds {len(col)} entries, not {size}"
+                    for name, col in named if len(col) != size]
+        if len(self.battery_post) != n:
+            problems.append(f"battery_post has {len(self.battery_post)} "
+                            f"columns, not {n}")
+        for name in ("params", "profile"):
+            context = getattr(self, name)
+            if context is not None and context.n_nodes != n:
+                problems.append(f"{name} for {context.n_nodes} nodes on a "
+                                f"trace of {n}")
+        if self.profile is not None and self.profile.length < size:
+            problems.append(f"profile shorter than the trace: "
+                            f"{self.profile.length} slots, not {size}")
+        if self.packet_mode not in (None, *PACKET_MODES):
+            problems.append(f"unknown packet mode {self.packet_mode!r}")
+        first = self.initial_active
+        if first is not None and not (type(first) is int and 0 <= first < n):
+            problems.append(f"initial_active {first!r} is not an int "
+                            f"below {n}")
+        if problems:
+            raise ValueError(f"inconsistent trace: {'; '.join(problems)}")
 
     def __len__(self):
         return len(self.active)
@@ -429,7 +473,7 @@ class CycleStats:
 
     @property
     def packets_total(self):
-        return sum(self.packets)
+        return _left_sum(self.packets)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .analytic import feedback_input_rate
 from .engine import run
-from .model import FRACTIONAL, Profile, SystemParams, Trace
+from .model import FRACTIONAL, Profile, SystemParams, Trace, _left_sum
 
 __all__ = [
     "WindowStats",
@@ -52,7 +52,7 @@ def load_profile(source) -> Profile:
     if hasattr(source, "read"):
         rows = list(csv.reader(source))
     else:
-        with open(source, newline="") as fh:
+        with open(source, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows:
@@ -142,10 +142,10 @@ def windowed_stats(trace: Trace, window: int) -> list[WindowStats]:
             start_slot=start,
             length=length,
             offered=offered,
-            delivered=reduce(operator.add, islice(packets, length), 0),
+            delivered=_left_sum(islice(packets, length)),
             harvested=tuple(harvested),
-            mean_battery=tuple(reduce(operator.add, islice(col, length), 0)
-                               / length for col in levels),
+            mean_battery=tuple(_left_sum(islice(col, length)) / length
+                               for col in levels),
         ))
     return out
 
@@ -154,7 +154,7 @@ def write_window_stats_csv(stats: list[WindowStats], path) -> None:
     if not stats:
         raise ValueError("no windows to write")
     n = len(stats[0].harvested)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["window", "offered", "delivered"]
                    + [f"harvest{u + 1}" for u in range(n)])
@@ -217,5 +217,4 @@ def run_with_feedback(params: SystemParams, horizon: Optional[int] = None,
     trace = run(params, n_slots=horizon, profile=profile,
                 packet_mode=packet_mode, initial_batteries=initial_batteries,
                 initial_active=initial_active, steer=steer)
-    trace.feedback_log = feedback_log
-    return trace
+    return replace(trace, feedback_log=feedback_log)

@@ -12,8 +12,11 @@ from functools import reduce
 
 import pytest
 
-from hdrsim import analytic, read_trace_csv
+from hdrsim import (ThresholdPolicy, analytic, read_trace_csv,
+                    run_with_feedback)
 from hdrsim.cli import ConfigError, _parse_axis, main
+
+from conftest import three
 
 FLAT = str(importlib.resources.files("hdrsim") / "data"
            / "harvest_flat_input.csv")
@@ -31,7 +34,7 @@ def write_config(path, **overrides):
     }
     cfg.update(overrides)
     cfg = {k: v for k, v in cfg.items() if v is not None}
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(cfg), encoding="utf-8")
     return str(path)
 
 
@@ -64,7 +67,8 @@ def test_run_writes_artifacts(config, tmp_path, capsys):
     assert (tmp_path / "out" / "summary.csv").exists()
     trace = read_trace_csv(tmp_path / "out" / "trace.csv")
     assert len(trace.records) == 400
-    header = (tmp_path / "out" / "summary.csv").read_text().splitlines()[0]
+    header = (tmp_path / "out" / "summary.csv").read_text(
+        encoding="utf-8").splitlines()[0]
     assert header.startswith("slots,packets_total,throughput")
 
 
@@ -143,13 +147,13 @@ def test_missing_config_file(tmp_path):
 
 def test_invalid_json(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
+    bad.write_text("{not json", encoding="utf-8")
     assert main(["run", "--config", str(bad)]) == 1
 
 
 def test_config_that_is_not_an_object(tmp_path, capsys):
     path = tmp_path / "c.json"
-    path.write_text("[1, 2]")
+    path.write_text("[1, 2]", encoding="utf-8")
     assert main(["run", "--config", str(path)]) == 1
     assert "config must be a JSON object" in capsys.readouterr().err
 
@@ -200,9 +204,9 @@ def test_run_key_of_the_wrong_type_is_a_config_error(tmp_path, capsys, key,
     path = tmp_path / "c.json"
     write_config(path, out=str(tmp_path / "out"))
     # write_config drops None values; this probe needs a JSON null
-    cfg = json.loads(path.read_text())
+    cfg = json.loads(path.read_text(encoding="utf-8"))
     cfg[key] = value
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["run", "--config", str(path)]) == 1
     assert f"{key} must" in capsys.readouterr().err
 
@@ -234,7 +238,8 @@ def test_bad_initial_batteries(tmp_path, capsys, levels):
     path = tmp_path / "c.json"
     write_config(path, initial_batteries=levels, out=str(tmp_path / "out"))
     # strict JSON has no NaN, but Python's json module reads the literal
-    path.write_text(path.read_text().replace('"NaN"', "NaN"))
+    path.write_text(path.read_text(encoding="utf-8").replace('"NaN"', "NaN"),
+                    encoding="utf-8")
     assert main(["run", "--config", str(path)]) == 1
     assert "initial battery level" in capsys.readouterr().err
 
@@ -339,7 +344,8 @@ def test_sweep_to_file(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", out=str(tmp_path / "out"))
     assert main(["sweep", "--config", cfg, "--axis", "g=16:18:0.5"]) == 0
     assert "wrote" in capsys.readouterr().out
-    lines = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
+    lines = (tmp_path / "out" / "sweep.csv").read_text(
+        encoding="utf-8").strip().splitlines()
     assert len(lines) == 6  # header + 5 points, endpoints included
 
 
@@ -575,7 +581,8 @@ def test_scenario_replays_profile(tmp_path, capsys):
     assert float(got["total_delivered"]) < 48000.0
     assert (tmp_path / "out" / "windows.csv").exists()
     assert (tmp_path / "out" / "trace.csv").exists()
-    windows = (tmp_path / "out" / "windows.csv").read_text().splitlines()
+    windows = (tmp_path / "out" / "windows.csv").read_text(
+        encoding="utf-8").splitlines()
     assert len(windows) == 9  # header + 8 kiloslot windows
 
 
@@ -747,7 +754,7 @@ GOLDEN_SEEDED_SCENARIO = {
 @pytest.mark.parametrize("feedback", [False, True])
 def test_scenario_seeded_profile_golden(tmp_path, capsys, feedback):
     profile = tmp_path / "profile.csv"
-    profile.write_text(seeded_profile_csv())
+    profile.write_text(seeded_profile_csv(), encoding="utf-8")
     cfg = write_config(tmp_path / "c.json", harvest_rates=[0.3, 0.2],
                        input_rate=6.0, thresholds=[10.0, 10.0], horizon=None,
                        profile=str(profile), initial_batteries=[40.0, 40.0],
@@ -828,10 +835,31 @@ def test_scenario_goldens_hold_under_a_compensated_sum(tmp_path, capsys,
         test_scenario_seeded_profile_golden(tmp_path, capsys, case)
 
 
+def float_sum_probes():
+    """A threshold total of three floats, and the last load and packets
+    column of a three-relay feedback run, which adds three harvest rates
+    whenever the controller steers."""
+    params = three(e=(0.1, 0.2, 0.3), g=10.0, c=0.08, ct=0.001, cr=0.01,
+                   h=(5.0, 5.0, 5.0))
+    trace = run_with_feedback(params, horizon=20_000)
+    return (ThresholdPolicy((0.1, 0.2, 0.3)).total, trace.feedback_log[-1][2],
+            trace.packets.tobytes())
+
+
+def test_float_sums_do_not_depend_on_the_python_version(monkeypatch):
+    plain = float_sum_probes()
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert float_sum_probes() == plain
+
+
+def test_a_threshold_total_adds_left_to_right():
+    assert ThresholdPolicy((0.1, 0.2, 0.3)).total == 0.1 + 0.2 + 0.3
+
+
 def test_scenario_on_a_header_only_profile_is_a_config_error(tmp_path,
                                                              capsys):
     profile = tmp_path / "profile.csv"
-    profile.write_text("slot_range,e1,e2,g\n")
+    profile.write_text("slot_range,e1,e2,g\n", encoding="utf-8")
     cfg = write_config(tmp_path / "c.json", horizon=None,
                        profile=str(profile), out=str(tmp_path / "out"))
     assert main(["scenario", "--config", cfg]) == 1

@@ -23,6 +23,7 @@ from hdrsim import (
     load_profile,
     read_trace_csv,
     run,
+    run_with_feedback,
     summarize,
     verify_trace,
     windowed_stats,
@@ -206,6 +207,25 @@ def test_summarize_matches_manual_accounting():
     assert sum(s.node_share) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("warmup, message", [
+    (-5, "warmup must be an int >= 0, got -5"),
+    (2.5, "warmup must be an int >= 0, got 2.5"),
+    (True, "warmup must be an int >= 0, got True"),
+], ids=["negative", "float", "bool"])
+def test_warmup_is_a_slot_count(warmup, message):
+    trace = run(diamond(), n_slots=200)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        summarize(trace, warmup=warmup)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        detect_cycles(trace, warmup=warmup)
+
+
+def test_a_warmup_past_the_end_leaves_no_slot():
+    trace = run(diamond(), n_slots=200)
+    assert summarize(trace, warmup=250).slots == 0
+    assert detect_cycles(trace, warmup=250) == []
+
+
 def test_energy_ledger_closes():
     params = diamond(e=(0.8, 0.6), g=17.5, h=(5, 5), ct=0.01, cr=0.05)
     trace = run(params, n_slots=400)
@@ -296,8 +316,8 @@ def test_a_re_read_trace_audits_clean_in_its_run_context(tmp_path, make):
 def test_read_trace_csv_refuses_a_header_only_file(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(run(diamond(), n_slots=5), path)
-    header = path.read_text().splitlines()[0]
-    path.write_text(header + "\n")
+    header = path.read_text(encoding="utf-8").splitlines()[0]
+    path.write_text(header + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="trace.csv: empty trace"):
         read_trace_csv(path)
 
@@ -306,10 +326,11 @@ def test_read_trace_csv_refuses_a_header_only_file(tmp_path):
 def test_read_trace_csv_rejects_unknown_nodes(tmp_path, value):
     path = tmp_path / "trace.csv"
     write_trace_csv(run(diamond(), n_slots=5), path)
-    header, first, *rest = path.read_text().splitlines()
+    header, first, *rest = path.read_text(encoding="utf-8").splitlines()
     cells = dict(zip(header.split(","), first.split(",")))
     cells["active"] = value
-    path.write_text("\n".join([header, ",".join(cells.values()), *rest]))
+    path.write_text("\n".join([header, ",".join(cells.values()), *rest]),
+                    encoding="utf-8")
     with pytest.raises(ValueError, match="out of range"):
         read_trace_csv(path)
 
@@ -324,11 +345,11 @@ def test_read_trace_csv_rejects_bad_cells(tmp_path, column, value, problem):
     # the bad cell sits in the last row, past the first chunk of rows
     path = tmp_path / "trace.csv"
     write_trace_csv(run(diamond(), n_slots=1100), path)
-    header, *rows = path.read_text().splitlines()
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
     cells = dict(zip(header.split(","), rows[-1].split(",")))
     cells[column] = value
     rows[-1] = ",".join(cells.values())
-    path.write_text("\n".join([header, *rows]))
+    path.write_text("\n".join([header, *rows]), encoding="utf-8")
     with pytest.raises(ValueError, match=f"trace.csv: column '{column}' "
                                          f"holds a value {problem}"):
         read_trace_csv(path)
@@ -342,10 +363,10 @@ def test_read_trace_csv_rejects_rows_of_another_width(tmp_path, n_slots, row,
                                                       change):
     path = tmp_path / "trace.csv"
     write_trace_csv(run(diamond(), n_slots=n_slots), path)
-    header, *rows = path.read_text().splitlines()
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
     cells = change(rows[row].split(","))
     rows[row] = ",".join(cells)
-    path.write_text("\n".join([header, *rows]))
+    path.write_text("\n".join([header, *rows]), encoding="utf-8")
     with pytest.raises(ValueError, match=f"trace.csv: line {row + 2} has "
                                          f"{len(cells)} cells where the "
                                          f"header has 10"):
@@ -355,11 +376,11 @@ def test_read_trace_csv_rejects_rows_of_another_width(tmp_path, n_slots, row,
 def test_read_trace_csv_names_a_missing_level_column(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(run(diamond(), n_slots=5), path)
-    header, *rows = path.read_text().splitlines()
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
     keep = [i for i, name in enumerate(header.split(","))
             if not name.startswith("battery_pre")]
     path.write_text("\n".join(",".join(line.split(",")[i] for i in keep)
-                              for line in [header, *rows]))
+                              for line in [header, *rows]), encoding="utf-8")
     with pytest.raises(ValueError,
                        match="trace.csv: header 'slot,active,switched,"
                              "packets,battery_post1,.*' is not a trace "
@@ -381,9 +402,9 @@ def test_read_trace_csv_refuses_a_header_it_does_not_write(tmp_path, header):
     # the header is refused before any row is read
     path = tmp_path / "trace.csv"
     write_trace_csv(run(diamond(), n_slots=5), path)
-    first, *rows = path.read_text().splitlines()
+    first, *rows = path.read_text(encoding="utf-8").splitlines()
     assert first.split(",") == HEADER
-    path.write_text("\n".join([",".join(header), *rows]))
+    path.write_text("\n".join([",".join(header), *rows]), encoding="utf-8")
     with pytest.raises(ValueError, match="trace.csv: header '.*' is not a "
                                          "trace header for 1 to 8 nodes"):
         read_trace_csv(path)
@@ -397,7 +418,8 @@ def test_read_trace_csv_refuses_nine_nodes(tmp_path):
                            for u in range(1, 10)]
     path = tmp_path / "trace.csv"
     path.write_text(",".join(header) + "\n"
-                    + ",".join(["0", "9"] + ["0"] * 29) + "\n")
+                    + ",".join(["0", "9"] + ["0"] * 29) + "\n",
+                    encoding="utf-8")
     with pytest.raises(ValueError, match="trace.csv: header 'slot,.*,"
                                          "suppressed9' is not a trace "
                                          "header for 1 to 8 nodes"):
@@ -405,10 +427,10 @@ def test_read_trace_csv_refuses_nine_nodes(tmp_path):
 
 
 def rewrite_slots(path, slots):
-    header, *rows = path.read_text().splitlines()
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
     rows = [",".join([str(k), row.split(",", 1)[1]])
             for k, row in zip(slots, rows)]
-    path.write_text("\n".join([header, *rows]))
+    path.write_text("\n".join([header, *rows]), encoding="utf-8")
 
 
 @pytest.mark.parametrize("slots, message", [
@@ -450,14 +472,54 @@ def test_read_trace_csv_refuses_a_first_slot_other_than_0(tmp_path):
 ], ids=["packets", "switched", "suppressed", "battery_post[0]",
         "one-post-column"])
 def test_a_ragged_trace_is_refused_by_the_audit_and_the_writer(
-        tmp_path, change, problem):
+        change, problem):
+    # the constructor refuses it, so neither the audit nor the writer is
+    # ever handed one
     trace = run(diamond(), n_slots=200)
-    cut = dataclasses.replace(trace, **change(trace))
-    assert verify_trace(cut) == [problem]
-    path = tmp_path / "trace.csv"
     with pytest.raises(ValueError, match=re.escape(problem)):
-        write_trace_csv(cut, path)
-    assert not path.exists()
+        dataclasses.replace(trace, **change(trace))
+
+
+@pytest.mark.parametrize("change, problem", [
+    ({"params": three()}, "params for 3 nodes on a trace of 2"),
+    ({"profile": Profile((((0.8, 0.6, 0.5), 17.5, 200),))},
+     "profile for 3 nodes on a trace of 2"),
+    ({"profile": constant_profile(diamond(), 199)},
+     "profile shorter than the trace: 199 slots, not 200"),
+    ({"packet_mode": "bogus"}, "unknown packet mode 'bogus'"),
+    ({"packet_mode": "Whole"}, "unknown packet mode 'Whole'"),
+    ({"initial_active": -1}, "initial_active -1 is not an int below 2"),
+    ({"initial_active": 5}, "initial_active 5 is not an int below 2"),
+    ({"initial_active": True}, "initial_active True is not an int below 2"),
+], ids=["params-3-nodes", "profile-3-nodes", "short-profile", "bogus-mode",
+        "capitalised-mode", "active-negative", "active-5", "active-bool"])
+def test_a_context_that_does_not_fit_the_columns_is_refused(change,
+                                                            problem):
+    trace = run(diamond(), n_slots=200)
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        dataclasses.replace(trace, **change)
+
+
+def test_the_constructor_lists_every_problem_at_once():
+    trace = run(diamond(), n_slots=200)
+    with pytest.raises(ValueError) as caught:
+        dataclasses.replace(trace, packets=trace.packets[:10],
+                            params=three(), packet_mode="bogus")
+    assert str(caught.value) == (
+        "inconsistent trace: column packets holds 10 entries, not 200; "
+        "params for 3 nodes on a trace of 2; unknown packet mode 'bogus'")
+
+
+def test_a_finished_trace_is_frozen():
+    trace = run(diamond(), n_slots=200)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.packets = trace.packets[:10]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.feedback_log = [(0, 1.0, 2.0, False)]
+    # the feedback run hands its log to a copy of the steered trace
+    steered = run_with_feedback(diamond(ct=0.01, cr=0.05), horizon=3000)
+    assert len(steered.feedback_log) > 0
+    assert steered.feedback_log[0][1] > 0
 
 
 @given(

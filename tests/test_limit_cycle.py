@@ -453,9 +453,9 @@ def test_a_stale_claim_fails_in_every_column(claimed):
     for column, change in mutants(claimed, len(claimed) - 1, 1, 1, 0):
         stale = dataclasses.replace(claimed, **change)
         assert not engine._claim_holds(stale, claim), column
-    # a column shorter than the trace
-    short = dataclasses.replace(claimed, packets=claimed.packets[:-1])
-    assert not engine._claim_holds(short, claim)
+    # a column shorter than the trace makes no trace to hold a claim
+    with pytest.raises(ValueError, match="column packets holds"):
+        dataclasses.replace(claimed, packets=claimed.packets[:-1])
 
 
 def test_a_claim_tells_equal_values_apart_by_bits_and_type(tmp_path):

@@ -10,7 +10,7 @@ import hdrsim
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-README = (ROOT / "README.md").read_text()
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_import_loads_only_the_standard_library():
@@ -19,7 +19,8 @@ def test_import_loads_only_the_standard_library():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import hdrsim; "
             "print(*{m.partition('.')[0] for m in sys.modules})")
     out = subprocess.run([sys.executable, "-S", "-E", "-c", code, str(SRC)],
-                         capture_output=True, text=True, check=True).stdout
+                         capture_output=True, text=True, encoding="utf-8",
+                         check=True).stdout
     loaded = set(out.split()) - sys.stdlib_module_names
     assert loaded == {"__main__", "hdrsim"}
 
@@ -34,7 +35,7 @@ def test_readme_python_example_runs():
     proc = subprocess.run([sys.executable, "-c",
                            "import sys; sys.path.insert(0, sys.argv[1])\n"
                            + code, str(SRC)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, encoding="utf-8")
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.split()) == 2       # throughput, steady rate
 

@@ -294,7 +294,7 @@ def test_window_stats_csv(tmp_path):
     stats = windowed_stats(trace, 500)
     out = tmp_path / "windows.csv"
     write_window_stats_csv(stats, out)
-    lines = out.read_text().strip().splitlines()
+    lines = out.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "window,offered,delivered,harvest1,harvest2"
     assert len(lines) == 5
     with pytest.raises(ValueError):

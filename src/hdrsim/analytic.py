@@ -284,11 +284,18 @@ def steady_input_rate(params: SystemParams):
     root is returned.  With zero control cost it collapses to total harvest
     over packet energy.
     """
+    return _steady_rate(params, _left_sum(params.harvest_rates))
+
+
+def _steady_rate(params: SystemParams, harvest):
+    """``steady_input_rate`` of ``params``, whose harvest rates add up to
+    ``harvest`` (their left fold), so that a sweep that keeps them adds
+    them once."""
     h = params.thresholds.total
     cr = params.switch_energy
     ct = params.status_energy
     n = params.n_nodes
-    tilde = _left_sum(params.harvest_rates) - n * ct
+    tilde = harvest - n * ct
     if cr == 0:
         return tilde / params.packet_energy
     if n == 2:

@@ -281,8 +281,9 @@ def _parse_axis(spec: str):
 def cmd_sweep(args, cfg) -> int:
     """Closed-form results at each point of an ``h`` or ``g`` axis.  What
     the axis leaves alone is worked out once: the other fields, the
-    thresholds' total and rule, the closed form.  Each point is still a
-    ``SystemParams`` built, and so checked, in full."""
+    thresholds' total and rule, the harvest rates' sum, the closed form.
+    Each point is still a ``SystemParams`` built, and so checked, in
+    full."""
     params = _build_params(cfg)
     name, values = _parse_axis(args.axis)
     e, g, c, ths = (params.harvest_rates, params.input_rate,
@@ -302,6 +303,7 @@ def cmd_sweep(args, cfg) -> int:
     else:
         raise ConfigError(f"unsupported sweep axis {name!r}; use h or g")
     predict = _closed_form(params)
+    harvest = _left_sum(e)
 
     # a point that fails leaves stdout and the output file untouched, so
     # the lines collect in a buffer until the last point is done
@@ -310,7 +312,8 @@ def cmd_sweep(args, cfg) -> int:
     for v in values:
         local = at(v)
         pred = predict(local)
-        text.write(",".join([_fmt(v), _fmt(analytic.steady_input_rate(local)),
+        text.write(",".join([_fmt(v),
+                             _fmt(analytic._steady_rate(local, harvest)),
                              _fmt(pred.cycle_length), _split_text(pred),
                              _fmt(pred.drift)]) + "\n")
     if cfg.get("out"):

@@ -62,12 +62,14 @@ still replays every slot, the copied ones included.
 
 A trace file has one layout, ``_trace_header(n)`` over one row per slot
 from 0: ``write_trace_csv`` writes it, copying the text of each stretch
-``_claim_holds`` confirms, and ``read_trace_csv`` accepts no other.
+``_claim_holds`` confirms, and ``read_trace_csv`` accepts no other.  The
+reader splits the rows itself, with no ``csv`` module, and parses each
+distinct row text once per chunk of lines, so the rows of a copied stretch
+cost it little more than their slot numbers.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 from array import array
@@ -586,7 +588,7 @@ def verify_trace(trace: Trace, *, tol: float = 1e-9) -> list[str]:
 # trace persistence
 # ---------------------------------------------------------------------------
 
-_CSV_CHUNK = 1024       # rows read_trace_csv holds as text at once
+_CSV_CHUNK = 1024       # lines read_trace_csv holds as text at once
 
 
 def _trace_header(n: int) -> list[str]:
@@ -642,77 +644,163 @@ def write_trace_csv(trace: Trace, path) -> None:
         fh.writelines(rows(done, len(trace)))
 
 
+def _not_a(path, column: str, kind: str, cell) -> ValueError:
+    return ValueError(f"{path}: column {column!r} holds a value that is not "
+                      f"{kind}: {cell!r}")
+
+
 def _finite_cells(path, cells, column: str) -> list:
-    """A chunk of a level or packets column as floats; nan and inf are
-    refused."""
-    values = list(map(float, cells))
+    """A level or packets column as floats.  Every cell must be a number
+    as ``float`` reads it, less what ``float`` also skips and ``%.17g``
+    never writes (whitespace, ``_`` and non-ASCII digits), and finite."""
+    try:
+        values = list(map(float, cells))
+        plain = _plain("".join(cells))
+    except ValueError:
+        plain = False
+    if not plain:
+        bad = next(cell for cell in cells
+                   if not (_plain(cell) and _is_float(cell)))
+        raise _not_a(path, column, "a number", bad)
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{path}: column {column!r} holds a value that is "
                          f"not finite")
     return values
 
 
+# the ASCII characters float() skips: whitespace, and "_" between digits
+_SKIPPED = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f_"
+
+
+def _plain(text: str) -> bool:
+    """Whether ``text`` is ASCII without a character ``float`` skips."""
+    return text.isascii() and not any(map(text.__contains__, _SKIPPED))
+
+
+def _is_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_int(cell: str) -> bool:
+    """Whether ``cell`` is an int as ``%d`` writes it."""
+    try:
+        return str(int(cell)) == cell
+    except ValueError:
+        return False
+
+
 def _flag_cells(path, cells, column: str) -> list:
-    """A chunk of a switched or suppressed column as ints 0 and 1."""
-    bits = list(map(int, cells))
-    if not _BITS.issuperset(bits):
+    """A switched or suppressed column as ints 0 and 1, read from the
+    cells ``0`` and ``1`` only."""
+    try:
+        return list(map(_BITS.__getitem__, cells))
+    except KeyError:
         raise ValueError(f"{path}: column {column!r} holds a value other "
-                         f"than 0 or 1")
-    return bits
+                         f"than 0 or 1") from None
 
 
-_BITS = frozenset((0, 1))
+_BITS = {"0": 0, "1": 1}
+
+
+def _node_cells(path, cells, n: int) -> list:
+    """An active column as node indices from 0, read from the cells ``1``
+    to ``n`` only."""
+    nodes = {str(u + 1): u for u in range(n)}
+    try:
+        return list(map(nodes.__getitem__, cells))
+    except KeyError:
+        bad = next(cell for cell in cells if cell not in nodes)
+    if _is_int(bad):
+        raise ValueError(f"{path}: active node number out of range")
+    raise _not_a(path, "active", "a node number", bad)
+
+
+def _chunk_bodies(path, lines, first: int, width: int) -> tuple:
+    """The rows of ``lines``, numbered from slot ``first``, each less its
+    slot number and the comma after it, with the newline kept; every row
+    must hold ``width`` cells after its slot number, and the slots count up
+    by one."""
+    slots, _, bodies = zip(*map(str.partition, lines, repeat(",")))
+    distinct = dict.fromkeys(bodies)
+    if not {width - 1}.issuperset(map(str.count, distinct, repeat(","))):
+        k, line = next((k, line) for k, line in enumerate(lines)
+                       if line.count(",") != width)
+        text = line.rstrip("\n")
+        cells = text.count(",") + 1 if text else 0
+        raise ValueError(f"{path}: line {first + k + 2} has {cells} cells "
+                         f"where the header has {width + 1}")
+    if slots != tuple(map(str, range(first, first + len(lines)))):
+        due, got = next((due, got) for due, got in enumerate(slots, first)
+                        if got != str(due))
+        if not _is_int(got):
+            raise _not_a(path, "slot", "a slot number", got)
+        raise ValueError(f"{path}: slot {got} where slot {due} is due; "
+                         f"slots count up by one from 0")
+    return bodies, distinct
 
 
 def read_trace_csv(path) -> Trace:
     """Read a trace written by ``write_trace_csv``: the header must be
     ``_trace_header(n)`` for 1 to 8 nodes (the flag columns are
-    ``array('B')``), and the slots count up by one from 0.  The rows are
-    turned into columns by position, ``_CSV_CHUNK`` at a time, so the
-    file's text is never held whole.  Every row must be as wide as the
-    header, levels and packets finite and flags 0 or 1; a file that breaks
-    one of these rules raises a ``ValueError`` naming the file.  The trace
-    is bare: the file holds no ``params``, ``packet_mode``,
-    ``initial_active`` or ``profile``."""
+    ``array('B')``), and the slots count up by one from 0.
+
+    The file is read ``_CSV_CHUNK`` lines at a time, so its text is never
+    held whole.  In each chunk the rows less their slot numbers are
+    collected with ``dict.fromkeys``, and only the distinct ones are split
+    into cells and parsed: the rows of a stretch the writer copied (see
+    ``trace.cycles``) are parsed once per chunk.  The columns then take
+    each row's values by its index among them.
+
+    Every row must be as wide as the header, levels and packets numbers
+    ``float`` reads and finite, active nodes written as ``1`` to ``n`` and
+    flags ``0`` or ``1``; a file that breaks one of these rules raises a
+    ``ValueError`` naming the file, and the column where a cell is at
+    fault.  The trace is bare: the file holds no ``params``,
+    ``packet_mode``, ``initial_active`` or ``profile``."""
     packets = _level_column()
     active, switched, suppressed = (array("B") for _ in range(3))
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
         n = (len(header) - 4) // 3
         if not (1 <= n <= 8 and header == _trace_header(n)):
             raise ValueError(f"{path}: header {','.join(header)!r} is not a "
                              f"trace header for 1 to 8 nodes")
         levels = tuple(_level_column() for _ in range(2 * n))
-        width = {len(header)}
-        for rows in iter(lambda: list(islice(reader, _CSV_CHUNK)), []):
-            if not width.issuperset(map(len, rows)):
-                line, cells = next((k, len(r)) for k, r in
-                                   enumerate(rows, len(active) + 2)
-                                   if len(r) != len(header))
-                raise ValueError(f"{path}: line {line} has {cells} cells "
-                                 f"where the header has {len(header)}")
-            slots, nodes, flags, counts, *cols = zip(*rows)
-            nodes = list(map(operator.sub, map(int, nodes), repeat(1)))
-            if min(nodes) < 0 or max(nodes) >= n:
-                raise ValueError(f"{path}: active node number out of range")
-            for due, got in enumerate(map(int, slots), len(active)):
-                if got != due:
-                    raise ValueError(f"{path}: slot {got} where slot {due} "
-                                     f"is due; slots count up by one from 0")
-            active.extend(nodes)
-            named = list(zip(cols, header[4:]))
-            for column, (cells, name) in zip(levels, named):
-                column.extend(_finite_cells(path, cells, name))
+        names = header[1:]
+        width = len(names)          # cells after the slot number
+        for lines in iter(lambda: list(islice(fh, _CSV_CHUNK)), []):
+            if not lines[-1].endswith("\n"):
+                lines[-1] += "\n"
+            bodies, distinct = _chunk_bodies(path, lines, len(active),
+                                             width)
+            # the cells of the distinct rows, row after row, and one "" at
+            # the end; column j holds every width-th cell from cell j
+            cells = "".join(distinct).replace("\n", ",").split(",")
+            columns = [cells[j:-1:width] for j in range(width)]
+            named = list(zip(columns, names))
+            values = [_node_cells(path, columns[0], n),
+                      _flag_cells(path, *named[1])]
+            values += [_finite_cells(path, *c) for c in named[2:3 + 2 * n]]
             # bit u of each slot's mask is node u's suppressed flag
-            masks = repeat(0, len(rows))
-            for u, (cells, name) in enumerate(named[2 * n:]):
-                bits = _flag_cells(path, cells, name)
+            masks = repeat(0)
+            for u, c in enumerate(named[3 + 2 * n:]):
                 masks = map(operator.or_, masks,
-                            map(operator.lshift, bits, repeat(u)))
-            suppressed.extend(masks)
-            switched.extend(_flag_cells(path, flags, "switched"))
-            packets.extend(_finite_cells(path, counts, "packets"))
+                            map(operator.lshift, _flag_cells(path, *c),
+                                repeat(u)))
+            values.append(list(masks))
+            if len(distinct) < len(bodies):
+                # each row's values, by its index among the distinct rows
+                pick = operator.itemgetter(*map(
+                    dict(zip(distinct, range(len(distinct)))).__getitem__,
+                    bodies))
+                values = list(map(pick, values))
+            for column, got in zip((active, switched, packets, *levels,
+                                    suppressed), values):
+                column.fromlist(list(got))
     if not active:
         raise ValueError(f"{path}: empty trace")
     return Trace(battery_pre=levels[:n], battery_post=levels[n:],

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -99,6 +100,8 @@ class ThresholdPolicy:
 
     values: tuple
     rule: str = "rr"
+    # the thresholds added left to right, folded once here
+    total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = tuple(self.values)
@@ -112,14 +115,11 @@ class ThresholdPolicy:
         if self.rule not in _RULES:
             raise ValueError(f"unknown successor rule {self.rule!r}; "
                              f"expected one of {_RULES}")
+        object.__setattr__(self, "total", _left_sum(values))
 
     @property
     def n_nodes(self) -> int:
         return len(self.values)
-
-    @property
-    def total(self):
-        return _left_sum(self.values)
 
     @property
     def threshold1(self):
@@ -327,6 +327,15 @@ class SlotRecord(NamedTuple):
     suppressed: tuple
 
 
+def _names_nodes(active, n: int) -> bool:
+    """Whether every entry of ``active`` is an int below ``n`` and at
+    least 0.  An ``array('B')`` column, a run's, is checked through its
+    bytes in C."""
+    if isinstance(active, array) and active.typecode == "B":
+        return not bytes(active).translate(None, bytes(range(min(n, 256))))
+    return all(type(v) is int and 0 <= v < n for v in active)
+
+
 @dataclass(frozen=True)
 class Trace:
     """A finished run, one column per quantity rather than one object per
@@ -347,7 +356,8 @@ class Trace:
     raises one ``ValueError`` listing every ragged column and every part
     of the context that does not fit the columns: ``params`` or
     ``profile`` for another node count, a profile shorter than the trace,
-    an unknown ``packet_mode``, an ``initial_active`` not naming a node.
+    an unknown ``packet_mode``, an ``initial_active`` or an ``active``
+    entry not naming a node.
 
     Float runs keep levels and packets in ``array('d')`` columns and the
     flags in ``array('B')`` columns (so at most 8 nodes).  Runs with a
@@ -411,6 +421,11 @@ class Trace:
         if first is not None and not (type(first) is int and 0 <= first < n):
             problems.append(f"initial_active {first!r} is not an int "
                             f"below {n}")
+        if not _names_nodes(self.active, n):
+            k, v = next((k, v) for k, v in enumerate(self.active)
+                        if not (type(v) is int and 0 <= v < n))
+            problems.append(f"active entry {k} is {v!r}, not an int below "
+                            f"{n}")
         if problems:
             raise ValueError(f"inconsistent trace: {'; '.join(problems)}")
 

@@ -438,11 +438,13 @@ def test_sweep_h_axis_scales_thresholds_and_keeps_the_rule(
                        harvest_rates=[0.3, 0.7, 0.9][:len(ths)],
                        input_rate=18.0, thresholds=list(ths),
                        status_energy=None, switch_energy=None)
-    # the parameters of every point pass through steady_input_rate
+    # the parameters of every point pass through the steady-rate formula,
+    # which the sweep calls with the harvest sum it folded once
     seen = []
-    rate = analytic.steady_input_rate
-    monkeypatch.setattr(analytic, "steady_input_rate",
-                        lambda params: seen.append(params) or rate(params))
+    rate = analytic._steady_rate
+    monkeypatch.setattr(analytic, "_steady_rate",
+                        lambda params, harvest: seen.append(params)
+                        or rate(params, harvest))
     assert main(["sweep", "--config", cfg, "--axis", "h=29.1:29.1:1"]) == 0
     capsys.readouterr()
     (point,) = seen

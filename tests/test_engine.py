@@ -355,6 +355,85 @@ def test_read_trace_csv_rejects_bad_cells(tmp_path, column, value, problem):
         read_trace_csv(path)
 
 
+def rewrite_cell(path, row, column, value):
+    """Set ``column`` of data row ``row`` of the trace file ``path`` to the
+    text ``value``."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    cells = dict(zip(header.split(","), rows[row].split(",")))
+    cells[column] = value
+    rows[row] = ",".join(cells.values())
+    path.write_text("\n".join([header, *rows]), encoding="utf-8")
+
+
+@pytest.mark.parametrize("column, value, kind", [
+    ("battery_pre1", "abc", "a number"),
+    ("battery_post2", "", "a number"),
+    ("packets", '"1.5"', "a number"),
+    ("battery_pre2", " 1.5", "a number"),
+    ("battery_post1", "1.5\t", "a number"),
+    ("packets", "1_7", "a number"),
+    ("battery_pre1", "\u0661", "a number"),       # an Arabic-Indic 1
+    ("active", "x", "a node number"),
+    ("active", "", "a node number"),
+    ("active", " 1", "a node number"),
+    ("active", "01", "a node number"),
+    ("active", "1.0", "a node number"),
+    ("slot", " 1099", "a slot number"),
+    ("slot", "+1099", "a slot number"),
+    ("slot", "01099", "a slot number"),
+    ("slot", "x", "a slot number"),
+])
+def test_read_trace_csv_names_the_file_and_column_of_an_unreadable_cell(
+        tmp_path, column, value, kind):
+    # the bad cell sits in the last row, past the first chunk of rows; the
+    # writer never writes any of these cells
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run(diamond(), n_slots=1100), path)
+    rewrite_cell(path, 1099, column, value)
+    with pytest.raises(ValueError, match=re.escape(
+            f"trace.csv: column '{column}' holds a value that is not {kind}: "
+            f"{value!r}")):
+        read_trace_csv(path)
+
+
+@pytest.mark.parametrize("column", ["switched", "suppressed2"])
+@pytest.mark.parametrize("value", [" 1", "1 ", '"1"', "1.0", "01", ""])
+def test_read_trace_csv_reads_flags_from_0_and_1_only(tmp_path, column,
+                                                      value):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run(diamond(), n_slots=1100), path)
+    rewrite_cell(path, 1099, column, value)
+    with pytest.raises(ValueError, match=f"trace.csv: column '{column}' "
+                                         f"holds a value other than 0 or 1"):
+        read_trace_csv(path)
+
+
+def test_read_trace_csv_refuses_a_quoted_header(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace_csv(run(diamond(), n_slots=5), path)
+    first, *rows = path.read_text(encoding="utf-8").splitlines()
+    quoted = ",".join(f'"{name}"' for name in first.split(","))
+    path.write_text("\n".join([quoted, *rows]), encoding="utf-8")
+    with pytest.raises(ValueError, match="trace.csv: header '\"slot\",.*' "
+                                         "is not a trace header"):
+        read_trace_csv(path)
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\n"])
+@pytest.mark.parametrize("last", ["", "newline"])
+def test_read_trace_csv_reads_either_line_ending(tmp_path, ending, last):
+    # the README point, tiled from slot 4095 with period 19
+    trace = run(diamond(e=(0.8, 0.6), g=17.5, c=0.08, h=(6.2, 5.0), ct=0.01,
+                        cr=0.05), n_slots=5000)
+    assert trace.cycles
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    text = ending.join(lines) + (ending if last else "")
+    path.write_bytes(text.encode())
+    assert in_run_context(read_trace_csv(path), trace) == trace
+
+
 @pytest.mark.parametrize("n_slots, row", [(5, 2), (1100, 1099)])
 @pytest.mark.parametrize("change", [lambda cells: cells[:-1],
                                     lambda cells: cells + ["0", "0"]],
@@ -480,6 +559,13 @@ def test_a_ragged_trace_is_refused_by_the_audit_and_the_writer(
         dataclasses.replace(trace, **change(trace))
 
 
+def bump(column, k, value):
+    """A copy of ``column`` with entry ``k`` set to ``value``."""
+    column = column[:]
+    column[k] = value
+    return column
+
+
 @pytest.mark.parametrize("change, problem", [
     ({"params": three()}, "params for 3 nodes on a trace of 2"),
     ({"profile": Profile((((0.8, 0.6, 0.5), 17.5, 200),))},
@@ -491,13 +577,35 @@ def test_a_ragged_trace_is_refused_by_the_audit_and_the_writer(
     ({"initial_active": -1}, "initial_active -1 is not an int below 2"),
     ({"initial_active": 5}, "initial_active 5 is not an int below 2"),
     ({"initial_active": True}, "initial_active True is not an int below 2"),
+    ({"active": bump(run(diamond(), n_slots=200).active, 10, 5)},
+     "active entry 10 is 5, not an int below 2"),
+    ({"active": bump(run(diamond(), n_slots=200).active, 199, 2)},
+     "active entry 199 is 2, not an int below 2"),
+    ({"active": bump(list(run(diamond(), n_slots=200).active), 10, 5)},
+     "active entry 10 is 5, not an int below 2"),
+    ({"active": bump(list(run(diamond(), n_slots=200).active), 3, -1)},
+     "active entry 3 is -1, not an int below 2"),
+    ({"active": bump(list(run(diamond(), n_slots=200).active), 3, True)},
+     "active entry 3 is True, not an int below 2"),
+    ({"active": bump(list(run(diamond(), n_slots=200).active), 3, 1.0)},
+     "active entry 3 is 1.0, not an int below 2"),
 ], ids=["params-3-nodes", "profile-3-nodes", "short-profile", "bogus-mode",
-        "capitalised-mode", "active-negative", "active-5", "active-bool"])
+        "capitalised-mode", "active-negative", "active-5", "active-bool",
+        "active-entry-5", "last-active-entry-2", "listed-active-entry-5",
+        "listed-active-entry-negative", "listed-active-entry-bool",
+        "listed-active-entry-float"])
 def test_a_context_that_does_not_fit_the_columns_is_refused(change,
                                                             problem):
     trace = run(diamond(), n_slots=200)
     with pytest.raises(ValueError, match=re.escape(problem)):
         dataclasses.replace(trace, **change)
+
+
+def test_a_trace_whose_active_nodes_fit_is_accepted():
+    trace = run(three(), n_slots=300)
+    assert set(trace.active) == {0, 1, 2}
+    listed = dataclasses.replace(trace, active=list(trace.active))
+    assert verify_trace(listed) == []
 
 
 def test_the_constructor_lists_every_problem_at_once():

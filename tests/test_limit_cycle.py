@@ -18,6 +18,7 @@ The audit these shortcuts rest on must catch a change to any one cell.
 import dataclasses
 import gc
 import math
+import random
 import tracemalloc
 from array import array
 from fractions import Fraction as F
@@ -103,13 +104,13 @@ def slot_calls(monkeypatch):
 
 
 @st.composite
-def systems(draw):
-    """A diamond or three-relay system of one number type, a start and a
-    packet mode.  Every node harvests more than its control messages cost
+def systems(draw, kinds=tuple(sorted(NUMBERS))):
+    """A diamond or three-relay system of one number type, one of
+    ``kinds``, a start and a packet mode.  Every node harvests more than its control messages cost
     and less than a full slot of forwarding, so the role keeps moving.
     Small capacities, control costs and partial slots give cap, floor and
     partial-duty orbits."""
-    kind = draw(st.sampled_from(sorted(NUMBERS)))
+    kind = draw(st.sampled_from(kinds))
     num = NUMBERS[kind]
     den = 1 if kind == "int" else draw(st.sampled_from((4, 10, 16)))
 
@@ -490,6 +491,121 @@ def test_a_file_of_a_trace_tail_is_refused(tmp_path):
     with pytest.raises(ValueError,
                        match="tail.csv: slot 40 where slot 0 is due"):
         read_trace_csv(tmp_path / "tail.csv")
+
+
+# ---------------------------------------------------------------------------
+# the trace reader parses each distinct row of a chunk once
+# ---------------------------------------------------------------------------
+
+def assert_re_read_columns_are_the_same(back, trace):
+    """Every column of the re-read ``back`` is an array holding the bits of
+    ``trace``'s column: levels and packets as doubles (whole packet counts,
+    ints in a list, come back as floats), the flags as bytes."""
+    for got, want in zip(
+            (*back.battery_pre, *back.battery_post, back.packets,
+             back.active, back.switched, back.suppressed),
+            (*trace.battery_pre, *trace.battery_post, trace.packets,
+             trace.active, trace.switched, trace.suppressed)):
+        assert type(got) is array
+        typecode = want.typecode if isinstance(want, array) else "d"
+        assert got.typecode == typecode
+        assert got.tobytes() == array(typecode, want).tobytes()
+
+
+@given(systems(kinds=("float", "int")),
+       st.sampled_from((1100, 2100, 4200)) | st.integers(1, 5000))
+@settings(max_examples=40, deadline=None)
+def test_float_runs_read_back_column_for_column(tmp_path_factory, system,
+                                                n_slots):
+    # tiled runs enter their orbit at slot 2**k - 1, so over 1024 slots
+    # their stretches start one slot before a chunk boundary
+    params, kwargs = system
+    trace = run(params, n_slots, **kwargs)
+    path = tmp_path_factory.mktemp("run") / "trace.csv"
+    write_trace_csv(trace, path)
+    assert_re_read_columns_are_the_same(read_trace_csv(path), trace)
+
+
+CHUNK = engine._CSV_CHUNK
+
+
+@st.composite
+def tiled_traces(draw):
+    """A float trace of 1 to 3 nodes whose columns repeat one period from
+    ``start`` up to ``stop``, claimed in ``cycles``.  The stretch starts
+    before, at or after a chunk boundary of the reader, or anywhere in the
+    first three chunks; the period may be longer than a chunk.  Cells come
+    from a small pool of finite floats, -0.0 and denormals among them, or
+    are drawn at random, so rows outside the stretch repeat too."""
+    n = draw(st.integers(1, 3))
+    start = draw(st.sampled_from((CHUNK - 1, CHUNK, CHUNK + 1))
+                 | st.integers(0, 3 * CHUNK))
+    period = draw(st.sampled_from((1, 19, CHUNK - 1, CHUNK + 7))
+                  | st.integers(1, 2 * CHUNK))
+    stop = start + period * draw(st.integers(1, 3)) + draw(
+        st.integers(0, period))
+    size = stop + draw(st.integers(0, 40))
+    pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=6)) + [-0.0, 5e-324]
+    mixed = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def column(cell):
+        values = [cell() for _ in range(size)]
+        for k in range(start + period, stop):
+            values[k] = values[k - period]
+        return values
+
+    def level():
+        return (rng.choice(pool) if rng.random() < mixed
+                else rng.uniform(-1e3, 1e3))
+
+    levels = [array("d", column(level)) for _ in range(2 * n)]
+    trace = Trace(
+        battery_pre=tuple(levels[:n]), battery_post=tuple(levels[n:]),
+        packets=array("d", column(level)),
+        active=array("B", column(lambda: rng.randrange(n))),
+        switched=array("B", column(lambda: rng.randrange(2))),
+        suppressed=array("B", column(lambda: rng.randrange(1 << n))),
+        cycles=((start, period, stop),))
+    assert engine._claim_holds(trace, trace.cycles[0])
+    return trace
+
+
+@given(tiled_traces())
+@settings(max_examples=40, deadline=None)
+def test_tiled_stretches_read_back_across_chunk_boundaries(
+        tmp_path_factory, trace):
+    path = tmp_path_factory.mktemp("tiled") / "trace.csv"
+    write_trace_csv(trace, path)
+    assert_re_read_columns_are_the_same(read_trace_csv(path), trace)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda cells: cells[:4] + ["nan"] + cells[5:],
+     "column 'battery_pre1' holds a value that is not finite"),
+    (lambda cells: cells[:2] + ["2"] + cells[3:],
+     "column 'switched' holds a value other than 0 or 1"),
+    (lambda cells: cells[:-1], "line 5002 has 9 cells where the header has 10"),
+    (lambda cells: ["5001"] + cells[1:], "slot 5001 where slot 5000 is due"),
+], ids=["nan", "flag-2", "short-row", "slot-number"])
+@pytest.mark.parametrize("copies", [1, 3])
+def test_a_bad_row_inside_a_tiled_stretch_is_refused(tmp_path, change,
+                                                     message, copies):
+    # the README point tiles from slot 4095 with period 19: from slot 5000
+    # on, past the first chunk, each row's text after its slot number is
+    # that of the row 19 slots earlier.  Slot 5000 is changed, or slots
+    # 5000, 5019 and 5038 alike, so that the bad text repeats in its chunk
+    trace = run(diamond(**README_POINT), 6000)
+    assert trace.cycles == ((4095, 19, 6000),)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    for k in range(5000, 5000 + 19 * copies, 19):
+        lines[k] = ",".join(change(lines[k].split(",")))
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"trace.csv: {message}"):
+        read_trace_csv(path)
 
 
 def rotation_stats(trace, warmup):

@@ -24,7 +24,7 @@ them one at a time and binds the harvest and load once per segment; a run
 without a profile is one segment.  A steered run records the loads it
 offered as segments too, so no layer lists a profile slot by slot.
 
-Four shortcuts skip work whose result is known, so every value, type and
+Five shortcuts skip work whose result is known, so every value, type and
 repr stays as the full arithmetic makes it.  The first three skip an
 operation only where it is an identity on the operands in hand:
 
@@ -38,6 +38,10 @@ operation only where it is an identity on the operands in hand:
    is on its limit cycle, fills every column with copies of one period to
    the segment's end, and records that stretch on the trace as a claim
    ``(start, period, stop)`` in ``trace.cycles``.
+5. ``run`` of floats and ints, steered or not, advances a stretch of plain
+   slots as whole columns, one ``itertools.accumulate`` per node (see
+   ``batch``), and sends only the slot that ends it through the slot
+   rule.
 
 ``x - 0`` is ``x``, type and repr included, for every int, float and
 Fraction, so shortcuts 1 and 3 need no check of the types in hand.  Floats
@@ -49,16 +53,29 @@ entering it, the levels and the active node, while the harvest and load
 are constant: when that state recurs within a segment, every later slot of
 the segment repeats the slots since its first visit.  In each segment
 ``run`` keeps the state entering one slot and compares the state entering
-every later slot with it, refreshing it after 1, 2, 4, 8, ... slots
-(Brent's cycle finding), so it finds the cycle, a fixed point included,
-with O(1) extra memory and one comparison per slot.  Two states match only
-when their levels are equal in type and bits, not just in value: ``-0.0 ==
-0.0`` and ``5 == Fraction(5)``, but each pair prints and computes
-differently.  ``_same_levels`` is that test; ``_claim_holds`` uses it too,
-for list columns.  The next segment starts from the live state objects,
-reached by stepping the kept state through the last partial period, since
-a float column has turned an int level into a float.  ``verify_trace``
-still replays every slot, the copied ones included.
+every later slot with it; the state it keeps is the one entering slot 1,
+3, 7, 15, ... of the segment (Brent's cycle finding), so it finds the
+cycle, a fixed point included, with O(1) extra memory and one comparison
+per slot.  Two states match only when their levels are equal in type and
+bits, not just in value: ``-0.0 == 0.0`` and ``5 == Fraction(5)``, but
+each pair prints and computes differently.  ``_same_levels`` is that test;
+``_claim_holds`` uses it too, for list columns.  The next segment starts
+from the live state objects, reached by stepping the kept state through
+the last partial period, since a float column has turned an int level into
+a float.  ``verify_trace`` still replays every slot, the copied ones
+included.
+
+Shortcut 5 is exact because a plain slot applies the slot rule's own
+operations to each level, in the rule's order, and the stretch ends at the
+first slot whose state the columns show is not plain; that slot takes the
+slot rule.  It also keeps shortcut 4 and ``steer`` as they are: the batch
+makes the comparisons the per-slot loop makes, on the same refresh
+schedule, and calls ``steer`` once per slot, in slot order, with the same
+arguments, ending the batch after the first call that returns another load
+object.  A batch costs more than the slots it skips when the stretch is
+short, so one starts only where the stretch predicted from the leads and
+the per-slot rates reaches ``batch._BREAK_EVEN`` slots; ``Fraction`` runs,
+whose additions are Python calls either way, take every slot.
 
 A trace file has one layout, ``_trace_header(n)`` over one row per slot
 from 0: ``write_trace_csv`` writes it, copying the text of each stretch
@@ -74,9 +91,12 @@ import math
 import operator
 from array import array
 from fractions import Fraction
-from itertools import compress, cycle, islice, pairwise, repeat
+from functools import partial
+from itertools import (compress, count, cycle, dropwhile, islice, pairwise,
+                       repeat)
 from typing import Callable, Optional, Sequence
 
+from .batch import _plain_stretch
 from .model import (
     FRACTIONAL,
     NUMBER_TYPES,
@@ -86,8 +106,10 @@ from .model import (
     RunSummary,
     SystemParams,
     Trace,
+    _int_zero,
     _left_sum,
     _run_segments,
+    _same_levels,
     default_state,
 )
 
@@ -107,10 +129,6 @@ __all__ = [
 _FINITE = frozenset((int, Fraction))
 
 
-def _int_zero(x) -> bool:
-    return type(x) is int and x == 0
-
-
 def _number_types(params: SystemParams, profile, levels) -> set:
     """The types of the numbers in ``params``, ``profile`` and ``levels``."""
     kinds = set(map(type, params._scalars()))
@@ -125,17 +143,6 @@ def _level_column(floats: bool = True):
     for floats, a list for anything else (``Fraction`` values, or whole
     packet counts, which stay ints)."""
     return array("d") if floats else []
-
-
-def _same_levels(a, b) -> bool:
-    """Whether two sequences of equal numbers hold them with the same type
-    and bits, which ``==`` does not check: ``-0.0 == 0.0`` and ``5 ==
-    Fraction(5)``, but each pair prints and computes differently.  For the
-    three number types a repr tells both apart; the types are compared as
-    well, so an unchecked cell cannot pass for a number that prints the
-    same."""
-    return (list(map(type, a)) == list(map(type, b))
-            and list(map(repr, a)) == list(map(repr, b)))
 
 
 def _tile(column, start: int, stop: int, total: int) -> None:
@@ -262,7 +269,11 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     (a run without a profile is one segment), and once the run is on the
     segment's limit cycle ``run`` copies one period to the segment's end
     instead of simulating it, and records the stretch in ``trace.cycles``
-    (shortcut 4 in the module docstring); the trace is the one the
+    (shortcut 4 in the module docstring).  A run of floats and ints, with
+    ``steer`` or without, advances each long stretch of plain slots, with
+    a fixed forwarder and no handover, part duty or clip, as whole columns
+    (shortcut 5); ``steer`` is still called after each slot, in slot
+    order, with that slot's outcome.  Either way the trace is the one the
     per-slot loop gives, bit for bit.  ``n_slots`` must be an int.
     """
     levels, first = default_state(params, packet_mode, initial_batteries,
@@ -286,6 +297,7 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     # and loads it starts from are all floats or ints
     floats = _number_types(params, profile, levels) <= {float, int}
     slot = _slot_rule(params, whole)
+    stretch = _plain_stretch(params, whole) if floats else None
     g = params.input_rate
     # a steered run's (harvest, load, length) segments, a new one wherever
     # steer returns another load object or the harvest changes
@@ -307,17 +319,21 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     cycles = []                 # (start, period, stop) of each tiled stretch
     pre, v = levels, first
     start = 0
-    for e, load, m in segments:
-        end = start + m
+    for e, load, length in segments:
+        end = start + length
         if steer is None:
             g = load
         since = start           # first slot of the current steered load
-        # shortcut 4: the state entering a slot is kept after 1, 2, 4, ...
-        # slots of the segment, and when it recurs, the segment repeats the
+        # shortcut 4: the state entering slots 1, 3, 7, 15, ... of the
+        # segment is kept, and when it recurs, the segment repeats the
         # slots since it was kept
         kept_v = kept = None
         power = lam = 1
-        for k in range(start, end):
+        # shortcut 5: after slot try_at, the plain slots that follow may be
+        # batched
+        try_at = start if stretch else end
+        slots = iter(range(start, end))
+        for k in slots:
             add_pre(pre)
             post, pre, w, sw, pk, quiet = slot(pre, v, e, g)
             add_post(post)
@@ -351,6 +367,71 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
                     power *= 2
                     lam = 0
                 lam += 1
+            if k < try_at:
+                continue
+            m, wait, states, posts, pk, mover = stretch(pre, v, e, g,
+                                                        end - k - 1)
+            if not m:
+                try_at = k + wait
+                continue
+            if steer is not None:
+                # steer is called after each slot, in slot order, and the
+                # stretch ends after the first call that returns another
+                # load; done counts the calls that returned, since map
+                # would take a StopIteration from steer for its own end
+                ks, done = iter(range(k + 1, k + 1 + m)), count()
+                loads = map(operator.itemgetter(0), zip(map(
+                    steer, ks, repeat(v), repeat(False), repeat(e)), done))
+                nxt = next(dropwhile(partial(operator.is_, g), loads), g)
+                m -= operator.length_hint(ks)
+                if next(done) < m:
+                    raise StopIteration(f"steer raised StopIteration after "
+                                        f"slot {k + m}")
+                if nxt is not g:
+                    offered.append((e, g, k + 1 + m - since))
+                    since, g = k + 1 + m, nxt
+            else:
+                # the checks of shortcut 4 after each batched slot.  The
+                # states of a moving batch differ from each other, so only
+                # the state kept before it can recur, up to the next
+                # refresh; in a constant batch the state recurs right after
+                # that refresh
+                u = 0 if mover is None else mover
+                j = 0
+                if kept_v == v:
+                    try:
+                        j = states[u].index(kept[u], 1, power - lam + 2)
+                    except ValueError:
+                        pass
+                if j and _same_levels([col[j] for col in states], kept):
+                    # the slot rule takes slot k + j, whose check finds it
+                    m = j - 1
+                left, at = m, 0
+                while power - lam < left:
+                    at += power - lam + 1
+                    left -= power - lam + 1
+                    kept_at, kept_v = k + 1 + at, v
+                    kept = [col[at] for col in states]
+                    power *= 2
+                    lam = 1
+                    if mover is None:
+                        m, left = at, 0
+                lam += left
+            if m:
+                block = [0] * (m * n)
+                for u, col in enumerate(states):
+                    block[u::n] = col[:m]
+                pre_flat.extend(block)
+                for u, col in enumerate(posts):
+                    block[u::n] = col[:m]
+                post_flat.extend(block)
+                packets.extend([pk] * m)
+                active.frombytes(bytes((v,)) * m)
+                switched.frombytes(bytes(m))
+                suppressed.frombytes(bytes(m))
+                pre = [col[m] for col in states]
+                next(islice(slots, m, m), None)
+            try_at = k + m + 1
         start = end
         if steer is not None and since < start:
             offered.append((e, g, start - since))

@@ -76,6 +76,23 @@ def _left_sum(values):
     return reduce(operator.add, values, 0)
 
 
+def _int_zero(x) -> bool:
+    """Whether ``x`` is the int 0, whose subtraction is an identity on
+    every int, float and Fraction."""
+    return type(x) is int and x == 0
+
+
+def _same_levels(a, b) -> bool:
+    """Whether two sequences of equal numbers hold them with the same type
+    and bits, which ``==`` does not check: ``-0.0 == 0.0`` and ``5 ==
+    Fraction(5)``, but each pair prints and computes differently.  For the
+    three number types a repr tells both apart; the types are compared as
+    well, so an unchecked cell cannot pass for a number that prints the
+    same."""
+    return (list(map(type, a)) == list(map(type, b))
+            and list(map(repr, a)) == list(map(repr, b)))
+
+
 def _finite(name: str, value) -> bool:
     """``math.isfinite`` for one number of the field ``name``, raising a
     ``ValueError`` naming the field for an int or Fraction too large for a

@@ -44,7 +44,8 @@ class WindowStats:
 def load_profile(source) -> Profile:
     """Read a piecewise-constant profile from CSV.
 
-    Expected header: ``slot_range,e1,e2[,e3],g`` where ``slot_range`` is
+    Expected header: ``slot_range,e1,e2[,e3],g`` and no other, compared
+    after stripping and lower-casing each name, where ``slot_range`` is
     ``a-b``, both ends included.  Ranges must tile the horizon: no overlaps
     and no gaps.  ``source`` is a path or an open text file.  Each range
     becomes one segment of the profile; no range is expanded slot by slot.
@@ -58,9 +59,9 @@ def load_profile(source) -> Profile:
     if not rows:
         raise ValueError("empty profile")
     header = [cell.strip().lower() for cell in rows[0]]
-    if header[:2] != ["slot_range", "e1"] or header[-1] != "g":
-        raise ValueError(f"unexpected profile header {rows[0]!r}")
     n = len(header) - 2
+    if header != ["slot_range", *(f"e{u}" for u in range(1, n + 1)), "g"]:
+        raise ValueError(f"unexpected profile header {rows[0]!r}")
     if n not in (2, 3):
         raise ValueError("profile must cover 2 or 3 nodes")
     if len(rows) == 1:

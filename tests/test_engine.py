@@ -784,19 +784,26 @@ def test_verify_trace_memory_is_bounded():
 
 def test_read_trace_csv_memory_is_bounded(tmp_path):
     # rows are converted a chunk at a time: the peak is the finished
-    # columns plus one chunk of text, not the whole file as text
+    # columns plus one chunk of text, not the whole file as text.  The
+    # diamond tiles from slot 4095, so most of its rows repeat; the es3 run
+    # tiles nowhere, so every row of a chunk is its own text
     n_slots = 30_000
     path = tmp_path / "trace.csv"
-    write_trace_csv(run(diamond(ct=0.01, cr=0.05), n_slots=n_slots), path)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        back = read_trace_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(back) == n_slots
-    assert peak / n_slots <= 200
+    for params, tiled in ((diamond(ct=0.01, cr=0.05), True),
+                          (three(es=True), False)):
+        trace = run(params, n_slots=n_slots)
+        assert bool(trace.cycles) is tiled
+        write_trace_csv(trace, path)
+        del trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            back = read_trace_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(back) == n_slots
+        assert peak / n_slots <= 200, params
 
 
 def test_two_node_rules_give_the_same_trace():

@@ -1,13 +1,15 @@
-"""The limit-cycle shortcut of ``run``: within each stretch of constant
-inputs, a profile segment or a whole run without a profile, a run stops
-simulating once the state entering a slot comes back, and repeats the
-slots in between up to the end of the stretch.
+"""The shortcuts of ``run`` that skip slot-rule calls.  Within each
+stretch of constant inputs, a profile segment or a whole run without a
+profile, a run stops simulating once the state entering a slot comes back,
+and repeats the slots in between up to the end of the stretch.  A run of
+floats and ints also advances each stretch of plain slots as whole columns,
+steered runs included.
 
-The reference is the same run steered by a ``steer`` that offers the
-profile's own load object for each next slot: a steered run keeps the
-per-slot path.  Every column must come out with the same repr, and float
-columns with the same bytes, so a level that differs only in type (``5``
-against ``Fraction(5)``) or in the sign of a zero shows.
+The reference, ``reference_run``, steps the slot rule one slot at a time
+with neither shortcut.  Every column must come out with the same repr, and
+float columns with the same bytes, so a level that differs only in type
+(``5`` against ``Fraction(5)``) or in the sign of a zero shows; a steered
+run must also offer the same loads and call ``steer`` alike.
 
 A tiled run records each tiled stretch on the trace.  The readers of those
 claims, ``write_trace_csv`` and ``summarize``, must give what they give
@@ -22,7 +24,8 @@ import random
 import tracemalloc
 from array import array
 from fractions import Fraction as F
-from itertools import accumulate
+from itertools import accumulate, groupby
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -34,14 +37,19 @@ from hdrsim import (
     RoundRobin3,
     SystemParams,
     Trace,
+    batch,
+    default_state,
     detect_cycles,
     engine,
     read_trace_csv,
     run,
+    run_with_feedback,
+    scenarios,
     summarize,
     verify_trace,
     write_trace_csv,
 )
+from hdrsim.model import _run_segments
 from conftest import constant_profile, diamond, three
 
 NUMBERS = {"float": float, "fraction": F, "int": int}
@@ -59,28 +67,46 @@ def columns(trace):
             [c.tobytes() for c in cols if isinstance(c, array)])
 
 
-def per_slot_run(params, n_slots, profile=None, **kwargs):
-    """The run of ``params`` on ``profile`` (default: its constant inputs)
-    through the per-slot path: a steered run never tiles, and this
-    ``steer`` offers the profile's own load object for every slot.  Slot 0
-    of a steered run gets ``params.input_rate``, so the profile must start
-    with that object."""
-    if profile is None:
-        profile = constant_profile(params, n_slots)
-    loads = [g for _, g, k in profile.segments for _ in range(k)]
-    assert loads[0] is params.input_rate
-    loads.append(loads[-1])         # asked for after the last slot
-    return run(params, n_slots, profile=profile,
-               steer=lambda k, *_: loads[k + 1], **kwargs)
+def reference_run(params, n_slots=None, profile=None,
+                  packet_mode="fractional", initial_batteries=None,
+                  initial_active=0, steer=None):
+    """``run`` with none of its shortcuts: ``engine._slot_rule`` stepped
+    one slot at a time, ``steer`` called after each slot, and the columns
+    and the offered loads stored as ``run`` stores them."""
+    pre, v = default_state(params, packet_mode, initial_batteries,
+                           initial_active)
+    slot = engine._slot_rule(params, packet_mode == "whole")
+    floats = engine._number_types(params, profile, pre) <= {float, int}
+    rows, g = [], params.input_rate
+    for i, (e, load, m) in enumerate(_run_segments(
+            params, profile, profile.length if n_slots is None else n_slots)):
+        for _ in range(m):
+            g = g if steer else load
+            post, nxt, w, sw, pk, quiet = slot(pre, v, e, g)
+            rows.append((pre, post, w, sw, pk, quiet << v, (i, e, g)))
+            pre, v = nxt, w
+            g = steer(len(rows) - 1, v, sw, e) if steer else g
+    pres, posts, active, switched, packets, masks, used = zip(*rows)
+    level, n = (lambda xs: array("d", xs)) if floats else list, len(pre)
+    if steer:
+        same = [list(loads) for _, loads in
+                groupby(used, lambda t: (t[0], id(t[2])))]
+        profile = Profile([(*loads[0][1:], len(loads)) for loads in same])
+    return Trace(
+        battery_pre=tuple(level([x[u] for x in pres]) for u in range(n)),
+        battery_post=tuple(level([x[u] for x in posts]) for u in range(n)),
+        active=array("B", active), switched=array("B", switched),
+        packets=level(packets) if packet_mode != "whole" else list(packets),
+        suppressed=array("B", masks), packet_mode=packet_mode,
+        initial_active=initial_active, params=params, profile=profile)
 
 
 def assert_tiling_is_exact(params, n_slots, profile=None, **kwargs):
-    """Run ``params`` with and without the shortcut and compare; every
+    """Run ``params`` with and without the shortcuts and compare; every
     claim of the tiled run must hold."""
     tiled = run(params, n_slots, profile=profile, **kwargs)
-    per_slot = per_slot_run(params, n_slots, profile, **kwargs)
-    assert columns(tiled) == columns(per_slot)
-    assert per_slot.cycles == ()
+    assert columns(tiled) == columns(
+        reference_run(params, n_slots, profile, **kwargs))
     assert all(engine._claim_holds(tiled, c) for c in tiled.cycles)
     return tiled
 
@@ -191,6 +217,109 @@ def test_tiled_profile_runs_match_the_per_slot_path(system):
     assert stops == sorted(set(stops)) and set(stops) <= set(ends)
 
 
+def recording_steer(load, swaps=()):
+    """A steer that records its calls and offers ``load``, and after each
+    slot in ``swaps`` a new load object, one more than the last."""
+    calls = []
+
+    def steer(k, active, switched, harvest):
+        nonlocal load
+        calls.append((k, active, switched, harvest))
+        if k in swaps:
+            load = load + 1
+        return load
+    return steer, calls
+
+
+def assert_batching_is_exact(params, n_slots, profile, kwargs, swaps):
+    """``run`` against ``reference_run``, unsteered, steered by a steer that
+    keeps its load object and by one that swaps it after each slot in
+    ``swaps``, and under the feedback controller: the same columns, loads
+    offered, ``steer`` calls and feedback log.  The run tiles the same
+    stretches as without batches."""
+    tiled = assert_tiling_is_exact(params, n_slots, profile, **kwargs)
+    with mock.patch.object(batch, "_BREAK_EVEN", math.inf):
+        assert run(params, n_slots, profile, **kwargs).cycles == tiled.cycles
+    for cut in ((), swaps):
+        steer, calls = recording_steer(params.input_rate, cut)
+        want, want_calls = recording_steer(params.input_rate, cut)
+        steered = run(params, n_slots, profile, steer=steer, **kwargs)
+        reference = reference_run(params, n_slots, profile, steer=want,
+                                  **kwargs)
+        assert columns(steered) == columns(reference)
+        assert repr(steered.profile) == repr(reference.profile)
+        assert repr(calls) == repr(want_calls)
+        assert steered.cycles == ()
+    got = feedback_outcome(params, n_slots, profile, kwargs)
+    with mock.patch.object(scenarios, "run", reference_run):
+        assert got == feedback_outcome(params, n_slots, profile, kwargs)
+
+
+def feedback_outcome(params, n_slots, profile, kwargs):
+    """The columns, offered loads and log of a feedback run, or the
+    exception it raises: the controller offers floats, and on ``Fraction``
+    inputs a float load can make the slot rule divide by a zero."""
+    try:
+        trace = run_with_feedback(params, n_slots, 2, profile, **kwargs)
+    except ZeroDivisionError as exc:
+        return repr(exc)
+    return columns(trace), repr((trace.profile, trace.feedback_log))
+
+
+@given(systems(kinds=("float", "int")), st.data())
+@settings(max_examples=100, deadline=None)
+def test_batched_runs_match_the_reference(system, data):
+    params, kwargs = system
+    swaps = data.draw(st.sets(st.integers(0, 499), max_size=3))
+    assert_batching_is_exact(params, 500, None, kwargs, swaps)
+
+
+@given(profiled_systems(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_batched_profile_runs_match_the_reference(system, data):
+    params, profile, n_slots, kwargs = system
+    swaps = data.draw(st.sets(st.integers(0, n_slots - 1), max_size=3))
+    assert_batching_is_exact(params, n_slots, profile, kwargs, swaps)
+
+
+@pytest.mark.parametrize("params, kwargs", [
+    # both levels rise by 0.1 a slot, so the lead wiggles by an ulp: it
+    # reaches the bar entering slot 4 and falls under it again later
+    (diamond(e=(0.1, 0.1), g=0.0, h=(3.6142142341728465, 1.0)),
+     dict(initial_batteries=(0.07099448810138576, 3.685208722274232))),
+    # a spend of int 0 is not subtracted, so the forwarder keeps its -0.0;
+    # adding -0, which is int 0, would make it 0.0
+    (diamond(e=(0.5, -0.0), g=0, c=1, h=(20.0, 20.0)),
+     dict(initial_batteries=(10.0, -0.0), initial_active=1,
+          packet_mode="whole")),
+], ids=["wiggling-lead", "int-zero-spend"])
+def test_batches_keep_the_knife_edges_of_the_slot_rule(params, kwargs,
+                                                       slot_calls):
+    run(params, 60, **kwargs)
+    assert slot_calls[0] < 60          # some slots went by in a batch
+    assert_tiling_is_exact(params, 60, **kwargs)
+
+
+def test_a_steer_that_raises_stop_iteration_stops_a_batch(slot_calls):
+    # map takes a StopIteration from steer for its own end, so a batch
+    # must count the calls that returned
+    params = diamond(h=(60.0, 60.0), ct=0.01, cr=0.05)
+
+    def steer_until(last):
+        def steer(k, *_):
+            if k == last:
+                raise StopIteration
+            return params.input_rate
+        return steer
+
+    run(params, 40, initial_batteries=(50.0, 40.0), steer=steer_until(40))
+    assert slot_calls[0] < 40           # slots 1 to 39 are one stretch
+    for last in (1, 10, 39):
+        with pytest.raises(StopIteration):
+            run(params, 40, initial_batteries=(50.0, 40.0),
+                steer=steer_until(last))
+
+
 def test_profile_segments_tile_one_at_a_time(slot_calls):
     # an orbit, a fixed point with both nodes at the cap, a slower orbit
     # and a broke relay that never settles
@@ -206,7 +335,7 @@ def test_profile_segments_tile_one_at_a_time(slot_calls):
     assert slot_calls[0] < 6000
     assert_tiling_is_exact(params, profile.length, profile)
     assert verify_trace(trace) == verify_trace(
-        per_slot_run(params, profile.length, profile))
+        reference_run(params, profile=profile))
 
 
 @pytest.mark.parametrize("params, start, mode", [
@@ -357,14 +486,14 @@ def test_run_records_the_cycle_it_tiles(claimed):
     # a run without a profile is one stretch, tiled to its end
     assert 0 <= start and period >= 1 and start + period < stop
     assert stop == len(claimed)
-    # the per-slot run takes every slot and makes no claim; the traces are
-    # equal all the same once the profile that steers it is dropped
-    per_slot = per_slot_run(claimed.params, len(claimed),
-                            packet_mode=claimed.packet_mode,
-                            initial_batteries=tuple(c[0] for c in
-                                                    claimed.battery_pre))
-    assert per_slot.cycles == ()
-    assert dataclasses.replace(per_slot, profile=None) == claimed
+    # the reference takes every slot and makes no claim; the traces are
+    # equal all the same
+    reference = reference_run(claimed.params, len(claimed),
+                              packet_mode=claimed.packet_mode,
+                              initial_batteries=tuple(c[0] for c in
+                                                      claimed.battery_pre))
+    assert reference.cycles == ()
+    assert reference == claimed
 
 
 def test_runs_that_do_not_tile_make_no_claim():
@@ -372,9 +501,10 @@ def test_runs_that_do_not_tile_make_no_claim():
     assert run(params, 2000).cycles == ()           # still in transit
     assert run(params, 2000,
                profile=constant_profile(params, 2000)).cycles == ()
-    # steered runs take every slot
+    # steered runs never tile
     assert run(params, 10**4).cycles != ()
-    assert per_slot_run(params, 10**4).cycles == ()
+    assert run(params, 10**4,
+               steer=lambda *a: params.input_rate).cycles == ()
 
 
 def test_claims_cost_the_writer_only_speed(claimed, tmp_path):

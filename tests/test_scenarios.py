@@ -62,6 +62,9 @@ def test_load_profile_three_node_column():
 @pytest.mark.parametrize("text, fragment", [
     ("", "empty"),
     ("slot,e1,g\n0-9,1,1\n", "header"),
+    # the load column twice, read as node 2's harvest before
+    ("slot_range,e1,g,g\n0-9,1,1,1\n", "header"),
+    ("slot_range,e2,e1,g\n0-9,1,1,1\n", "header"),
     ("slot_range,e1,e2,g\n0-9,0.1,0.2\n", "fields"),
     ("slot_range,e1,e2,g\nten-20,0.1,0.2,6\n", "range"),
     ("slot_range,e1,e2,g\n9-0,0.1,0.2,6\n", "range"),

@@ -41,7 +41,9 @@ operation only where it is an identity on the operands in hand:
 5. ``run`` of floats and ints, steered or not, advances a stretch of plain
    slots as whole columns, one ``itertools.accumulate`` per node (see
    ``batch``), and sends only the slot that ends it through the slot
-   rule.
+   rule.  A steered batch of two or more slots whose every state is the
+   one it starts from, both nodes pinned at the cap say, repeats its first
+   slot, and ``run`` records it as a claim ``(start, 1, stop)`` too.
 
 ``x - 0`` is ``x``, type and repr included, for every int, float and
 Fraction, so shortcuts 1 and 3 need no check of the types in hand.  Floats
@@ -78,11 +80,13 @@ the per-slot rates reaches ``batch._BREAK_EVEN`` slots; ``Fraction`` runs,
 whose additions are Python calls either way, take every slot.
 
 A trace file has one layout, ``_trace_header(n)`` over one row per slot
-from 0: ``write_trace_csv`` writes it, copying the text of each stretch
-``_claim_holds`` confirms, and ``read_trace_csv`` accepts no other.  The
-reader splits the rows itself, with no ``csv`` module, and parses each
-distinct row text once per chunk of lines, so the rows of a copied stretch
-cost it little more than their slot numbers.
+from 0: ``write_trace_csv`` writes it, and ``read_trace_csv`` accepts no
+other.  The writer formats ``_CSV_CHUNK`` rows per ``%`` call, each
+distinct packets value of a float chunk once, and copies the text of each
+stretch ``_claim_holds`` confirms.  The reader splits the rows itself, with
+no ``csv`` module, and parses each distinct row text once per chunk of
+lines, so the rows of a copied stretch cost it little more than their slot
+numbers.
 """
 
 from __future__ import annotations
@@ -92,8 +96,8 @@ import operator
 from array import array
 from fractions import Fraction
 from functools import partial
-from itertools import (compress, count, cycle, dropwhile, islice, pairwise,
-                       repeat)
+from itertools import (chain, compress, count, cycle, dropwhile, islice,
+                       pairwise, repeat)
 from typing import Callable, Optional, Sequence
 
 from .batch import _plain_stretch
@@ -221,8 +225,15 @@ def _slot_rule(params: SystemParams, whole: bool):
                 share = 1
             else:
                 spare = post[v] - floor if pay_floor else post[v]
-                share = spare / (demand - ev)
-                share = 0 if share < 0 else (1 if share > 1 else share)
+                gap = demand - ev
+                if gap:
+                    share = spare / gap
+                    share = 0 if share < 0 else (1 if share > 1 else share)
+                else:
+                    # a Fraction harvest under a float load: demand > ev,
+                    # but the gap rounds to 0.0; spare / gap tends to
+                    # +-inf, clipped to 1 or 0
+                    share = 1 if spare > 0 else 0
             if (fraction and type(share) is int and share == 1
                     and type(g) is type(ev) is fraction):
                 packets = g          # 1 * g + 0 * ev / c
@@ -273,8 +284,12 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     ``steer`` or without, advances each long stretch of plain slots, with
     a fixed forwarder and no handover, part duty or clip, as whole columns
     (shortcut 5); ``steer`` is still called after each slot, in slot
-    order, with that slot's outcome.  Either way the trace is the one the
-    per-slot loop gives, bit for bit.  ``n_slots`` must be an int.
+    order, with that slot's outcome.  A steered run never tiles, but each
+    batch of two or more slots that leaves every level as it was, as when
+    both nodes sit at the cap, goes into ``trace.cycles`` as a claim of
+    period 1, so ``write_trace_csv`` copies its rows.  Either way the
+    trace is the one the per-slot loop gives, bit for bit.  ``n_slots``
+    must be an int.
     """
     levels, first = default_state(params, packet_mode, initial_batteries,
                                   initial_active)
@@ -316,7 +331,8 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     columns = ((pre_flat, n), (post_flat, n), (packets, 1), (active, 1),
                (switched, 1), (suppressed, 1))
 
-    cycles = []                 # (start, period, stop) of each tiled stretch
+    # (start, period, stop) of each tiled stretch and constant steered batch
+    cycles = []
     pre, v = levels, first
     start = 0
     for e, load, length in segments:
@@ -390,6 +406,9 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
                 if nxt is not g:
                     offered.append((e, g, k + 1 + m - since))
                     since, g = k + 1 + m, nxt
+                if mover is None and m >= 2:
+                    # a constant batch repeats its first slot
+                    cycles.append((k + 1, 1, k + 1 + m))
             else:
                 # the checks of shortcut 4 after each batched slot.  The
                 # states of a moving batch differ from each other, so only
@@ -669,7 +688,9 @@ def verify_trace(trace: Trace, *, tol: float = 1e-9) -> list[str]:
 # trace persistence
 # ---------------------------------------------------------------------------
 
-_CSV_CHUNK = 1024       # lines read_trace_csv holds as text at once
+# rows write_trace_csv formats in one % call, and lines read_trace_csv holds
+# as text at once
+_CSV_CHUNK = 1024
 
 
 def _trace_header(n: int) -> list[str]:
@@ -680,30 +701,45 @@ def _trace_header(n: int) -> list[str]:
 
 
 def write_trace_csv(trace: Trace, path) -> None:
-    """Node indices are 1-based in the file; floats keep full precision.
-    Every column holds one entry per row, as ``Trace`` ensures.
+    """Node indices are 1-based in the file; floats keep full precision
+    (``%.17g``).  Every column holds one entry per row, as ``Trace``
+    ensures.
 
-    For each claim of ``trace.cycles`` that holds (``_claim_holds``) and
-    starts past the stretch before it, the rows of its first period are
-    formatted once: each later row up to its stop is its slot number and
-    the text of the row one period earlier.  The file is the same either
-    way."""
+    The rows are formatted ``_CSV_CHUNK`` at a time, each chunk one ``%``
+    call on the row template repeated.  A packets ``array('d')`` is
+    formatted once per distinct value in a chunk, values told apart by
+    their 64 bits, since ``-0.0 == 0.0``; a list column keeps its
+    ``%.17g`` cell.  For each claim of ``trace.cycles`` that holds
+    (``_claim_holds``) and starts past the stretch before it, the rows of
+    its first period are formatted so: each later row up to its stop is its
+    slot number and the text of the row one period earlier.  The file is
+    the same either way."""
     n = trace.n_nodes
-    # one %-template per row, the same text as csv.writer with %.17g floats
-    row = ",".join(["%d"] * 3 + ["%.17g"] * (1 + 2 * n)) + ",%s\r\n"
+    # packets by distinct value only where the 64 bits are a double's
+    keyed = isinstance(trace.packets, array) and trace.packets.typecode == "d"
+    # the same text as csv.writer with %.17g floats
+    row = ",".join(["%d"] * 3 + ["%s" if keyed else "%.17g"]
+                   + ["%.17g"] * (2 * n)) + ",%s\r\n"
     flags = [",".join(str(m >> u & 1) for u in range(n))
              for m in range(1 << n)]
+    columns = (trace.active, trace.switched, trace.packets,
+               *trace.battery_pre, *trace.battery_post, trace.suppressed)
 
-    def rows(a, b):
-        """The text of entries ``a`` to ``b``; arrays are read through
-        views, not copied."""
-        cols = [memoryview(col)[a:b] if isinstance(col, array) else col[a:b]
-                for col in (trace.slots, trace.active, trace.switched,
-                            trace.packets, *trace.battery_pre,
-                            *trace.battery_post, trace.suppressed)]
-        cols[1] = map(operator.add, cols[1], repeat(1))
-        cols[-1] = map(flags.__getitem__, cols[-1])
-        return map(row.__mod__, zip(*cols))
+    def text(a, b):
+        """The text of entries ``a`` to ``b``, one string per chunk."""
+        for i in range(a, b, _CSV_CHUNK):
+            j = min(i + _CSV_CHUNK, b)
+            cells = [col[i:j] for col in columns]
+            cells[0] = map(operator.add, cells[0], repeat(1))
+            if keyed:
+                keys = memoryview(cells[2]).cast("B").cast("Q")
+                texts = dict(zip(keys, cells[2]))
+                texts = dict(zip(texts, map("%.17g".__mod__,
+                                            texts.values())))
+                cells[2] = map(texts.__getitem__, keys)
+            cells[-1] = map(flags.__getitem__, cells[-1])
+            yield (row * (j - i)) % tuple(
+                chain.from_iterable(zip(range(i, j), *cells)))
 
     done = 0                    # entries written
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -712,17 +748,18 @@ def write_trace_csv(trace: Trace, path) -> None:
                 c for c in trace.cycles if _claim_holds(trace, c)):
             if start < done:
                 continue
-            fh.writelines(rows(done, start))
-            texts = list(rows(start, start + period))
-            fh.writelines(texts)
-            # each text less its slot number, the comma after it kept
-            bodies = [text[text.index(","):] for text in texts]
+            fh.writelines(text(done, start))
+            first = "".join(text(start, start + period))
+            fh.write(first)
+            # each row less its slot number, the comma after it kept
+            bodies = [line[line.index(","):] + "\r\n"
+                      for line in first.split("\r\n")[:-1]]
             fh.writelines(map(operator.add,
                               map("%d".__mod__,
                                   trace.slots[start + period:stop]),
                               cycle(bodies)))
             done = stop
-        fh.writelines(rows(done, len(trace)))
+        fh.writelines(text(done, len(trace)))
 
 
 def _not_a(path, column: str, kind: str, cell) -> ValueError:

@@ -390,9 +390,10 @@ class Trace:
     with an empty view.
 
     ``cycles`` holds one claim, ``(start, period, stop)``, per stretch
-    that ``run`` tiled (``()`` when it tiled none): from entry ``start +
-    period`` up to ``stop`` every column repeats its entries ``period``
-    slots earlier.  Readers check a claim before they use it and never
+    that ``run`` tiled and per batch of a steered run that repeats its
+    first slot (``()`` when there is none): from entry ``start + period``
+    up to ``stop`` every column repeats its entries ``period`` slots
+    earlier.  Readers check a claim before they use it and never
     trust it (see ``engine._claim_holds``), so a stale one, say from a
     ``dataclasses.replace`` that changed a column, or a bogus one costs
     only speed.  Equality ignores them: a float run's trace, re-read with

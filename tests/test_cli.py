@@ -771,6 +771,58 @@ def test_scenario_seeded_profile_golden(tmp_path, capsys, feedback):
         assert got.hexdigest() == want
 
 
+# `hdrsim scenario --feedback --window 1000` on the first six ranges of
+# the benchmark's seeded profile at seed 1, with control costs.  From about
+# slot 3556 to the last range, both nodes sit at the cap under a held
+# controller load, so the steered run claims its constant batches and the
+# writer copies their rows.  stdout byte for byte and the sha256 of
+# trace.csv and windows.csv, captured before steered runs made claims.
+PINNED_PROFILE = (
+    "slot_range,e1,e2,g\n"
+    "0-674,0.3415,0.4814,2.442\n"
+    "675-1315,0.2973,0.2697,6.561\n"
+    "1316-3330,0.1260,0.2927,8.253\n"
+    "3331-4528,0.2597,0.4574,2.015\n"
+    "4529-5840,0.1598,0.4811,6.138\n"
+    "5841-6449,0.5409,0.0184,2.178\n"
+)
+GOLDEN_PINNED_SCENARIO = (
+    "window offered delivered\n"
+    "0 6139.50193451 6139.50193451\n"
+    "1 5651.64315066 5651.64315066\n"
+    "2 4963.60468287 4963.60468287\n"
+    "3 4963.61750688 4963.61750688\n"
+    "4 4963.62117552 4963.62117552\n"
+    "5 5197.74068675 5197.74068675\n"
+    "6 3031.76422634 3031.76422634\n"
+    "total_offered 34911.4933635\n"
+    "total_delivered 34911.4933635\n"
+    "feedback_updates 24\n"
+    "final_input_rate 6.73725383632\n",
+    "7da6a1533507bcb3066b5a380ca5001205c76cd3ae0d41dff61127f8d9d8200b",
+    "80a17ce9912b93518c9e420fd364350a1b798a3ec02c7aecab94e3b1719f8b49")
+
+
+def test_scenario_pinned_at_the_cap_golden(tmp_path, capsys):
+    profile = tmp_path / "profile.csv"
+    profile.write_text(PINNED_PROFILE, encoding="utf-8")
+    cfg = write_config(tmp_path / "c.json", harvest_rates=[0.3, 0.2],
+                       input_rate=6.0, thresholds=[10.0, 10.0], horizon=None,
+                       profile=str(profile), initial_batteries=[40.0, 40.0],
+                       out=str(tmp_path / "out"))
+    assert main(["scenario", "--config", cfg, "--window", "1000",
+                 "--feedback"]) == 0
+    stdout, trace_sha, windows_sha = GOLDEN_PINNED_SCENARIO
+    assert capsys.readouterr().out == stdout
+    for name, want in (("trace.csv", trace_sha), ("windows.csv", windows_sha)):
+        got = hashlib.sha256((tmp_path / "out" / name).read_bytes())
+        assert got.hexdigest() == want
+    # both nodes pinned at the cap from slot 3556 to the last range
+    back = read_trace_csv(tmp_path / "out" / "trace.csv")
+    for col in back.battery_pre:
+        assert set(col[3556:5841]) == {100.0}
+
+
 def compensated_sum(iterable, /, start=0):
     """``sum`` as Python 3.12 computes it: ints exactly, then floats with
     Neumaier's compensation, ints that fit a C long added to the float

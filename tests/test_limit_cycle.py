@@ -11,18 +11,22 @@ float columns with the same bytes, so a level that differs only in type
 (``5`` against ``Fraction(5)``) or in the sign of a zero shows; a steered
 run must also offer the same loads and call ``steer`` alike.
 
-A tiled run records each tiled stretch on the trace.  The readers of those
-claims, ``write_trace_csv`` and ``summarize``, must give what they give
-without them, and a claim that does not hold must cost them only speed.
-The audit these shortcuts rest on must catch a change to any one cell.
+A tiled run records each tiled stretch on the trace, and a steered run
+each batch that repeats its first slot.  The readers of those claims,
+``write_trace_csv`` and ``summarize``, must give what they give without
+them, and a claim that does not hold must cost them only speed; the writer
+must also match ``reference_csv``, which formats every cell.  The audit
+these shortcuts rest on must catch a change to any one cell.
 """
 
 import dataclasses
 import gc
 import math
 import random
+import tempfile
 import tracemalloc
 from array import array
+from bisect import bisect_right
 from fractions import Fraction as F
 from itertools import accumulate, groupby
 from unittest import mock
@@ -249,20 +253,35 @@ def assert_batching_is_exact(params, n_slots, profile, kwargs, swaps):
         assert columns(steered) == columns(reference)
         assert repr(steered.profile) == repr(reference.profile)
         assert repr(calls) == repr(want_calls)
-        assert steered.cycles == ()
+        assert_steered_claims_hold(steered)
+        with mock.patch.object(batch, "_BREAK_EVEN", math.inf):
+            steer, _ = recording_steer(params.input_rate, cut)
+            assert run(params, n_slots, profile, steer=steer,
+                       **kwargs).cycles == ()
     got = feedback_outcome(params, n_slots, profile, kwargs)
     with mock.patch.object(scenarios, "run", reference_run):
         assert got == feedback_outcome(params, n_slots, profile, kwargs)
 
 
+def assert_steered_claims_hold(trace):
+    """A steered run claims only constant batches: each claim holds, has
+    period 1 and lies within one offered-load segment, and the file is the
+    one written without the claims."""
+    bounds = list(accumulate((k for _, _, k in trace.profile.segments),
+                             initial=0))
+    for claim in trace.cycles:
+        start, period, stop = claim
+        assert engine._claim_holds(trace, claim) and period == 1
+        i = bisect_right(bounds, start)
+        assert stop <= bounds[i], (claim, bounds)
+    if trace.cycles:
+        assert written(trace) == written(
+            dataclasses.replace(trace, cycles=()))
+
+
 def feedback_outcome(params, n_slots, profile, kwargs):
-    """The columns, offered loads and log of a feedback run, or the
-    exception it raises: the controller offers floats, and on ``Fraction``
-    inputs a float load can make the slot rule divide by a zero."""
-    try:
-        trace = run_with_feedback(params, n_slots, 2, profile, **kwargs)
-    except ZeroDivisionError as exc:
-        return repr(exc)
+    """The columns, offered loads and log of a feedback run."""
+    trace = run_with_feedback(params, n_slots, 2, profile, **kwargs)
     return columns(trace), repr((trace.profile, trace.feedback_log))
 
 
@@ -468,10 +487,13 @@ def claimed(request):
     return trace
 
 
-def csv_bytes(trace, tmp_path, name="trace.csv"):
-    path = tmp_path / name
-    write_trace_csv(trace, path)
-    return path.read_bytes()
+def written(trace):
+    """The bytes ``write_trace_csv`` writes for ``trace``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/trace.csv"
+        write_trace_csv(trace, path)
+        with open(path, "rb") as fh:
+            return fh.read()
 
 
 def bump(column, k, value):
@@ -501,15 +523,33 @@ def test_runs_that_do_not_tile_make_no_claim():
     assert run(params, 2000).cycles == ()           # still in transit
     assert run(params, 2000,
                profile=constant_profile(params, 2000)).cycles == ()
-    # steered runs never tile
+    # steered runs never tile: the README point's orbit moves every slot,
+    # so a steered run of it claims nothing
     assert run(params, 10**4).cycles != ()
     assert run(params, 10**4,
                steer=lambda *a: params.input_rate).cycles == ()
 
 
-def test_claims_cost_the_writer_only_speed(claimed, tmp_path):
-    honest = csv_bytes(dataclasses.replace(claimed, cycles=()), tmp_path)
-    assert csv_bytes(claimed, tmp_path) == honest
+def test_steered_runs_claim_their_constant_batches():
+    # both nodes harvest more than the forwarder spends, so both end up
+    # pinned at the cap, where every slot repeats the one before
+    params = diamond(e=(0.9, 0.8), g=6.0, h=(10.0, 10.0), ct=0.01, cr=0.05)
+    trace = run(params, 5000, steer=lambda *a: params.input_rate)
+    assert trace.cycles and all(period == 1 for _, period, _ in trace.cycles)
+    assert trace.cycles[-1][2] == 5000
+    claimed = sum(stop - start - 1 for start, _, stop in trace.cycles)
+    assert claimed > 4000
+    assert_steered_claims_hold(trace)
+    # a batch holds at most batch._REACH + 2 slots, so the pinned stretch
+    # takes a claim per batch, with one slot of the slot rule in between
+    starts = [start for start, _, _ in trace.cycles]
+    stops = [stop for _, _, stop in trace.cycles]
+    assert all(b == a + 1 for a, b in zip(stops, starts[1:]))
+
+
+def test_claims_cost_the_writer_only_speed(claimed):
+    honest = written(dataclasses.replace(claimed, cycles=()))
+    assert written(claimed) == honest
     (start, period, stop), = claimed.cycles
     size = len(claimed)
     # a stale claim: one cell past the first period changed, the claim kept
@@ -517,9 +557,9 @@ def test_claims_cost_the_writer_only_speed(claimed, tmp_path):
     stale = dataclasses.replace(claimed, packets=packets)
     assert stale.cycles == claimed.cycles
     assert not engine._claim_holds(stale, stale.cycles[0])
-    assert csv_bytes(stale, tmp_path) == csv_bytes(
-        dataclasses.replace(stale, cycles=()), tmp_path, "plain.csv")
-    assert csv_bytes(stale, tmp_path) != honest
+    assert written(stale) == written(
+        dataclasses.replace(stale, cycles=()))
+    assert written(stale) != honest
     # bogus claims
     for claim in ((start, 0, stop), (-1, period, stop), (start, size, stop),
                   (size, 1, size + 1), (start, period, size + 1),
@@ -528,14 +568,14 @@ def test_claims_cost_the_writer_only_speed(claimed, tmp_path):
                   [start, period, stop], None):
         bogus = dataclasses.replace(claimed, cycles=(claim,))
         assert not engine._claim_holds(bogus, claim), claim
-        assert csv_bytes(bogus, tmp_path) == honest, claim
+        assert written(bogus) == honest, claim
     # true claims other than the run's: a later start, two periods, an
     # earlier stop, an empty tail
     for claim in ((start + 5, period, stop), (start, 2 * period, stop),
                   (start, period, stop - 7), (start, period, start + period)):
         other = dataclasses.replace(claimed, cycles=(claim,))
         assert engine._claim_holds(other, claim), claim
-        assert csv_bytes(other, tmp_path) == honest, claim
+        assert written(other) == honest, claim
 
 
 @pytest.fixture(scope="module", params=sorted(CLAIMED))
@@ -554,9 +594,9 @@ def several(request):
     return trace
 
 
-def test_several_claims_cost_the_writer_only_speed(several, tmp_path):
-    honest = csv_bytes(dataclasses.replace(several, cycles=()), tmp_path)
-    assert csv_bytes(several, tmp_path) == honest
+def test_several_claims_cost_the_writer_only_speed(several):
+    honest = written(dataclasses.replace(several, cycles=()))
+    assert written(several) == honest
     claims = several.cycles
     # one stale claim per stretch: a cell of each tail bumped
     packets = several.packets[:]
@@ -564,8 +604,8 @@ def test_several_claims_cost_the_writer_only_speed(several, tmp_path):
         packets[stop - 1] += 1
     stale = dataclasses.replace(several, packets=packets)
     assert not any(engine._claim_holds(stale, c) for c in claims)
-    assert csv_bytes(stale, tmp_path) == csv_bytes(
-        dataclasses.replace(stale, cycles=()), tmp_path, "plain.csv")
+    assert written(stale) == written(
+        dataclasses.replace(stale, cycles=()))
     # overlapping claims, claims out of order, claims past the end
     size = len(several)
     (a, pa, sa), (b, pb, _) = claims[:2]
@@ -576,7 +616,7 @@ def test_several_claims_cost_the_writer_only_speed(several, tmp_path):
                    claims[:-1] + ((claims[-1][0], claims[-1][1], size + 1),),
                    ((size - 1, 1, size + 5),) + claims):
         other = dataclasses.replace(several, cycles=cycles)
-        assert csv_bytes(other, tmp_path) == honest, cycles
+        assert written(other) == honest, cycles
 
 
 def test_a_stale_claim_fails_in_every_column(claimed):
@@ -589,7 +629,7 @@ def test_a_stale_claim_fails_in_every_column(claimed):
         dataclasses.replace(claimed, packets=claimed.packets[:-1])
 
 
-def test_a_claim_tells_equal_values_apart_by_bits_and_type(tmp_path):
+def test_a_claim_tells_equal_values_apart_by_bits_and_type():
     # a float column: -0.0 == 0.0, but the file prints them differently
     levels = array("d", [1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
     flags = array("B", [0] * 6)
@@ -600,7 +640,7 @@ def test_a_claim_tells_equal_values_apart_by_bits_and_type(tmp_path):
     assert engine._claim_holds(trace, claim)
     signed = dataclasses.replace(trace, packets=bump(levels, 5, -0.0))
     assert not engine._claim_holds(signed, claim)
-    assert csv_bytes(signed, tmp_path).endswith(b"\r\n5,1,0,-0,0,0,0\r\n")
+    assert written(signed).endswith(b"\r\n5,1,0,-0,0,0,0\r\n")
     # a list column: 5 == Fraction(5), but they compute differently
     values = [F(5), F(1, 2)] * 3
     listed = dataclasses.replace(trace, packets=values)
@@ -736,6 +776,81 @@ def test_a_bad_row_inside_a_tiled_stretch_is_refused(tmp_path, change,
     path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"trace.csv: {message}"):
         read_trace_csv(path)
+
+
+def reference_csv(trace):
+    """The file ``write_trace_csv`` writes: one ``%d`` or ``%.17g`` per
+    cell and one row per slot, with no chunks and no claims."""
+    n = trace.n_nodes
+    header = ["slot", "active", "switched", "packets"] + [
+        f"{name}{u}" for name in ("battery_pre", "battery_post", "suppressed")
+        for u in range(1, n + 1)]
+    lines = [",".join(header) + "\r\n"]
+    for k in range(len(trace)):
+        cells = ["%d" % k, "%d" % (trace.active[k] + 1),
+                 "%d" % trace.switched[k], "%.17g" % trace.packets[k]]
+        cells += ["%.17g" % col[k]
+                  for col in (*trace.battery_pre, *trace.battery_post)]
+        cells += ["%d" % (trace.suppressed[k] >> u & 1) for u in range(n)]
+        lines.append(",".join(cells) + "\r\n")
+    return "".join(lines).encode()
+
+
+@st.composite
+def written_traces(draw):
+    """A trace to write: a run of a float, int or ``Fraction`` system in
+    either packet mode, steered or not, its length around a multiple of
+    the writer's chunk or on a profile, or a float trace from
+    ``tiled_traces``.  Its claims
+    are its own, true ones derived from them, and bogus ones, near chunk
+    boundaries or anywhere; one packets cell may be changed, to -0.0 or
+    0.0 or by one, inside a claimed stretch when there is one, so that
+    the claim goes stale."""
+    kind = draw(st.sampled_from(("tiled", "run", "profiled")))
+    if kind == "tiled":
+        trace = draw(tiled_traces())
+    else:
+        if kind == "run":
+            params, kwargs = draw(systems())
+            profile, n_slots = None, draw(
+                st.sampled_from((CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1,
+                                 2 * CHUNK + 1))
+                | st.integers(1, 2 * CHUNK + 60))
+        else:
+            # harvests past a full slot, so steered runs pin at the cap
+            params, profile, n_slots, kwargs = draw(profiled_systems())
+        steer = draw(st.sampled_from((None, lambda *a: params.input_rate)))
+        trace = run(params, n_slots, profile, steer=steer, **kwargs)
+    size, own = len(trace), trace.cycles
+    claims = list(own)
+    for start, period, stop in own:
+        # a later start and an earlier stop, and twice the period
+        later = draw(st.integers(0, stop - start - period))
+        earlier = draw(st.integers(0, stop - start - period - later))
+        claims += [(start + later, period, stop - earlier),
+                   (start, 2 * period, stop)]
+    edges = st.sampled_from([k * CHUNK + d for k in (1, 2)
+                             for d in (-1, 0, 1)])
+    ends = edges | st.integers(-1, size + 1)
+    claims += draw(st.lists(st.tuples(ends, edges | st.integers(-1, size),
+                                      ends), max_size=3))
+    trace = dataclasses.replace(trace, cycles=tuple(draw(st.permutations(
+        claims))))
+    if draw(st.booleans()):
+        tails = [(start + period, stop) for start, period, stop in own[:1]
+                 if start + period < stop]
+        a, b = tails[0] if tails else (0, size)
+        k = draw(st.integers(a, b - 1))
+        value = draw(st.sampled_from((-0.0, 0.0, trace.packets[k] + 1)))
+        trace = dataclasses.replace(trace,
+                                    packets=bump(trace.packets, k, value))
+    return trace
+
+
+@given(written_traces())
+@settings(max_examples=60, deadline=None)
+def test_the_writer_matches_a_writer_of_one_cell_at_a_time(trace):
+    assert written(trace) == reference_csv(trace)
 
 
 def rotation_stats(trace, warmup):

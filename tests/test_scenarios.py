@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from hdrsim import (
     Profile,
+    SystemParams,
+    ThresholdPolicy,
     detect_cycles,
     load_profile,
     run,
@@ -393,6 +395,41 @@ def test_feedback_holds_rate_when_harvest_collapses():
         assert i > 0
         assert log[i][2] == log[i - 1][2]  # rate held, not driven negative
     assert all(entry[2] > 0 for entry in log)
+
+
+def test_feedback_load_whose_gap_to_the_harvest_rounds_to_zero():
+    # the controller's float load 1.6 against a Fraction harvest of 1/10:
+    # demand 0.1 exceeds 1/10 exactly, but 0.1 - 1/10 is 0.0 in floats, so
+    # the share of slot 29, where the forwarder has 0.05 to spare, is the
+    # limit of spare / gap, the full slot
+    params = SystemParams(harvest_rates=(F(1, 4), F(1, 4)), input_rate=F(16),
+                          packet_energy=F(1, 16),
+                          thresholds=ThresholdPolicy((F(1, 4), F(1, 4))),
+                          battery_capacity=F(4))
+    profile = Profile((((0, F(1, 10)), F(16), 31),))
+    trace = run_with_feedback(params, 30, 2, profile,
+                              initial_batteries=(0, F(1, 4)))
+    assert trace.profile.segments[-1][1:] == (1.6, 24)
+    assert trace.active[29] == 1 and trace.packets[29] == 1.6
+    # the audit replays the same rule; a handover charges the new forwarder
+    # below zero here, and the levels out of range are all it reports
+    problems = verify_trace(trace)
+    assert problems
+    assert all("outside [0, capacity]" in p for p in problems)
+
+
+@pytest.mark.parametrize("start, level", [((F(2), F(1)), 1.1),
+                                          ((F(0), F(1)), 0)])
+def test_steered_load_whose_gap_to_the_harvest_rounds_to_zero(start, level):
+    # spare above 0 takes the full slot, spare 0 the harvest alone; both
+    # carry 1.6 packets a slot, and the forwarder's level stays put, up to
+    # rounding
+    params = diamond(e=(F(1, 10), F(1, 10)), g=F(16), c=F(1, 16),
+                     h=(F(50), F(50)), cap=F(4))
+    trace = run(params, 40, initial_batteries=start, steer=lambda *a: 1.6)
+    assert list(trace.packets[1:]) == [1.6] * 39
+    assert trace.battery_pre[0][-1] == pytest.approx(level, abs=1e-12)
+    assert verify_trace(trace) == []
 
 
 def test_feedback_rejects_bad_setup():

@@ -281,18 +281,32 @@ def _parse_axis(spec: str):
 def cmd_sweep(args, cfg) -> int:
     """Closed-form results at each point of an ``h`` or ``g`` axis.  What
     the axis leaves alone is worked out once: the other fields, the
-    thresholds' total and rule, the harvest rates' sum, the closed form.
-    Each point is still a ``SystemParams`` built, and so checked, in
-    full."""
+    thresholds' total and rule, the harvest rates' sum, the closed form
+    and, on a ``g`` axis, the steady input rate, which never reads the
+    input rate.  Each point is still a ``SystemParams`` built, and so
+    checked, in full.
+
+    The rows are formatted ``_CSV_CHUNK`` points at a time, each chunk one
+    ``%`` call on the row template repeated; ``%.12g`` gives each cell the
+    text ``_fmt`` gives it."""
     params = _build_params(cfg)
     name, values = _parse_axis(args.axis)
     e, g, c, ths = (params.harvest_rates, params.input_rate,
                     params.packet_energy, params.thresholds)
     ct, cr, cap = (params.status_energy, params.switch_energy,
                    params.battery_capacity)
+    predict = _closed_form(params)
+    harvest = _left_sum(e)
+    steady = None
     if name == "g":
         def at(v):
             return SystemParams(e, v, c, ths, ct, cr, cap)
+
+        # taken where the first point takes it, after that point's checks
+        # and closed form, so a failing sweep fails as it always did
+        first = at(values[0])
+        predict(first)
+        steady = analytic._steady_rate(first, harvest)
     elif name == "h":
         # scale all thresholds, preserving their ratios
         shares, total, rule = ths.values, ths.total, ths.rule
@@ -302,20 +316,26 @@ def cmd_sweep(args, cfg) -> int:
                 tuple([t * v / total for t in shares]), rule), ct, cr, cap)
     else:
         raise ConfigError(f"unsupported sweep axis {name!r}; use h or g")
-    predict = _closed_form(params)
-    harvest = _left_sum(e)
 
     # a point that fails leaves stdout and the output file untouched, so
     # the lines collect in a buffer until the last point is done
     text = io.StringIO()
     text.write(f"{name},steady_input_rate,cycle_length,split,drift\n")
-    for v in values:
-        local = at(v)
-        pred = predict(local)
-        text.write(",".join([_fmt(v),
-                             _fmt(analytic._steady_rate(local, harvest)),
-                             _fmt(pred.cycle_length), _split_text(pred),
-                             _fmt(pred.drift)]) + "\n")
+    row = ("%.12g,%.12g,%.12g," + ":".join(["%.12g"] * params.n_nodes)
+           + ",%.12g\n")
+    for i in range(0, len(values), engine._CSV_CHUNK):
+        chunk = values[i:i + engine._CSV_CHUNK]
+        cells = []
+        for v in chunk:
+            local = at(v)
+            pred = predict(local)
+            rate = (analytic._steady_rate(local, harvest) if steady is None
+                    else steady)
+            split = pred.split
+            base = split[-1]
+            cells += (v, rate, pred.cycle_length,
+                      *[s / base for s in split], pred.drift)
+        text.write(row * len(chunk) % tuple(cells))
     if cfg.get("out"):
         path = os.path.join(_out_dir(cfg), "sweep.csv")
         with open(path, "w", encoding="utf-8") as fh:

@@ -389,6 +389,10 @@ class Trace:
     slot, built on first access; ``dataclasses.replace`` starts a copy
     with an empty view.
 
+    ``feedback_log`` holds a feedback run's controller updates, one
+    ``(slot, estimate, load, flagged)`` entry each, as a tuple; the
+    constructor stores any sequence it is given as one.
+
     ``cycles`` holds one claim, ``(start, period, stop)``, per stretch
     that ``run`` tiled and per batch of a steered run that repeats its
     first slot (``()`` when there is none): from entry ``start + period``
@@ -410,10 +414,11 @@ class Trace:
     initial_active: Optional[int] = None
     params: Optional[SystemParams] = None
     profile: Optional["Profile"] = None
-    feedback_log: list = field(default_factory=list)
+    feedback_log: tuple = ()
     cycles: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "feedback_log", tuple(self.feedback_log))
         n, size = len(self.battery_pre), len(self.active)
         named = [(f"{side}[{u}]", col)
                  for side in ("battery_pre", "battery_post")

@@ -218,4 +218,4 @@ def run_with_feedback(params: SystemParams, horizon: Optional[int] = None,
     trace = run(params, n_slots=horizon, profile=profile,
                 packet_mode=packet_mode, initial_batteries=initial_batteries,
                 initial_active=initial_active, steer=steer)
-    return replace(trace, feedback_log=feedback_log)
+    return replace(trace, feedback_log=tuple(feedback_log))

@@ -1,20 +1,25 @@
 """Command-line behavior: exit codes, outputs, file artifacts."""
 
 import builtins
+import dataclasses
 import hashlib
 import importlib.resources
+import io
 import json
 import math
 import operator
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdrsim import (ThresholdPolicy, analytic, read_trace_csv,
                     run_with_feedback)
-from hdrsim.cli import ConfigError, _parse_axis, main
+from hdrsim.cli import (ConfigError, _build_params, _closed_form, _fmt,
+                        _parse_axis, _split_text, main)
 
 from conftest import three
 
@@ -514,6 +519,13 @@ def test_sweep_golden_stdout(tmp_path, capsys, overrides, axis, golden):
 # three-node config whose load energy meets the harvest spread at g = 2
 DIVERGING = dict(policy="rr3", harvest_rates=[0, 0, 1], input_rate=2,
                  packet_energy=0.5, thresholds=[1, 1, 1])
+# three-node config whose harvest just pays the status messages, and whose
+# harvest spread rounds below zero, so the steady rate takes the square
+# root of a negative number, whatever the load
+NO_STEADY_RATE = dict(policy="rr3", status_energy=0.10000000000000002,
+                      harvest_rates=[0.1, 0.10000000000000002,
+                                     0.10000000000000002],
+                      thresholds=[4.5, 7.25, 11.0])
 
 
 @pytest.mark.parametrize("overrides, axis, err", [
@@ -523,8 +535,13 @@ DIVERGING = dict(policy="rr3", harvest_rates=[0, 0, 1], input_rate=2,
     # the points g = 1 and 1.5 pass, the third fails in the closed form
     (DIVERGING, "g=1:3:0.5", "load energy matches the harvest spread; "
                              "cycle length diverges"),
-    ({}, "cap=1:9:1", "unsupported sweep axis 'cap'; use h or g")],
-    ids=["g-negative", "h-negative", "closed-form-part-way", "axis-name"])
+    ({}, "cap=1:9:1", "unsupported sweep axis 'cap'; use h or g"),
+    # a g axis takes its steady rate once, but where its first point takes
+    # it: after the point's own checks and closed form
+    (NO_STEADY_RATE, "g=1:3:1", "math domain error"),
+    (NO_STEADY_RATE, "g=-1:3:1", "input rate must be non-negative")],
+    ids=["g-negative", "h-negative", "closed-form-part-way", "axis-name",
+         "steady-rate", "point-before-steady-rate"])
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
 def test_sweep_checks_every_point(tmp_path, capsys, overrides, axis, err,
                                   to_file):
@@ -540,6 +557,92 @@ def test_sweep_fails_part_way_only_at_the_diverging_point(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", **DIVERGING)
     assert main(["sweep", "--config", cfg, "--axis", "g=1:1.5:0.5"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def reference_sweep(cfg, spec):
+    """``hdrsim sweep`` text as a loop of one point at a time gives it:
+    each row one ``",".join`` of ``_fmt`` cells, and the steady rate taken
+    at every point."""
+    params = _build_params(cfg)
+    name, values = _parse_axis(spec)
+    predict = _closed_form(params)
+    ths = params.thresholds
+    rows = [f"{name},steady_input_rate,cycle_length,split,drift\n"]
+    for v in values:
+        if name == "g":
+            local = dataclasses.replace(params, input_rate=v)
+        else:
+            local = dataclasses.replace(params, thresholds=ThresholdPolicy(
+                tuple([t * v / ths.total for t in ths.values]), ths.rule))
+        pred = predict(local)
+        rows.append(",".join([
+            _fmt(v), _fmt(analytic.steady_input_rate(local)),
+            _fmt(pred.cycle_length), _split_text(pred),
+            _fmt(pred.drift)]) + "\n")
+    return "".join(rows)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A config for each closed form, in JSON ints or floats, and an ``h``
+    or ``g`` axis whose point count lies around the 1024 points that the
+    sweep formats at a time; axes that start low reach points the model
+    or the closed form refuses."""
+    form = draw(st.sampled_from(("away", "no-floor", "rr3", "es3")))
+    ints = draw(st.booleans())
+
+    def num(lo, hi, scale):
+        k = draw(st.integers(lo, hi))
+        return k if ints else k / scale
+
+    n = 2 if form in ("away", "no-floor") else 3
+    cost = 0 if form == "no-floor" else None
+    cfg = {"harvest_rates": [num(1, 9, 10) for _ in range(n)],
+           "input_rate": num(5, 40, 2),
+           "packet_energy": draw(st.sampled_from((1, 2) if ints
+                                                 else (0.08, 0.1))),
+           "status_energy": num(0, 2, 100) if cost is None else cost,
+           "switch_energy": num(1, 2, 20) if cost is None else cost,
+           "thresholds": [num(1, 40, 2) for _ in range(n)],
+           "battery_capacity": 100 if ints else 100.0}
+    if n == 3:
+        cfg["policy"] = form
+    axis = draw(st.sampled_from("hg"))
+    count = draw(st.sampled_from((1, 1023, 1024, 1025, 2049)))
+    lo = draw(st.integers(-4, 160)) / 4
+    # points of all twelve digits too
+    step = draw(st.sampled_from((0.001, 0.0125, 0.25, 1 / 3, 1 / 7)))
+    return cfg, f"{axis}={lo!r}:{lo + (count - 1) * step!r}:{step!r}"
+
+
+@given(sweep_cases(), st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_sweep_matches_a_loop_of_one_point_at_a_time(tmp_path_factory,
+                                                     case, to_file):
+    cfg, spec = case
+    out = tmp_path_factory.mktemp("sweep")
+    path = out / "c.json"
+    if to_file:
+        cfg = dict(cfg, out=str(out / "out"))
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    try:
+        want, err = reference_sweep(
+            json.loads(path.read_text(encoding="utf-8")), spec), None
+    except Exception as exc:        # the sweep must fail alike
+        want, err = None, exc
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(["sweep", "--config", str(path), "--axis", spec])
+    csv = out / "out" / "sweep.csv"
+    if err is not None:
+        assert (code, stdout.getvalue(), stderr.getvalue()) == (
+            1 if isinstance(err, ValueError) else 2, "", f"error: {err}\n")
+        assert not csv.exists()
+    elif to_file:
+        assert (code, stdout.getvalue()) == (0, f"wrote {csv}\n")
+        assert csv.read_bytes() == want.encode("utf-8")
+    else:
+        assert (code, stdout.getvalue(), stderr.getvalue()) == (0, want, "")
 
 
 def test_number_beyond_the_float_range_is_a_config_error(tmp_path, capsys):

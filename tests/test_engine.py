@@ -624,10 +624,19 @@ def test_a_finished_trace_is_frozen():
         trace.packets = trace.packets[:10]
     with pytest.raises(dataclasses.FrozenInstanceError):
         trace.feedback_log = [(0, 1.0, 2.0, False)]
-    # the feedback run hands its log to a copy of the steered trace
+    # the feedback run hands its log to a copy of the steered trace, as a
+    # tuple, so the finished log cannot grow either
     steered = run_with_feedback(diamond(ct=0.01, cr=0.05), horizon=3000)
+    assert type(steered.feedback_log) is tuple
     assert len(steered.feedback_log) > 0
     assert steered.feedback_log[0][1] > 0
+    with pytest.raises(AttributeError):
+        steered.feedback_log.append((0, 1.0, 2.0, False))
+    # a list handed to replace is stored as a tuple
+    log = [(0, 1.0, 2.0, False)]
+    copy = dataclasses.replace(trace, feedback_log=log)
+    assert copy.feedback_log == tuple(log)
+    assert type(copy.feedback_log) is tuple
 
 
 @given(

@@ -370,7 +370,7 @@ def test_feedback_with_giant_window_is_open_loop():
     a = run(params, n_slots=800)
     b = run_with_feedback(params, horizon=800, estimator_window=10 ** 6)
     assert a.records == b.records
-    assert b.feedback_log == []
+    assert b.feedback_log == ()
 
 
 def test_feedback_rate_stays_bounded():

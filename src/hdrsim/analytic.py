@@ -124,6 +124,9 @@ def away_cycle_three(params: SystemParams) -> SteadyStateSummary:
         raise ValueError("three-relay result requested for a different topology")
     e1, e2, e3 = params.harvest_rates
     cg = params.slot_data_energy
+    if cg == 0:
+        raise ValueError("load energy is zero; the three-relay cycle needs "
+                         "an input rate above 0")
     spread = e1 * e1 + e2 * e2 + e3 * e3 - e1 * e2 - e2 * e3 - e3 * e1
     denom = 2 * (cg * cg - spread)
     if denom == 0:
@@ -308,7 +311,9 @@ def _steady_rate(params: SystemParams, harvest):
         spread = e1 * e1 + e2 * e2 + e3 * e3 - e1 * e2 - e2 * e3 - e3 * e1
         switches = 6 * cr
         weight = 24 * cr
-    root = math.sqrt(h * h * tilde * tilde + weight * (switches + h) * spread)
+    # the spread is half a sum of squares; one rounded below zero is 0
+    root = math.sqrt(h * h * tilde * tilde
+                     + weight * (switches + h) * max(spread, 0))
     return (h * tilde + root) / (2 * params.packet_energy * (switches + h))
 
 

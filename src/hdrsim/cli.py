@@ -370,7 +370,7 @@ def cmd_scenario(args, cfg) -> int:
     if args.feedback and trace.feedback_log:
         last = trace.feedback_log[-1]
         print("feedback_updates", len(trace.feedback_log))
-        print("final_input_rate", _fmt(last[2]))
+        print("final_input_rate", _fmt(last.load))
     return 0
 
 

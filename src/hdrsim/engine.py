@@ -70,13 +70,13 @@ included.
 Shortcut 5 is exact because a plain slot applies the slot rule's own
 operations to each level, in the rule's order, and the stretch ends at the
 first slot whose state the columns show is not plain; that slot takes the
-slot rule.  It also keeps shortcut 4 and ``steer`` as they are: the batch
-makes the comparisons the per-slot loop makes, on the same refresh
-schedule, and calls ``steer`` once per slot, in slot order, with the same
-arguments, ending the batch after the first call that returns another load
-object.  A batch costs more than the slots it skips when the stretch is
-short, so one starts only where the stretch predicted from the leads and
-the per-slot rates reaches ``batch._BREAK_EVEN`` slots; ``Fraction`` runs,
+slot rule.  It also keeps shortcut 4 as it is: the batch makes the
+comparisons the per-slot loop makes, on the same refresh schedule.  A plain
+slot hands nothing over, so no batch calls ``steer``, which ``run`` calls
+only after a handover, and the load stays the same across a batch.  A
+batch costs more than the slots it skips when the stretch is short, so
+one starts only where the stretch predicted from the leads and the
+per-slot rates reaches ``batch._BREAK_EVEN`` slots; ``Fraction`` runs,
 whose additions are Python calls either way, take every slot.
 
 A trace file has one layout, ``_trace_header(n)`` over one row per slot
@@ -95,9 +95,7 @@ import math
 import operator
 from array import array
 from fractions import Fraction
-from functools import partial
-from itertools import (chain, compress, count, cycle, dropwhile, islice,
-                       pairwise, repeat)
+from itertools import chain, compress, cycle, islice, pairwise, repeat
 from typing import Callable, Optional, Sequence
 
 from .batch import _plain_stretch
@@ -265,9 +263,10 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     initial_active)`` checks and returns.  With a profile, slot ``k`` takes
     the harvest and load of the profile segment that holds it, and
     ``n_slots`` defaults to the profile length.  With ``steer`` the offered
-    load is a controller's: ``steer(k, active, switched, harvest)`` is
-    called after slot ``k`` with that slot's outcome and harvest rates and
-    returns the load from slot ``k + 1`` on (slot 0 gets
+    load is a controller's: ``steer(k, active, harvest)`` is called once
+    after each slot ``k`` whose exchange handed over, in slot order, with
+    the new forwarder and that slot's harvest rates, and returns the load
+    from slot ``k + 1`` on (the slots up to the first handover get
     ``params.input_rate``).  The profile's loads are then ignored, and the
     trace carries the effective profile: the harvest used and the load
     actually offered, with a new segment wherever the harvest changes or
@@ -283,13 +282,12 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     (shortcut 4 in the module docstring).  A run of floats and ints, with
     ``steer`` or without, advances each long stretch of plain slots, with
     a fixed forwarder and no handover, part duty or clip, as whole columns
-    (shortcut 5); ``steer`` is still called after each slot, in slot
-    order, with that slot's outcome.  A steered run never tiles, but each
-    batch of two or more slots that leaves every level as it was, as when
-    both nodes sit at the cap, goes into ``trace.cycles`` as a claim of
-    period 1, so ``write_trace_csv`` copies its rows.  Either way the
-    trace is the one the per-slot loop gives, bit for bit.  ``n_slots``
-    must be an int.
+    (shortcut 5); a plain slot hands nothing over, so no batch calls
+    ``steer``.  A steered run never tiles, but each batch of two or more
+    slots that leaves every level as it was, as when both nodes sit at the
+    cap, goes into ``trace.cycles`` as a claim of period 1, so
+    ``write_trace_csv`` copies its rows.  Either way the trace is the one
+    the per-slot loop gives, bit for bit.  ``n_slots`` must be an int.
     """
     levels, first = default_state(params, packet_mode, initial_batteries,
                                   initial_active)
@@ -359,10 +357,11 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
             add_suppressed(quiet << v)
             v = w
             if steer is not None:
-                nxt = steer(k, v, sw, e)
-                if nxt is not g:
-                    offered.append((e, g, k + 1 - since))
-                    since, g = k + 1, nxt
+                if sw:
+                    nxt = steer(k, v, e)
+                    if nxt is not g:
+                        offered.append((e, g, k + 1 - since))
+                        since, g = k + 1, nxt
             elif pre == kept and v == kept_v and _same_levels(pre, kept):
                 stop = k + 1
                 if stop < end:
@@ -391,21 +390,6 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
                 try_at = k + wait
                 continue
             if steer is not None:
-                # steer is called after each slot, in slot order, and the
-                # stretch ends after the first call that returns another
-                # load; done counts the calls that returned, since map
-                # would take a StopIteration from steer for its own end
-                ks, done = iter(range(k + 1, k + 1 + m)), count()
-                loads = map(operator.itemgetter(0), zip(map(
-                    steer, ks, repeat(v), repeat(False), repeat(e)), done))
-                nxt = next(dropwhile(partial(operator.is_, g), loads), g)
-                m -= operator.length_hint(ks)
-                if next(done) < m:
-                    raise StopIteration(f"steer raised StopIteration after "
-                                        f"slot {k + m}")
-                if nxt is not g:
-                    offered.append((e, g, k + 1 + m - since))
-                    since, g = k + 1 + m, nxt
                 if mover is None and m >= 2:
                     # a constant batch repeats its first slot
                     cycles.append((k + 1, 1, k + 1 + m))

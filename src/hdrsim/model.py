@@ -390,8 +390,8 @@ class Trace:
     with an empty view.
 
     ``feedback_log`` holds a feedback run's controller updates, one
-    ``(slot, estimate, load, flagged)`` entry each, as a tuple; the
-    constructor stores any sequence it is given as one.
+    ``scenarios.FeedbackUpdate`` ``(slot, estimate, load, flagged)`` each,
+    as a tuple; the constructor stores any sequence it is given as one.
 
     ``cycles`` holds one claim, ``(start, period, stop)``, per stretch
     that ``run`` tiled and per batch of a steered run that repeats its

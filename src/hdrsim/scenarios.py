@@ -9,7 +9,7 @@ import operator
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import islice, repeat
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .analytic import feedback_input_rate
 from .engine import run
@@ -17,6 +17,7 @@ from .model import FRACTIONAL, Profile, SystemParams, Trace, _left_sum
 
 __all__ = [
     "WindowStats",
+    "FeedbackUpdate",
     "load_profile",
     "windowed_stats",
     "write_window_stats_csv",
@@ -35,6 +36,18 @@ class WindowStats:
     delivered: float
     harvested: tuple           # per node, mJ
     mean_battery: tuple        # per node, mJ
+
+
+class FeedbackUpdate(NamedTuple):
+    """One controller update of a feedback run: the handover ``slot`` that
+    completed a rotation, the mean rotation length ``estimate``, the
+    ``load`` offered from the next slot on, and whether the controller
+    ``flagged`` a harvest too weak to pay for control and held the load."""
+
+    slot: int
+    estimate: float
+    load: float
+    flagged: bool
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +189,15 @@ def run_with_feedback(params: SystemParams, horizon: Optional[int] = None,
                       initial_batteries=None, initial_active: int = 0) -> Trace:
     """Simulate with the offered load steered to cancel battery drift.
 
-    Each time a full rotation completes (the forwarding role returns to
-    node 1), the mean of the last ``estimator_window`` rotation lengths
-    feeds the zero-drift load formula and the result becomes the new input
-    rate.  Until that many rotations exist the configured rate is used.  A
-    harvest too weak to pay for control makes the controller hold the
-    previous rate and flag the event.
+    The controller is ``run``'s ``steer``, which ``run`` calls after each
+    handover.  Each time a full rotation completes (the forwarding role
+    returns to node 1), the mean of the last ``estimator_window`` rotation
+    lengths feeds the zero-drift load formula and the result becomes the
+    new input rate; other handovers keep the rate.  Until that many
+    rotations exist the configured rate is used.  A harvest too weak to pay
+    for control makes the controller hold the previous rate and flag the
+    event.  Each update goes into the trace's ``feedback_log`` as a
+    ``FeedbackUpdate``.
 
     With a ``profile`` the harvest follows it while the input-rate column
     is ignored (the controller owns the load).  The returned trace carries
@@ -197,9 +213,9 @@ def run_with_feedback(params: SystemParams, horizon: Optional[int] = None,
     cycle_lengths = []
     last_activation = None
 
-    def steer(k, active, switched, harvest):
+    def steer(k, active, harvest):
         nonlocal g, last_activation
-        if switched and active == 0:
+        if active == 0:
             if last_activation is not None:
                 cycle_lengths.append(k - last_activation)
             last_activation = k
@@ -212,7 +228,7 @@ def run_with_feedback(params: SystemParams, horizon: Optional[int] = None,
                     flagged = False
                 except ValueError:
                     flagged = True
-                feedback_log.append((k, estimate, g, flagged))
+                feedback_log.append(FeedbackUpdate(k, estimate, g, flagged))
         return g
 
     trace = run(params, n_slots=horizon, profile=profile,

@@ -520,8 +520,7 @@ def test_sweep_golden_stdout(tmp_path, capsys, overrides, axis, golden):
 DIVERGING = dict(policy="rr3", harvest_rates=[0, 0, 1], input_rate=2,
                  packet_energy=0.5, thresholds=[1, 1, 1])
 # three-node config whose harvest just pays the status messages, and whose
-# harvest spread rounds below zero, so the steady rate takes the square
-# root of a negative number, whatever the load
+# harvest spread rounds below zero; the steady rate takes that spread as 0
 NO_STEADY_RATE = dict(policy="rr3", status_energy=0.10000000000000002,
                       harvest_rates=[0.1, 0.10000000000000002,
                                      0.10000000000000002],
@@ -536,12 +535,11 @@ NO_STEADY_RATE = dict(policy="rr3", status_energy=0.10000000000000002,
     (DIVERGING, "g=1:3:0.5", "load energy matches the harvest spread; "
                              "cycle length diverges"),
     ({}, "cap=1:9:1", "unsupported sweep axis 'cap'; use h or g"),
-    # a g axis takes its steady rate once, but where its first point takes
-    # it: after the point's own checks and closed form
-    (NO_STEADY_RATE, "g=1:3:1", "math domain error"),
-    (NO_STEADY_RATE, "g=-1:3:1", "input rate must be non-negative")],
+    # the three-relay closed form needs a load
+    (dict(CONFIG_A, policy="rr3"), "g=0:2:1", "load energy is zero; the "
+     "three-relay cycle needs an input rate above 0")],
     ids=["g-negative", "h-negative", "closed-form-part-way", "axis-name",
-         "steady-rate", "point-before-steady-rate"])
+         "g-zero"])
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
 def test_sweep_checks_every_point(tmp_path, capsys, overrides, axis, err,
                                   to_file):
@@ -551,6 +549,48 @@ def test_sweep_checks_every_point(tmp_path, capsys, overrides, axis, err,
     assert main(["sweep", "--config", cfg, "--axis", axis]) == 1
     assert capsys.readouterr() == ("", f"error: {err}\n")
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("overrides, axis, err", [
+    (NO_STEADY_RATE, "g=1:3:1", "no steady rate"),
+    (NO_STEADY_RATE, "g=-1:3:1", "input rate must be non-negative"),
+    (DIVERGING, "g=2:3:1", "load energy matches the harvest spread; "
+                           "cycle length diverges")],
+    ids=["steady-rate", "point-before-steady-rate",
+         "closed-form-before-steady-rate"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+def test_sweep_takes_the_steady_rate_after_the_first_points_checks(
+        tmp_path, capsys, monkeypatch, overrides, axis, err, to_file):
+    # a g axis takes its steady rate once, but where its first point takes
+    # it: after the point's own checks and closed form
+    def refuse(params, harvest):
+        raise ValueError("no steady rate")
+    monkeypatch.setattr(analytic, "_steady_rate", refuse)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", out=str(out) if to_file else None,
+                       **overrides)
+    assert main(["sweep", "--config", cfg, "--axis", axis]) == 1
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert not (out / "sweep.csv").exists()
+
+
+def test_a_spread_rounded_below_zero_has_a_steady_rate(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", **NO_STEADY_RATE)
+    assert main(["analytic", "--config", cfg]) == 0
+    assert "steady_input_rate" in capsys.readouterr().out
+    assert main(["sweep", "--config", cfg, "--axis", "g=1:3:1"]) == 0
+    with open(cfg, encoding="utf-8") as fh:
+        want = reference_sweep(json.load(fh), "g=1:3:1")
+    assert capsys.readouterr() == (want, "")
+
+
+def test_analytic_refuses_a_zero_three_relay_load(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", **dict(CONFIG_A, policy="rr3",
+                                                   input_rate=0))
+    assert main(["analytic", "--config", cfg]) == 1
+    assert capsys.readouterr() == ("", "error: load energy is zero; the "
+                                   "three-relay cycle needs an input rate "
+                                   "above 0\n")
 
 
 def test_sweep_fails_part_way_only_at_the_diverging_point(tmp_path, capsys):

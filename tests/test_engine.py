@@ -900,9 +900,16 @@ def test_run_rejects_profile_cells_and_steered_loads_of_other_types(bad):
                        match="Fractions|real number"):
         run(ints, profile=Profile((((1, 2), 3, 1), ((1, 2), bad, 1),
                                    ((1, 2), 3, 1))))
+    # the run hands over after slots 3 and 8, so the bad load is offered
     exact = exact_diamond(F(4), F(4, 5))
+    calls = []
+
+    def steer(k, active, e):
+        calls.append(k)
+        return bad
     with pytest.raises(TypeError):
-        run(exact, n_slots=10, steer=lambda k, active, switched, e: bad)
+        run(exact, n_slots=10, steer=steer)
+    assert calls == [3]
 
 
 def test_steered_run_keeps_its_loads_as_segments():
@@ -911,22 +918,28 @@ def test_steered_run_keeps_its_loads_as_segments():
     assert trace.profile.segments == (
         (params.harvest_rates, params.input_rate, 500),)
     # a new load object starts a segment, and so does a new harvest row;
-    # slot k + 1 takes the load returned after slot k
+    # steer is called after each handover slot k, and slot k + 1 takes the
+    # load it returns
     prof = Profile((((0.8, 0.6), 17.5, 300), ((0.5, 0.4), 17.5, 300)))
-    # an equal load of another object at slot 150
-    loads = {99: 12.0, 149: float("12"), 399: 9.5}
+    # handover slots of the steered run; an equal load of another object
+    # after slot 151
+    loads = {103: 12.0, 151: float("12"), 399: 9.5}
     g = [params.input_rate]
+    calls = []
 
-    def steer(k, active, switched, e):
+    def steer(k, active, e):
+        calls.append(k)
         g[0] = loads.get(k, g[0])
         return g[0]
     trace = run(params, profile=prof, steer=steer)
+    assert set(loads) <= set(calls)
+    assert calls == [k for k in trace.slots if trace.switched[k]]
     assert trace.profile.segments == (
-        ((0.8, 0.6), 17.5, 100), ((0.8, 0.6), 12.0, 50),
-        ((0.8, 0.6), 12.0, 150), ((0.5, 0.4), 12.0, 100),
+        ((0.8, 0.6), 17.5, 104), ((0.8, 0.6), 12.0, 48),
+        ((0.8, 0.6), 12.0, 148), ((0.5, 0.4), 12.0, 100),
         ((0.5, 0.4), 9.5, 200))
     harvest, rates = trace.inputs()
-    assert list(rates) == [17.5] * 100 + [12.0] * 300 + [9.5] * 200
+    assert list(rates) == [17.5] * 104 + [12.0] * 296 + [9.5] * 200
     assert verify_trace(trace) == []
 
 

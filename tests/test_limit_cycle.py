@@ -75,8 +75,8 @@ def reference_run(params, n_slots=None, profile=None,
                   packet_mode="fractional", initial_batteries=None,
                   initial_active=0, steer=None):
     """``run`` with none of its shortcuts: ``engine._slot_rule`` stepped
-    one slot at a time, ``steer`` called after each slot, and the columns
-    and the offered loads stored as ``run`` stores them."""
+    one slot at a time, ``steer`` called after each handover slot, and the
+    columns and the offered loads stored as ``run`` stores them."""
     pre, v = default_state(params, packet_mode, initial_batteries,
                            initial_active)
     slot = engine._slot_rule(params, packet_mode == "whole")
@@ -89,7 +89,8 @@ def reference_run(params, n_slots=None, profile=None,
             post, nxt, w, sw, pk, quiet = slot(pre, v, e, g)
             rows.append((pre, post, w, sw, pk, quiet << v, (i, e, g)))
             pre, v = nxt, w
-            g = steer(len(rows) - 1, v, sw, e) if steer else g
+            if steer and sw:
+                g = steer(len(rows) - 1, v, e)
     pres, posts, active, switched, packets, masks, used = zip(*rows)
     level, n = (lambda xs: array("d", xs)) if floats else list, len(pre)
     if steer:
@@ -223,21 +224,22 @@ def test_tiled_profile_runs_match_the_per_slot_path(system):
 
 def recording_steer(load, swaps=()):
     """A steer that records its calls and offers ``load``, and after each
-    slot in ``swaps`` a new load object, one more than the last."""
+    handover in ``swaps``, counted from 0, a new load object, one more than
+    the last."""
     calls = []
 
-    def steer(k, active, switched, harvest):
+    def steer(k, active, harvest):
         nonlocal load
-        calls.append((k, active, switched, harvest))
-        if k in swaps:
+        if len(calls) in swaps:
             load = load + 1
+        calls.append((k, active, harvest))
         return load
     return steer, calls
 
 
 def assert_batching_is_exact(params, n_slots, profile, kwargs, swaps):
     """``run`` against ``reference_run``, unsteered, steered by a steer that
-    keeps its load object and by one that swaps it after each slot in
+    keeps its load object and by one that swaps it after each handover in
     ``swaps``, and under the feedback controller: the same columns, loads
     offered, ``steer`` calls and feedback log.  The run tiles the same
     stretches as without batches."""
@@ -289,7 +291,7 @@ def feedback_outcome(params, n_slots, profile, kwargs):
 @settings(max_examples=100, deadline=None)
 def test_batched_runs_match_the_reference(system, data):
     params, kwargs = system
-    swaps = data.draw(st.sets(st.integers(0, 499), max_size=3))
+    swaps = data.draw(st.sets(st.integers(0, 40), max_size=3))
     assert_batching_is_exact(params, 500, None, kwargs, swaps)
 
 
@@ -297,8 +299,24 @@ def test_batched_runs_match_the_reference(system, data):
 @settings(max_examples=60, deadline=None)
 def test_batched_profile_runs_match_the_reference(system, data):
     params, profile, n_slots, kwargs = system
-    swaps = data.draw(st.sets(st.integers(0, n_slots - 1), max_size=3))
+    swaps = data.draw(st.sets(st.integers(0, 40), max_size=3))
     assert_batching_is_exact(params, n_slots, profile, kwargs, swaps)
+
+
+@given(profiled_systems(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_steer_is_called_once_per_handover(system, data):
+    # every number type, so runs that batch and runs that do not
+    params, profile, n_slots, kwargs = system
+    swaps = data.draw(st.sets(st.integers(0, 40), max_size=3))
+    steer, calls = recording_steer(params.input_rate, swaps)
+    want, want_calls = recording_steer(params.input_rate, swaps)
+    trace = run(params, n_slots, profile, steer=steer, **kwargs)
+    reference_run(params, n_slots, profile, steer=want, **kwargs)
+    assert repr(calls) == repr(want_calls)
+    harvest = list(trace.inputs()[0])
+    assert repr(calls) == repr([(k, trace.active[k], harvest[k])
+                                for k in trace.slots if trace.switched[k]])
 
 
 @pytest.mark.parametrize("params, kwargs", [
@@ -317,26 +335,6 @@ def test_batches_keep_the_knife_edges_of_the_slot_rule(params, kwargs,
     run(params, 60, **kwargs)
     assert slot_calls[0] < 60          # some slots went by in a batch
     assert_tiling_is_exact(params, 60, **kwargs)
-
-
-def test_a_steer_that_raises_stop_iteration_stops_a_batch(slot_calls):
-    # map takes a StopIteration from steer for its own end, so a batch
-    # must count the calls that returned
-    params = diamond(h=(60.0, 60.0), ct=0.01, cr=0.05)
-
-    def steer_until(last):
-        def steer(k, *_):
-            if k == last:
-                raise StopIteration
-            return params.input_rate
-        return steer
-
-    run(params, 40, initial_batteries=(50.0, 40.0), steer=steer_until(40))
-    assert slot_calls[0] < 40           # slots 1 to 39 are one stretch
-    for last in (1, 10, 39):
-        with pytest.raises(StopIteration):
-            run(params, 40, initial_batteries=(50.0, 40.0),
-                steer=steer_until(last))
 
 
 def test_profile_segments_tile_one_at_a_time(slot_calls):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hdrsim import (
+    FeedbackUpdate,
     Profile,
     SystemParams,
     ThresholdPolicy,
@@ -397,6 +398,18 @@ def test_feedback_holds_rate_when_harvest_collapses():
     assert all(entry[2] > 0 for entry in log)
 
 
+def test_feedback_log_entries_name_their_fields():
+    trace = run_with_feedback(diamond(ct=0.01, cr=0.05), horizon=3000)
+    rates = list(trace.inputs()[1])
+    for entry in trace.feedback_log:
+        assert type(entry) is FeedbackUpdate
+        assert entry == (entry.slot, entry.estimate, entry.load,
+                         entry.flagged)
+        # a handover to node 1, and the load offered from the next slot on
+        assert trace.switched[entry.slot] and trace.active[entry.slot] == 0
+        assert rates[entry.slot + 1] is entry.load
+
+
 def test_feedback_load_whose_gap_to_the_harvest_rounds_to_zero():
     # the controller's float load 1.6 against a Fraction harvest of 1/10:
     # demand 0.1 exceeds 1/10 exactly, but 0.1 - 1/10 is 0.0 in floats, so
@@ -421,12 +434,15 @@ def test_feedback_load_whose_gap_to_the_harvest_rounds_to_zero():
 @pytest.mark.parametrize("start, level", [((F(2), F(1)), 1.1),
                                           ((F(0), F(1)), 0)])
 def test_steered_load_whose_gap_to_the_harvest_rounds_to_zero(start, level):
-    # spare above 0 takes the full slot, spare 0 the harvest alone; both
-    # carry 1.6 packets a slot, and the forwarder's level stays put, up to
-    # rounding
+    # the float load a controller steers to, here a profile cell, on a
+    # Fraction harvest from slot 1 on: spare above 0 takes the full slot,
+    # spare 0 the harvest alone; both carry 1.6 packets a slot, and the
+    # forwarder's level stays put, up to rounding
     params = diamond(e=(F(1, 10), F(1, 10)), g=F(16), c=F(1, 16),
                      h=(F(50), F(50)), cap=F(4))
-    trace = run(params, 40, initial_batteries=start, steer=lambda *a: 1.6)
+    e = (F(1, 10), F(1, 10))
+    profile = Profile(((e, F(16), 1), (e, 1.6, 39)))
+    trace = run(params, profile=profile, initial_batteries=start)
     assert list(trace.packets[1:]) == [1.6] * 39
     assert trace.battery_pre[0][-1] == pytest.approx(level, abs=1e-12)
     assert verify_trace(trace) == []

@@ -146,7 +146,7 @@ def _steer_text() -> str:
     params = dataclasses.replace(params, battery_capacity=20)
     try:
         trace = run(params, n_slots=SLOTS, initial_batteries=(10, 12),
-                    steer=lambda k, active, switched, e: Decimal("3E+1"))
+                    steer=lambda k, active, e: Decimal("3E+1"))
     except Exception as exc:
         return f"raises {exc!r}"
     return _columns(trace) + "\n" + _audit(trace)

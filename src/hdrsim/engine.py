@@ -35,9 +35,10 @@ operation only where it is an identity on the operands in hand:
    out of the energy balance, and passes equal values at ``tol >= 0``
    without computing ``abs(want - got)`` when they are ints or Fractions.
 4. ``run`` without ``steer`` stops calling the slot rule once a segment
-   is on its limit cycle, fills every column with copies of one period to
-   the segment's end, and records that stretch on the trace as a claim
-   ``(start, period, stop)`` in ``trace.cycles``.
+   is on its limit cycle, fills every column with copies of its period,
+   as many as fit before the segment's end, and records the stretch to
+   that end on the trace as a claim ``(start, period, stop)`` in
+   ``trace.cycles``.
 5. ``run`` of floats and ints, steered or not, advances a stretch of plain
    slots as whole columns, one ``itertools.accumulate`` per node (see
    ``batch``), and sends only the slot that ends it through the slot
@@ -53,30 +54,35 @@ negative ``tol``, at which the full check fails even for equal values.
 Shortcut 4 is exact because a slot's outcome depends only on the state
 entering it, the levels and the active node, while the harvest and load
 are constant: when that state recurs within a segment, every later slot of
-the segment repeats the slots since its first visit.  In each segment
-``run`` keeps the state entering one slot and compares the state entering
-every later slot with it; the state it keeps is the one entering slot 1,
-3, 7, 15, ... of the segment (Brent's cycle finding), so it finds the
-cycle, a fixed point included, with O(1) extra memory and one comparison
-per slot.  Two states match only when their levels are equal in type and
-bits, not just in value: ``-0.0 == 0.0`` and ``5 == Fraction(5)``, but
-each pair prints and computes differently.  ``_same_levels`` is that test;
-``_claim_holds`` uses it too, for list columns.  The next segment starts
-from the live state objects, reached by stepping the kept state through
-the last partial period, since a float column has turned an int level into
-a float.  ``verify_trace`` still replays every slot, the copied ones
-included.
+the segment repeats the slots since its first visit.  ``run`` looks for the
+recurrence only where no batch of shortcut 5 can be.  After each handover
+it keeps the state entering the next slot in a dict of the segment, keyed
+by ``(active, *levels)``, so an orbit that hands over is found where it
+first comes back; the dict holds at most ``_KEPT_STATES`` states and is
+emptied when full, which bounds its memory on a run that never repeats.  A
+slot that hands nothing over and leaves every level as it was is a fixed
+point, found in that slot.  An orbit of period 2 or more without a
+handover is not found, and the run simulates it.  Two states match only
+when their levels are equal in type and bits, not just in value: ``-0.0 ==
+0.0`` and ``5 == Fraction(5)``, but each pair prints and computes
+differently.  ``_same_levels`` is that test; ``_claim_holds`` uses it too,
+for list columns.  On a repeat ``run`` copies the whole periods that fit
+before the segment's end, and the loop takes the rest, less than a period,
+from the live state objects, which the next segment starts from: a float
+column may have turned an int level into a float.  ``verify_trace`` still
+replays every slot, the copied ones included.
 
 Shortcut 5 is exact because a plain slot applies the slot rule's own
 operations to each level, in the rule's order, and the stretch ends at the
 first slot whose state the columns show is not plain; that slot takes the
-slot rule.  It also keeps shortcut 4 as it is: the batch makes the
-comparisons the per-slot loop makes, on the same refresh schedule.  A plain
-slot hands nothing over, so no batch calls ``steer``, which ``run`` calls
-only after a handover, and the load stays the same across a batch.  A
-batch costs more than the slots it skips when the stretch is short, so
-one starts only where the stretch predicted from the leads and the
-per-slot rates reaches ``batch._BREAK_EVEN`` slots; ``Fraction`` runs,
+slot rule.  A plain slot hands nothing over, so no batch calls ``steer``,
+which ``run`` calls only after a handover, and the load stays the same
+across a batch.  It also leaves shortcut 4 as it is: no state a moving
+batch enters is a fixed point or follows a handover, and an unsteered run
+leaves a constant batch to the slot rule, whose first slot is the fixed
+point.  A batch costs more than the slots it skips when the stretch is
+short, so one starts only where the stretch predicted from the leads and
+the per-slot rates reaches ``batch._BREAK_EVEN`` slots; ``Fraction`` runs,
 whose additions are Python calls either way, take every slot.
 
 A trace file has one layout, ``_trace_header(n)`` over one row per slot
@@ -129,6 +135,10 @@ __all__ = [
 # types whose values are always finite, so that want == got makes
 # want - got an exact zero
 _FINITE = frozenset((int, Fraction))
+
+# the most handover states a segment of a run keeps for shortcut 4; a full
+# set is dropped, which bounds its memory on a run that never repeats
+_KEPT_STATES = 4096
 
 
 def _number_types(params: SystemParams, profile, levels) -> set:
@@ -276,10 +286,12 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     steered load must be a float or an int.  Loads are checked at the end.
 
     Without ``steer`` the inputs are constant over each profile segment
-    (a run without a profile is one segment), and once the run is on the
-    segment's limit cycle ``run`` copies one period to the segment's end
-    instead of simulating it, and records the stretch in ``trace.cycles``
-    (shortcut 4 in the module docstring).  A run of floats and ints, with
+    (a run without a profile is one segment).  Once the state after a
+    handover comes back within a segment, or a slot without one leaves
+    every level as it was, ``run`` copies the whole periods that fit
+    before the segment's end instead of simulating them, and records the
+    stretch to that end in ``trace.cycles`` (shortcut 4 in the module
+    docstring).  A run of floats and ints, with
     ``steer`` or without, advances each long stretch of plain slots, with
     a fixed forwarder and no handover, part duty or clip, as whole columns
     (shortcut 5); a plain slot hands nothing over, so no batch calls
@@ -338,50 +350,50 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
         if steer is None:
             g = load
         since = start           # first slot of the current steered load
-        # shortcut 4: the state entering slots 1, 3, 7, 15, ... of the
-        # segment is kept, and when it recurs, the segment repeats the
-        # slots since it was kept
-        kept_v = kept = None
-        power = lam = 1
+        # shortcut 4: the state entering the slot after each handover, by
+        # (active, *levels), with that slot
+        seen = {}
         # shortcut 5: after slot try_at, the plain slots that follow may be
         # batched
         try_at = start if stretch else end
         slots = iter(range(start, end))
         for k in slots:
             add_pre(pre)
-            post, pre, w, sw, pk, quiet = slot(pre, v, e, g)
+            post, nxt, w, sw, pk, quiet = slot(pre, v, e, g)
             add_post(post)
             add_packets(pk)
             add_active(w)
             add_switched(sw)
             add_suppressed(quiet << v)
             v = w
+            at = None           # where the state entering slot k + 1 was
             if steer is not None:
                 if sw:
-                    nxt = steer(k, v, e)
-                    if nxt is not g:
+                    new = steer(k, v, e)
+                    if new is not g:
                         offered.append((e, g, k + 1 - since))
-                        since, g = k + 1, nxt
-            elif pre == kept and v == kept_v and _same_levels(pre, kept):
-                stop = k + 1
-                if stop < end:
-                    period = stop - kept_at
-                    for column, width in columns:
-                        _tile(column, kept_at * width, stop * width,
-                              end * width)
-                    cycles.append((kept_at, period, end))
-                    # the state entering the next segment, from the live
-                    # objects: the stored levels may have become floats
-                    pre, v = kept, kept_v
-                    for _ in range((end - kept_at) % period):
-                        _, pre, v, *_ = slot(pre, v, e, g)
-                break
-            else:
-                if lam == power:
-                    kept_at, kept_v, kept = k + 1, v, pre
-                    power *= 2
-                    lam = 0
-                lam += 1
+                        since, g = k + 1, new
+            elif sw:
+                if len(seen) == _KEPT_STATES:
+                    seen.clear()
+                at, was = seen.setdefault((v, *nxt), (k + 1, nxt))
+                if was is nxt or not _same_levels(was, nxt):
+                    at = None
+            elif nxt == pre and _same_levels(nxt, pre):
+                at = k          # a fixed point
+            pre = nxt
+            if at is not None and k + 1 < end:
+                # the segment repeats slots at to k from slot k + 1 on:
+                # whole periods are copied, and the loop takes the rest
+                period = k + 1 - at
+                skip = (end - k - 1) // period * period
+                for column, width in columns:
+                    _tile(column, at * width, (k + 1) * width,
+                          (k + 1 + skip) * width)
+                cycles.append((at, period, end))
+                seen.clear()
+                next(islice(slots, skip, skip), None)
+                continue
             if k < try_at:
                 continue
             m, wait, states, posts, pk, mover = stretch(pre, v, e, g,
@@ -393,33 +405,8 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
                 if mover is None and m >= 2:
                     # a constant batch repeats its first slot
                     cycles.append((k + 1, 1, k + 1 + m))
-            else:
-                # the checks of shortcut 4 after each batched slot.  The
-                # states of a moving batch differ from each other, so only
-                # the state kept before it can recur, up to the next
-                # refresh; in a constant batch the state recurs right after
-                # that refresh
-                u = 0 if mover is None else mover
-                j = 0
-                if kept_v == v:
-                    try:
-                        j = states[u].index(kept[u], 1, power - lam + 2)
-                    except ValueError:
-                        pass
-                if j and _same_levels([col[j] for col in states], kept):
-                    # the slot rule takes slot k + j, whose check finds it
-                    m = j - 1
-                left, at = m, 0
-                while power - lam < left:
-                    at += power - lam + 1
-                    left -= power - lam + 1
-                    kept_at, kept_v = k + 1 + at, v
-                    kept = [col[at] for col in states]
-                    power *= 2
-                    lam = 1
-                    if mover is None:
-                        m, left = at, 0
-                lam += left
+            elif mover is None:
+                m = 0
             if m:
                 block = [0] * (m * n)
                 for u, col in enumerate(states):

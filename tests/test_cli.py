@@ -1053,6 +1053,14 @@ def test_a_threshold_total_adds_left_to_right():
     assert ThresholdPolicy((0.1, 0.2, 0.3)).total == 0.1 + 0.2 + 0.3
 
 
+def test_a_profile_path_that_is_a_directory_is_a_config_error(tmp_path,
+                                                              capsys):
+    cfg = write_config(tmp_path / "c.json", horizon=None,
+                       profile=str(tmp_path), out=str(tmp_path / "out"))
+    assert main(["scenario", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read profile: ")
+
+
 def test_scenario_on_a_header_only_profile_is_a_config_error(tmp_path,
                                                              capsys):
     profile = tmp_path / "profile.csv"

@@ -207,6 +207,12 @@ def test_summarize_matches_manual_accounting():
     assert sum(s.node_share) == pytest.approx(1.0)
 
 
+def test_a_run_without_packets_has_no_node_share():
+    s = summarize(run(diamond(g=0.0), n_slots=50))
+    assert s.packets_total == 0
+    assert s.node_share == (0.0, 0.0)
+
+
 @pytest.mark.parametrize("warmup, message", [
     (-5, "warmup must be an int >= 0, got -5"),
     (2.5, "warmup must be an int >= 0, got 2.5"),
@@ -311,6 +317,8 @@ def test_a_re_read_trace_audits_clean_in_its_run_context(tmp_path, make):
         verify_trace(dataclasses.replace(back, params=trace.params))
     with pytest.raises(ValueError, match="parameters required"):
         energy_ledger(back)
+    with pytest.raises(ValueError, match="carries no harvest or offered-load"):
+        back.input_segments()
 
 
 def test_read_trace_csv_refuses_a_header_only_file(tmp_path):
@@ -422,7 +430,7 @@ def test_read_trace_csv_refuses_a_quoted_header(tmp_path):
 @pytest.mark.parametrize("ending", ["\r\n", "\n"])
 @pytest.mark.parametrize("last", ["", "newline"])
 def test_read_trace_csv_reads_either_line_ending(tmp_path, ending, last):
-    # the README point, tiled from slot 4095 with period 19
+    # the README point, tiled from slot 3068 with period 19
     trace = run(diamond(e=(0.8, 0.6), g=17.5, c=0.08, h=(6.2, 5.0), ct=0.01,
                         cr=0.05), n_slots=5000)
     assert trace.cycles
@@ -794,7 +802,7 @@ def test_verify_trace_memory_is_bounded():
 def test_read_trace_csv_memory_is_bounded(tmp_path):
     # rows are converted a chunk at a time: the peak is the finished
     # columns plus one chunk of text, not the whole file as text.  The
-    # diamond tiles from slot 4095, so most of its rows repeat; the es3 run
+    # diamond tiles from slot 2977, so most of its rows repeat; the es3 run
     # tiles nowhere, so every row of a chunk is its own text
     n_slots = 30_000
     path = tmp_path / "trace.csv"

@@ -1,9 +1,10 @@
 """The shortcuts of ``run`` that skip slot-rule calls.  Within each
 stretch of constant inputs, a profile segment or a whole run without a
-profile, a run stops simulating once the state entering a slot comes back,
-and repeats the slots in between up to the end of the stretch.  A run of
-floats and ints also advances each stretch of plain slots as whole columns,
-steered runs included.
+profile, a run stops simulating once the state after a handover comes
+back, or a slot leaves every level as it was, and repeats the slots in
+between up to the end of the stretch.  A run of floats and ints also
+advances each stretch of plain slots as whole columns, steered runs
+included.
 
 The reference, ``reference_run``, steps the slot rule one slot at a time
 with neither shortcut.  Every column must come out with the same repr, and
@@ -21,6 +22,7 @@ these shortcuts rest on must catch a change to any one cell.
 
 import dataclasses
 import gc
+import importlib.resources
 import math
 import random
 import tempfile
@@ -106,13 +108,18 @@ def reference_run(params, n_slots=None, profile=None,
         initial_active=initial_active, params=params, profile=profile)
 
 
-def assert_tiling_is_exact(params, n_slots, profile=None, **kwargs):
-    """Run ``params`` with and without the shortcuts and compare; every
-    claim of the tiled run must hold."""
-    tiled = run(params, n_slots, profile=profile, **kwargs)
-    assert columns(tiled) == columns(
-        reference_run(params, n_slots, profile, **kwargs))
-    assert all(engine._claim_holds(tiled, c) for c in tiled.cycles)
+def assert_tiling_is_exact(params, n_slots, profile=None, rooms=(),
+                           **kwargs):
+    """Run ``params`` with and without the shortcuts and compare, also with
+    room for only as many handover states as each of ``rooms``, so that
+    the run drops them over and over; every claim of a tiled run must
+    hold.  Returns the run with the default room."""
+    want = columns(reference_run(params, n_slots, profile, **kwargs))
+    for room in (*rooms, engine._KEPT_STATES):
+        with mock.patch.object(engine, "_KEPT_STATES", room):
+            tiled = run(params, n_slots, profile=profile, **kwargs)
+        assert columns(tiled) == want
+        assert all(engine._claim_holds(tiled, c) for c in tiled.cycles)
     return tiled
 
 
@@ -182,7 +189,7 @@ def systems(draw, kinds=tuple(sorted(NUMBERS))):
 @settings(max_examples=150, deadline=None)
 def test_tiled_runs_match_the_per_slot_path(system):
     params, kwargs = system
-    assert_tiling_is_exact(params, 500, **kwargs)
+    assert_tiling_is_exact(params, 500, rooms=(1, 2), **kwargs)
 
 
 @st.composite
@@ -214,7 +221,8 @@ def profiled_systems(draw):
 @settings(max_examples=100, deadline=None)
 def test_tiled_profile_runs_match_the_per_slot_path(system):
     params, profile, n_slots, kwargs = system
-    trace = assert_tiling_is_exact(params, n_slots, profile, **kwargs)
+    trace = assert_tiling_is_exact(params, n_slots, profile, rooms=(1, 2),
+                                   **kwargs)
     # each claim tiles one segment to its end, in slot order
     ends = list(accumulate(k for _, _, k in profile.segments))
     ends[-1] = n_slots
@@ -337,6 +345,43 @@ def test_batches_keep_the_knife_edges_of_the_slot_rule(params, kwargs,
     assert_tiling_is_exact(params, 60, **kwargs)
 
 
+def test_a_batch_whose_level_stops_moving_is_refused(monkeypatch):
+    # node 2 harvests 0.5 a slot from 2**52 - 8, where a float's step
+    # grows to 1.0: its level stops at 2**52 well below the cap, and so
+    # does node 1's just under it.  A batch that reaches that point is
+    # neither moving nor constant, and is refused
+    params = diamond(e=(1.0, 0.5), g=8.0, c=0.0625, h=(5.0, 5.0),
+                     cap=2.0**60)
+    outcomes = []
+    same = batch._same_levels
+
+    def recorded(a, b):
+        outcomes.append(same(a, b))
+        return outcomes[-1]
+
+    monkeypatch.setattr(batch, "_same_levels", recorded)
+    trace = assert_tiling_is_exact(params, 100,
+                                   initial_batteries=(2**52 - 8,) * 2)
+    assert False in outcomes
+    # the stopped levels are a fixed point, found by the slot rule
+    assert [period for _, period, _ in trace.cycles] == [1]
+
+
+def test_a_fixed_point_late_in_a_segment_is_tiled():
+    # the bundled flat profile under the benchmark's profile parameters:
+    # both nodes reach the cap at slot 4722, in the segment of slots 4000
+    # to 5000, and the slot after it leaves every level as it was
+    params = diamond(e=(0.3, 0.2), g=6.0, c=0.08, ct=0.01, cr=0.05,
+                     h=(10.0, 10.0))
+    profile = scenarios.load_profile(str(
+        importlib.resources.files("hdrsim") / "data"
+        / "harvest_flat_input.csv"))
+    trace = assert_tiling_is_exact(params, profile=profile,
+                                   n_slots=profile.length,
+                                   initial_batteries=(30.0, 40.0))
+    assert (4722, 1, 5000) in trace.cycles
+
+
 def test_profile_segments_tile_one_at_a_time(slot_calls):
     # an orbit, a fixed point with both nodes at the cap, a slower orbit
     # and a broke relay that never settles
@@ -348,7 +393,7 @@ def test_profile_segments_tile_one_at_a_time(slot_calls):
     trace = run(params, profile=profile)
     assert [stop for _, _, stop in trace.cycles] == [6000, 10000, 14000]
     assert trace.cycles[1][1] == 1
-    # the first orbit is reached after about 4800 slots
+    # the first orbit is found after about 3100 slots
     assert slot_calls[0] < 6000
     assert_tiling_is_exact(params, profile.length, profile)
     assert verify_trace(trace) == verify_trace(
@@ -685,8 +730,8 @@ def assert_re_read_columns_are_the_same(back, trace):
 @settings(max_examples=40, deadline=None)
 def test_float_runs_read_back_column_for_column(tmp_path_factory, system,
                                                 n_slots):
-    # tiled runs enter their orbit at slot 2**k - 1, so over 1024 slots
-    # their stretches start one slot before a chunk boundary
+    # runs of one to four chunks of the reader, whose tiled stretches
+    # start wherever their orbit comes back
     params, kwargs = system
     trace = run(params, n_slots, **kwargs)
     path = tmp_path_factory.mktemp("run") / "trace.csv"
@@ -760,12 +805,12 @@ def test_tiled_stretches_read_back_across_chunk_boundaries(
 @pytest.mark.parametrize("copies", [1, 3])
 def test_a_bad_row_inside_a_tiled_stretch_is_refused(tmp_path, change,
                                                      message, copies):
-    # the README point tiles from slot 4095 with period 19: from slot 5000
+    # the README point tiles from slot 3068 with period 19: from slot 5000
     # on, past the first chunk, each row's text after its slot number is
     # that of the row 19 slots earlier.  Slot 5000 is changed, or slots
     # 5000, 5019 and 5038 alike, so that the bad text repeats in its chunk
     trace = run(diamond(**README_POINT), 6000)
-    assert trace.cycles == ((4095, 19, 6000),)
+    assert trace.cycles == ((3068, 19, 6000),)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     header, *lines = path.read_text(encoding="utf-8").splitlines()

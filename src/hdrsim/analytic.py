@@ -7,6 +7,15 @@ assumption, which is exactly why both exist: the round-robin cycle stepper
 below, which takes any number of relays, serves as an independent oracle
 for the engine (and vice versa) wherever the assumptions hold.
 
+Each closed form is a thin ``SystemParams`` wrapper over a numeric core
+that takes plain numbers: ``_away_diamond``, ``_away_three`` and
+``_regime_diamond`` take the harvest rates, input rate, packet energy,
+thresholds, the thresholds' left sum and the control energies (see
+``_numbers``) and return a ``SteadyStateSummary``'s fields, and
+``_steady_rate_of`` takes what the steady input rate reads.  A caller
+that checked its numbers once, as ``hdrsim sweep`` does along its axis,
+calls the cores with no objects to build per call.
+
 As in the rest of the package, numbers are ints, floats or Fractions;
 Fraction inputs give exact results.
 """
@@ -73,16 +82,35 @@ class CycleStepState:
     active: int
 
 
-def _diamond(params: SystemParams):
-    if params.n_nodes != 2:
+def _numbers(params: SystemParams) -> tuple:
+    """The arguments of a numeric core for ``params``: the harvest rates,
+    the input rate, the packet energy, the thresholds and their left sum,
+    and the status and switch energies."""
+    ths = params.thresholds
+    return (params.harvest_rates, params.input_rate, params.packet_energy,
+            ths.values, ths.total, params.status_energy, params.switch_energy)
+
+
+def _diamond(rates) -> tuple:
+    if len(rates) != 2:
         raise ValueError("two-relay result requested for a different topology")
-    e1, e2 = params.harvest_rates
-    return e1, e2, params.slot_data_energy
+    return rates
 
 
-def _no_control(params: SystemParams, what: str):
-    if params.status_energy != 0 or params.switch_energy != 0:
+def _no_control(ct, cr, what: str):
+    if ct != 0 or cr != 0:
         raise ValueError(f"{what} is derived for zero control energies")
+
+
+def _summary_fields(regime, slots, length, packets, throughput,
+                    drift) -> tuple:
+    """The fields of a ``SteadyStateSummary``, refusing packets whose float
+    total overflows, since its split would divide by it; a ``Fraction``
+    total is exact whatever its size."""
+    total = _left_sum(packets)
+    if type(total) is float and not math.isfinite(total):
+        raise ValueError("the cycle's packet total overflows a float")
+    return regime, slots, length, packets, throughput, drift
 
 
 # ---------------------------------------------------------------------------
@@ -96,34 +124,37 @@ def away_cycle_diamond(params: SystemParams) -> SteadyStateSummary:
     per-slot gap growth rates; the engine matches them when the quotients
     are whole slots (handovers otherwise wait for a slot end).
     """
-    e1, e2, cg = _diamond(params)
+    return SteadyStateSummary(*_away_diamond(*_numbers(params)))
+
+
+def _away_diamond(rates, g, c, ths, h, ct, cr) -> tuple:
+    """``away_cycle_diamond`` on plain numbers (see ``_numbers``)."""
+    e1, e2 = _diamond(rates)
+    cg = c * g
     gap_rate_1 = cg + e2 - e1       # growth of B2-B1 while node 1 forwards
     gap_rate_2 = cg + e1 - e2
     if gap_rate_1 <= 0 or gap_rate_2 <= 0:
         raise ValueError("per-slot load must exceed the harvest imbalance")
-    h = params.thresholds.total
     slots1 = h / gap_rate_1
     slots2 = h / gap_rate_2
     length = slots1 + slots2
-    g = params.input_rate
-    tilde = e1 + e2 - 2 * params.status_energy
-    drift = -2 * params.switch_energy + (tilde - cg) * length / 2
-    return SteadyStateSummary(
-        regime="away",
-        active_slots=(slots1, slots2),
-        cycle_length=length,
-        cycle_packets=(g * slots1, g * slots2),
-        throughput=g,
-        drift=drift,
-    )
+    tilde = e1 + e2 - 2 * ct
+    drift = -2 * cr + (tilde - cg) * length / 2
+    return _summary_fields("away", (slots1, slots2), length,
+                           (g * slots1, g * slots2), g, drift)
 
 
 def away_cycle_three(params: SystemParams) -> SteadyStateSummary:
     """Round-robin cycle structure away from the boundaries, three relays."""
-    if params.n_nodes != 3:
+    return SteadyStateSummary(*_away_three(*_numbers(params)))
+
+
+def _away_three(rates, g, c, ths, h, ct, cr) -> tuple:
+    """``away_cycle_three`` on plain numbers (see ``_numbers``)."""
+    if len(rates) != 3:
         raise ValueError("three-relay result requested for a different topology")
-    e1, e2, e3 = params.harvest_rates
-    cg = params.slot_data_energy
+    e1, e2, e3 = rates
+    cg = c * g
     if cg == 0:
         raise ValueError("load energy is zero; the three-relay cycle needs "
                          "an input rate above 0")
@@ -132,21 +163,15 @@ def away_cycle_three(params: SystemParams) -> SteadyStateSummary:
     if denom == 0:
         raise ValueError("load energy matches the harvest spread; "
                          "cycle length diverges")
-    h = params.thresholds.total
     total = e1 + e2 + e3
-    slots = tuple(h * (cg + 3 * e - total) / denom for e in (e1, e2, e3))
+    s1 = h * (cg + 3 * e1 - total) / denom
+    s2 = h * (cg + 3 * e2 - total) / denom
+    s3 = h * (cg + 3 * e3 - total) / denom
     length = 3 * cg * h / denom
-    g = params.input_rate
-    tilde = total - 3 * params.status_energy
-    drift = -3 * params.switch_energy - cg * h * (cg - tilde) / denom
-    return SteadyStateSummary(
-        regime="away",
-        active_slots=slots,
-        cycle_length=length,
-        cycle_packets=tuple(g * s for s in slots),
-        throughput=g,
-        drift=drift,
-    )
+    tilde = total - 3 * ct
+    drift = -3 * cr - cg * h * (cg - tilde) / denom
+    return _summary_fields("away", (s1, s2, s3), length,
+                           (g * s1, g * s2, g * s3), g, drift)
 
 
 def three_node_away_solution(params: SystemParams, anchor_level):
@@ -217,14 +242,17 @@ def classify_regime_diamond(params: SystemParams) -> SteadyStateSummary:
     the boundary.  Comparisons are exact, so knife-edge classifications
     (balance, ratio exactly at a bound) want exact input types.
     """
-    _no_control(params, "the regime table")
-    e1, e2, cg = _diamond(params)
+    return SteadyStateSummary(*_regime_diamond(*_numbers(params)))
+
+
+def _regime_diamond(rates, g, c, ths, h, ct, cr) -> tuple:
+    """``classify_regime_diamond`` on plain numbers (see ``_numbers``)."""
+    _no_control(ct, cr, "the regime table")
+    e1, e2 = _diamond(rates)
+    cg = c * g
     if cg <= e1 or cg <= e2:
         raise ValueError("per-slot load must exceed both harvest rates")
-    g = params.input_rate
-    h1 = params.thresholds.threshold_from(0)
-    h2 = params.thresholds.threshold_from(1)
-    h = h1 + h2
+    h1, h2 = ths
     d1 = cg + e2 - e1               # gap growth while node 1 forwards
     d2 = cg + e1 - e2
 
@@ -248,9 +276,8 @@ def classify_regime_diamond(params: SystemParams) -> SteadyStateSummary:
             regime = "down_c"       # both take turns at empty
             slots = (h1 / e2, h2 / e1)
             pool = e1 * h1 + e2 * h2
-            c = params.packet_energy
             packets = (pool / (c * e2), pool / (c * e1))
-        return _steady(regime, slots, total / params.packet_energy, packets)
+        return _steady(regime, slots, total / c, packets)
 
     # surplus: ceiling-pinned; everything offered still goes through
     if ratio >= e1 / (cg - e2):
@@ -265,15 +292,8 @@ def classify_regime_diamond(params: SystemParams) -> SteadyStateSummary:
     return _steady(regime, slots, g, (g * slots[0], g * slots[1]))
 
 
-def _steady(regime, slots, throughput, packets) -> SteadyStateSummary:
-    return SteadyStateSummary(
-        regime=regime,
-        active_slots=tuple(slots),
-        cycle_length=sum(slots),
-        cycle_packets=tuple(packets),
-        throughput=throughput,
-        drift=0,
-    )
+def _steady(regime, slots, throughput, packets) -> tuple:
+    return _summary_fields(regime, slots, sum(slots), packets, throughput, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,27 +314,32 @@ def _steady_rate(params: SystemParams, harvest):
     """``steady_input_rate`` of ``params``, whose harvest rates add up to
     ``harvest`` (their left fold), so that a sweep that keeps them adds
     them once."""
-    h = params.thresholds.total
-    cr = params.switch_energy
-    ct = params.status_energy
-    n = params.n_nodes
-    tilde = harvest - n * ct
+    return _steady_rate_of(params.harvest_rates, harvest,
+                           params.packet_energy, params.thresholds.total,
+                           params.status_energy, params.switch_energy)
+
+
+def _steady_rate_of(rates, harvest, c, h, ct, cr):
+    """``_steady_rate`` on plain numbers: the harvest rates and their left
+    sum, the packet energy, the thresholds' left sum, and the status and
+    switch energies."""
+    tilde = harvest - len(rates) * ct
     if cr == 0:
-        return tilde / params.packet_energy
-    if n == 2:
-        e1, e2 = params.harvest_rates
+        return tilde / c
+    if len(rates) == 2:
+        e1, e2 = rates
         spread = (e2 - e1) ** 2
         switches = 2 * cr
         weight = 8 * cr
     else:
-        e1, e2, e3 = params.harvest_rates
+        e1, e2, e3 = rates
         spread = e1 * e1 + e2 * e2 + e3 * e3 - e1 * e2 - e2 * e3 - e3 * e1
         switches = 6 * cr
         weight = 24 * cr
     # the spread is half a sum of squares; one rounded below zero is 0
     root = math.sqrt(h * h * tilde * tilde
                      + weight * (switches + h) * max(spread, 0))
-    return (h * tilde + root) / (2 * params.packet_energy * (switches + h))
+    return (h * tilde + root) / (2 * c * (switches + h))
 
 
 def feedback_input_rate(measured_cycle_length, params: SystemParams):
@@ -352,7 +377,8 @@ def cycle_step(state: CycleStepState, params: SystemParams):
     other node harvests up to the cap.  Returns the state at the next
     handover plus the phase statistics.
     """
-    _no_control(params, "the cycle stepper")
+    _no_control(params.status_energy, params.switch_energy,
+                "the cycle stepper")
     n = params.n_nodes
     if n >= 3 and params.thresholds.rule == "es":
         raise ValueError("the cycle stepper follows the round-robin rule; "

@@ -14,12 +14,13 @@ import argparse
 import io
 import json
 import math
+import operator
 import os
 import sys
 
 from . import analytic, engine, scenarios
 from .model import (PACKET_MODES, SystemParams, ThresholdPolicy,
-                    _left_sum, default_state, validate)
+                    _finite_numbers, _left_sum, default_state, validate)
 
 __all__ = ["main"]
 
@@ -137,7 +138,11 @@ def _run_setup(cfg: dict):
 
 def _out_dir(cfg: dict) -> str:
     path = cfg.get("out", ".")
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") \
+            from None
     return path
 
 
@@ -182,15 +187,19 @@ def cmd_run(args, cfg) -> int:
     return 0
 
 
-def _closed_form(params: SystemParams):
-    """The closed form that predicts the steady state of ``params``.  The
-    choice rests on the node count and the control floor alone, which an
-    ``h`` or ``g`` axis leaves fixed."""
+def _closed_forms(params: SystemParams):
+    """The closed form that predicts the steady state of ``params``, and
+    its numeric core.  The choice rests on the node count and the control
+    floor alone, which an ``h`` or ``g`` axis leaves fixed."""
     if params.n_nodes == 3:
-        return analytic.away_cycle_three
+        return analytic.away_cycle_three, analytic._away_three
     if params.control_floor == 0:
-        return analytic.classify_regime_diamond
-    return analytic.away_cycle_diamond
+        return analytic.classify_regime_diamond, analytic._regime_diamond
+    return analytic.away_cycle_diamond, analytic._away_diamond
+
+
+def _closed_form(params: SystemParams):
+    return _closed_forms(params)[0]
 
 
 def _split_text(summary) -> str:
@@ -279,38 +288,33 @@ def _parse_axis(spec: str):
 
 
 def cmd_sweep(args, cfg) -> int:
-    """Closed-form results at each point of an ``h`` or ``g`` axis.  What
-    the axis leaves alone is worked out once: the other fields, the
-    thresholds' total and rule, the harvest rates' sum, the closed form
-    and, on a ``g`` axis, the steady input rate, which never reads the
-    input rate.  Each point is still a ``SystemParams`` built, and so
-    checked, in full.
+    """Closed-form results at each point of an ``h`` or ``g`` axis, from
+    the numeric cores, with no objects built per point.  What the axis
+    leaves alone is worked out once: the other fields, which
+    ``_build_params`` checked, the thresholds' total and rule, the harvest
+    rates' sum, the closed form and, on a ``g`` axis, the steady input
+    rate, which never reads the input rate.
 
-    The rows are formatted ``_CSV_CHUNK`` points at a time, each chunk one
-    ``%`` call on the row template repeated; ``%.12g`` gives each cell the
-    text ``_fmt`` gives it."""
+    Each point still gets the checks ``SystemParams`` makes, in point
+    order: ``_CSV_CHUNK`` points at a time, the axis is checked in one
+    pass, the cores run up to the first point that fails, and that point
+    is built through the constructors, which raise its error.  The rows
+    of a chunk are formatted by one ``%`` call on the row template
+    repeated; ``%.12g`` gives each cell the text ``_fmt`` gives it."""
     params = _build_params(cfg)
     name, values = _parse_axis(args.axis)
     e, g, c, ths = (params.harvest_rates, params.input_rate,
                     params.packet_energy, params.thresholds)
     ct, cr, cap = (params.status_energy, params.switch_energy,
                    params.battery_capacity)
-    predict = _closed_form(params)
+    shares, total, rule = ths.values, ths.total, ths.rule
+    core = _closed_forms(params)[1]
     harvest = _left_sum(e)
-    steady = None
     if name == "g":
         def at(v):
             return SystemParams(e, v, c, ths, ct, cr, cap)
-
-        # taken where the first point takes it, after that point's checks
-        # and closed form, so a failing sweep fails as it always did
-        first = at(values[0])
-        predict(first)
-        steady = analytic._steady_rate(first, harvest)
     elif name == "h":
         # scale all thresholds, preserving their ratios
-        shares, total, rule = ths.values, ths.total, ths.rule
-
         def at(v):
             return SystemParams(e, g, c, ThresholdPolicy(
                 tuple([t * v / total for t in shares]), rule), ct, cr, cap)
@@ -323,19 +327,49 @@ def cmd_sweep(args, cfg) -> int:
     text.write(f"{name},steady_input_rate,cycle_length,split,drift\n")
     row = ("%.12g,%.12g,%.12g," + ":".join(["%.12g"] * params.n_nodes)
            + ",%.12g\n")
+    steady = None
     for i in range(0, len(values), engine._CSV_CHUNK):
         chunk = values[i:i + engine._CSV_CHUNK]
         cells = []
-        for v in chunk:
-            local = at(v)
-            pred = predict(local)
-            rate = (analytic._steady_rate(local, harvest) if steady is None
-                    else steady)
-            split = pred.split
-            base = split[-1]
-            cells += (v, rate, pred.cycle_length,
-                      *[s / base for s in split], pred.drift)
-        text.write(row * len(chunk) % tuple(cells))
+        if name == "g":
+            # the other fields passed; of the load, SystemParams refuses
+            # only a negative one
+            passed = next((k for k, v in enumerate(chunk) if v < 0),
+                          len(chunk))
+            for v in chunk[:passed]:
+                _, _, length, packets, _, drift = core(e, v, c, shares,
+                                                       total, ct, cr)
+                if steady is None:
+                    # taken where the first point takes it, after that
+                    # point's checks and closed form
+                    steady = analytic._steady_rate(params, harvest)
+                p_total = _left_sum(packets)
+                base = packets[-1] / p_total
+                cells += (v, steady, length,
+                          *[p / p_total / base for p in packets], drift)
+        else:
+            # the scaled thresholds, a column per node; ThresholdPolicy
+            # refuses a point with one that is not finite and positive
+            cols = [[t * v / total for v in chunk] for t in shares]
+            passed = len(chunk)
+            if not all(_finite_numbers(col) and min(col) > 0
+                       for col in cols):
+                passed = next(k for k in range(passed) if not all(
+                    math.isfinite(col[k]) and col[k] > 0 for col in cols))
+            hs = [0] * passed       # each point's thresholds' left sum
+            for col in cols:
+                hs = list(map(operator.add, hs, col))
+            for v, point, h in zip(chunk[:passed], zip(*cols), hs):
+                _, _, length, packets, _, drift = core(e, g, c, point, h,
+                                                       ct, cr)
+                rate = analytic._steady_rate_of(e, harvest, c, h, ct, cr)
+                p_total = _left_sum(packets)
+                base = packets[-1] / p_total
+                cells += (v, rate, length,
+                          *[p / p_total / base for p in packets], drift)
+        if passed < len(chunk):
+            at(chunk[passed])           # raises that point's error
+        text.write(row * passed % tuple(cells))
     if cfg.get("out"):
         path = os.path.join(_out_dir(cfg), "sweep.csv")
         with open(path, "w", encoding="utf-8") as fh:

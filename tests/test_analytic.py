@@ -1,6 +1,9 @@
 """Closed-form results: cycle structure, regime table, sustainable rate."""
 
+import math
+import operator
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,6 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 from hdrsim import (
     CycleStepState,
     Hysteresis2,
+    SystemParams,
+    ThresholdPolicy,
     analytic,
     away_cycle_diamond,
     away_cycle_three,
@@ -71,6 +76,19 @@ def test_linear_solution_matches_closed_form_exactly():
     assert tuple(slots) == tuple(closed.active_slots)
     assert drift == closed.drift
     assert batteries[0] == F(50)
+
+
+@pytest.mark.parametrize("v", [F, float], ids=["fraction", "float"])
+def test_linear_solution_refuses_a_singular_system(v):
+    # the load energy meets the harvest spread, where the closed form's
+    # cycle length diverges: the handover and drift conditions then fix
+    # no phase lengths
+    params = three(e=(v(0), v(0), v(1)), g=v(2), c=v(1, 2) if v is F else 0.5,
+                   h=(v(1), v(1), v(1)))
+    with pytest.raises(ValueError, match="diverges"):
+        away_cycle_three(params)
+    with pytest.raises(ValueError, match="^singular system$"):
+        three_node_away_solution(params, v(0))
 
 
 def test_linear_solution_anchor_only_shifts_levels():
@@ -429,3 +447,96 @@ def test_three_stepper_off_balance_drifts_uniformly():
         assert stats.length == closed.active_slots[v]
     for before, after in zip(batteries, state.batteries):
         assert after - before == closed.drift
+
+
+# ---------------------------------------------------------------------------
+# numeric cores
+# ---------------------------------------------------------------------------
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and text of its refusal."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def core_cases(draw):
+    """Numbers for every closed form, all ints, all floats or all
+    Fractions, with the parameters they make.  Two or three relays meet
+    each core, so the topology refusals come up; zero control costs, loads
+    at or below the harvest, a load energy on the harvest spread and
+    floats near the top of their range reach the other refusals."""
+    kind = draw(st.sampled_from((int, float, F)))
+    huge = kind is float and draw(st.booleans())
+
+    def num(lo, hi):
+        k = draw(st.integers(lo, hi))
+        if kind is int:
+            return k
+        if kind is F:
+            return F(k, draw(st.sampled_from((1, 2, 3, 8))))
+        return k / draw(st.sampled_from((1, 4, 10)))
+
+    n = draw(st.sampled_from((2, 3)))
+    rates = tuple(num(0, 8) for _ in range(n))
+    g, c = num(0, 40), num(1, 8)
+    ths = tuple(num(1, 40) * (1e306 if huge else 1) for _ in range(n))
+    ct, cr = (0, 0) if draw(st.booleans()) else (num(0, 2), num(0, 2))
+    params = SystemParams(rates, g, c, ThresholdPolicy(ths), ct, cr,
+                          battery_capacity=kind(100))
+    return params, (rates, g, c, ths, reduce(operator.add, ths, 0), ct, cr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(core_cases())
+def test_numeric_cores_match_their_wrappers(case):
+    # every field of every result the same type and bits, and every
+    # refusal the same type and text
+    params, (rates, g, c, ths, h, ct, cr) = case
+    for wrapper, core in [
+            (away_cycle_diamond, analytic._away_diamond),
+            (away_cycle_three, analytic._away_three),
+            (classify_regime_diamond, analytic._regime_diamond)]:
+        want = _outcome(wrapper, params)
+        got = _outcome(core, rates, g, c, ths, h, ct, cr)
+        if isinstance(want, analytic.SteadyStateSummary):
+            want = tuple(getattr(want, f) for f in (
+                "regime", "active_slots", "cycle_length", "cycle_packets",
+                "throughput", "drift"))
+        assert repr(got) == repr(want), wrapper.__name__
+    harvest = reduce(operator.add, rates, 0)
+    assert repr(_outcome(analytic._steady_rate_of, rates, harvest, c, h, ct,
+                         cr)) == repr(_outcome(steady_input_rate, params))
+
+
+def test_a_packet_total_beyond_the_float_range_is_refused():
+    # each packet count is finite, but they add up to inf, and the split
+    # would divide by it
+    params = diamond(h=(6.2e306, 5e306), ct=0.01, cr=0.05)
+    h = params.thresholds.total
+    packets = (17.5 * (h / 1.2), 17.5 * (h / 1.6))
+    assert all(map(math.isfinite, packets))
+    assert packets[0] + packets[1] == math.inf
+    with pytest.raises(ValueError, match="packet total overflows a float"):
+        away_cycle_diamond(params)
+    with pytest.raises(ValueError, match="packet total overflows a float"):
+        away_cycle_three(three(h=(5e306, 1e307, 1e307)))
+    with pytest.raises(ValueError, match="packet total overflows a float"):
+        classify_regime_diamond(diamond(g=20.0, h=(6.2e306, 5e306)))
+
+
+def test_an_exact_packet_total_is_never_too_large():
+    # a load a hair above the harvest imbalance stretches node 1's phase
+    # far past the float range; a Fraction total is exact, so it stands,
+    # where math.isfinite would raise OverflowError on it
+    tiny = F(1, 10**300)
+    big = F(10) ** 307
+    params = diamond(e=(F(4, 5), F(3, 5)), g=F(1, 5) + tiny, c=F(1),
+                     h=(big, big), ct=F(1, 100), cr=F(1, 20), cap=F(100))
+    s = away_cycle_diamond(params)
+    assert s.active_slots[0] == 2 * big / tiny
+    assert s.cycle_packets_total == (F(1, 5) + tiny) * s.cycle_length
+    with pytest.raises(OverflowError):
+        math.isfinite(s.cycle_packets_total)

@@ -9,6 +9,7 @@ import json
 import math
 import operator
 import random
+import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from functools import reduce
@@ -16,7 +17,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdrsim import (ThresholdPolicy, analytic, read_trace_csv,
+from hdrsim import (ThresholdPolicy, analytic, cli, read_trace_csv,
                     run_with_feedback)
 from hdrsim.cli import (ConfigError, _build_params, _closed_form, _fmt,
                         _parse_axis, _split_text, main)
@@ -395,6 +396,25 @@ def test_sweep_axis_points_are_lo_plus_k_steps(spec):
     assert _parse_axis(spec) == (spec[0], values)
 
 
+def test_sweep_axis_whose_span_overflows_counts_down(tmp_path, capsys):
+    # found by search: the first count only overshoots when stop - start
+    # overflows to inf and k * step overflows with it; the axis then
+    # counts down from the cap to its last finite point, short of stop.
+    # Such an axis starts below zero, where every sweep refuses its first
+    # point.  A random search of 5e7 finite spans, from subnormal to huge
+    # and with steps that do not divide them, found no other way there
+    name, values = _parse_axis("h=-1e308:1e308:2.5e302")
+    assert name == "h"
+    assert len(values) == 719078
+    assert values == [-1e308 + k * 2.5e302 for k in range(719078)]
+    assert -1e308 + 719078 * 2.5e302 == math.inf
+    cfg = write_config(tmp_path / "c.json")
+    assert main(["sweep", "--config", cfg, "--axis",
+                 "h=-1e308:1e308:2.5e302"]) == 1
+    assert capsys.readouterr() == ("", "error: thresholds must be positive "
+                                   "ints, floats or Fractions, got -inf\n")
+
+
 # `hdrsim sweep --axis h=12:31:1.9` stdout, byte for byte, for the
 # three-node config of test_sweep_h_axis_three_nodes_golden_stdout; both
 # successor rules share the closed form, so both print this.
@@ -443,18 +463,28 @@ def test_sweep_h_axis_scales_thresholds_and_keeps_the_rule(
                        harvest_rates=[0.3, 0.7, 0.9][:len(ths)],
                        input_rate=18.0, thresholds=list(ths),
                        status_energy=None, switch_energy=None)
-    # the parameters of every point pass through the steady-rate formula,
-    # which the sweep calls with the harvest sum it folded once
+    # every point's scaled thresholds, and their left sum, reach the
+    # closed form's numeric core
     seen = []
-    rate = analytic._steady_rate
-    monkeypatch.setattr(analytic, "_steady_rate",
-                        lambda params, harvest: seen.append(params)
-                        or rate(params, harvest))
+    for name in ("_away_diamond", "_away_three", "_regime_diamond"):
+        monkeypatch.setattr(analytic, name,
+                            lambda *args, core=getattr(analytic, name):
+                            seen.append(args[3:5]) or core(*args))
     assert main(["sweep", "--config", cfg, "--axis", "h=29.1:29.1:1"]) == 0
     capsys.readouterr()
-    (point,) = seen
-    assert point.thresholds.rule == rule
-    assert point.thresholds.values == tuple(t * 29.1 / sum(ths) for t in ths)
+    total = reduce(operator.add, ths, 0)
+    scaled = tuple(t * 29.1 / total for t in ths)
+    assert seen == [(scaled, reduce(operator.add, scaled, 0))]
+    # a point the checks refuse is built, with the config's rule, by the
+    # constructor whose error the sweep reports
+    rules = []
+    monkeypatch.setattr(cli, "ThresholdPolicy", lambda values, r:
+                        rules.append(r) or ThresholdPolicy(values, r))
+    assert main(["sweep", "--config", cfg, "--axis", "h=0:1:1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: thresholds must be positive ints, floats or Fractions, "
+        "got 0.0\n")
+    assert rules == [rule, rule]
 
 
 # `hdrsim sweep` stdout, byte for byte, on three-node config A (both
@@ -597,6 +627,50 @@ def test_sweep_fails_part_way_only_at_the_diverging_point(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", **DIVERGING)
     assert main(["sweep", "--config", cfg, "--axis", "g=1:1.5:0.5"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_analytic_refuses_a_packet_total_beyond_the_float_range(tmp_path,
+                                                                capsys):
+    cfg = write_config(tmp_path / "c.json", thresholds=[6.2e306, 5e306])
+    assert main(["analytic", "--config", cfg]) == 1
+    assert capsys.readouterr() == (
+        "", "error: the cycle's packet total overflows a float\n")
+
+
+@pytest.mark.parametrize("overrides, lo, step, refused, err", [
+    # the README diamond's packet total overflows from h = 7.04e306 on,
+    # well before 6.2 * h does
+    ({}, 5e303, 5e303, 1408, "the cycle's packet total overflows a float"),
+    # at a load of 1, 6.2 * h overflows first, from h = 2.9e307 on
+    (dict(input_rate=1, packet_energy=1, harvest_rates=[0.1, 0.2]), 1e304,
+     1e304, 2899, "thresholds must be positive ints, floats or Fractions, "
+                  "got inf"),
+    # the load energy meets the harvest spread at g = 2
+    (DIVERGING, 0.5, 2 ** -10, 1536, "load energy matches the harvest "
+                                     "spread; cycle length diverges")],
+    ids=["closed-form", "check", "g-closed-form"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+def test_sweep_refusal_past_the_first_chunk(tmp_path, capsys, overrides, lo,
+                                            step, refused, err, to_file):
+    # the sweep checks and computes 1024 points at a time; the first point
+    # refused, in a later chunk, fails it with that point's error, as a
+    # loop of one point at a time fails, and nothing is written
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", out=str(out) if to_file else None,
+                       **overrides)
+    spec = f"{lo!r}:{lo + (refused - 1) * step!r}:{step!r}"
+    axis = "g" if overrides is DIVERGING else "h"
+    assert main(["sweep", "--config", cfg, "--axis", f"{axis}={spec}"]) == 0
+    capsys.readouterr()
+    spec = f"{axis}={lo!r}:{lo + (refused + 3000) * step!r}:{step!r}"
+    with open(cfg, encoding="utf-8") as fh:
+        with pytest.raises(ValueError) as want:
+            reference_sweep(json.load(fh), spec)
+    assert str(want.value) == err
+    shutil.rmtree(out, ignore_errors=True)
+    assert main(["sweep", "--config", cfg, "--axis", spec]) == 1
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert not (out / "sweep.csv").exists()
 
 
 def reference_sweep(cfg, spec):
@@ -1071,3 +1145,19 @@ def test_scenario_on_a_header_only_profile_is_a_config_error(tmp_path,
     assert capsys.readouterr().err == (
         "error: bad profile: empty profile: no slot ranges under the "
         "header\n")
+
+
+@pytest.mark.parametrize("argv", [["run"], ["scenario", "--feedback"],
+                                  ["sweep", "--axis", "h=4:5:1"]],
+                         ids=["run", "scenario", "sweep"])
+def test_an_out_path_that_is_a_file_is_a_config_error(tmp_path, capsys,
+                                                      argv):
+    out = tmp_path / "out"
+    out.write_text("not a directory\n", encoding="utf-8")
+    cfg = write_config(tmp_path / "c.json", out=str(out))
+    assert main([*argv, "--config", cfg]) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.splitlines()[-1].startswith(
+        "error: cannot create output directory: ")
+    assert out.read_text(encoding="utf-8") == "not a directory\n"

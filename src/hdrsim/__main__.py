@@ -1,0 +1,6 @@
+"""``python -m hdrsim``: the command-line interface, as ``hdrsim``."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

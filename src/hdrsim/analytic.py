@@ -102,6 +102,9 @@ def _no_control(ct, cr, what: str):
         raise ValueError(f"{what} is derived for zero control energies")
 
 
+_OVERFLOW = "the cycle's packet total overflows a float"
+
+
 def _summary_fields(regime, slots, length, packets, throughput,
                     drift) -> tuple:
     """The fields of a ``SteadyStateSummary``, refusing packets whose float
@@ -109,7 +112,7 @@ def _summary_fields(regime, slots, length, packets, throughput,
     total is exact whatever its size."""
     total = _left_sum(packets)
     if type(total) is float and not math.isfinite(total):
-        raise ValueError("the cycle's packet total overflows a float")
+        raise ValueError(_OVERFLOW)
     return regime, slots, length, packets, throughput, drift
 
 
@@ -163,6 +166,9 @@ def _away_three(rates, g, c, ths, h, ct, cr) -> tuple:
     if denom == 0:
         raise ValueError("load energy matches the harvest spread; "
                          "cycle length diverges")
+    if type(denom) is float and not math.isfinite(denom):
+        # every phase would come out 0.0, and so would the packet total
+        raise ValueError(_OVERFLOW)
     total = e1 + e2 + e3
     s1 = h * (cg + 3 * e1 - total) / denom
     s2 = h * (cg + 3 * e2 - total) / denom
@@ -263,7 +269,13 @@ def _regime_diamond(rates, g, c, ths, h, ct, cr) -> tuple:
 
     ratio = h1 / h2
     if total < cg:
-        # deficit: floor-pinned; throughput capped at total harvest
+        # deficit: floor-pinned; throughput capped at total harvest.  A
+        # node that harvests nothing is drained for good and never takes
+        # the role back, so no regime of the table applies
+        for u, e in enumerate(rates):
+            if e == 0:
+                raise ValueError(f"harvest_rates[{u}] is 0: the deficit "
+                                 f"regimes need both harvest rates above 0")
         if ratio <= e2 / (cg - e1):
             regime = "down_a"       # node 2 idles at empty, node 1 never does
             slots = (h / d1, h * (cg - e1) / (e1 * d1))

@@ -24,9 +24,10 @@ them one at a time and binds the harvest and load once per segment; a run
 without a profile is one segment.  A steered run records the loads it
 offered as segments too, so no layer lists a profile slot by slot.
 
-Five shortcuts skip work whose result is known, so every value, type and
-repr stays as the full arithmetic makes it.  The first three skip an
-operation only where it is an identity on the operands in hand:
+Six shortcuts skip work whose result is known, so every value, type and
+repr stays as the full arithmetic makes it, and every audit finds what the
+per-slot check finds.  The first three skip an operation only where it is
+an identity on the operands in hand:
 
 1. ``_slot_rule`` does not subtract a control cost (or floor) of int 0.
 2. ``_slot_rule`` returns ``g`` for a full-duty slot, ``1 * g + 0 * ev /
@@ -45,6 +46,11 @@ operation only where it is an identity on the operands in hand:
    rule.  A steered batch of two or more slots whose every state is the
    one it starts from, both nodes pinned at the cap say, repeats its first
    slot, and ``run`` records it as a claim ``(start, 1, stop)`` too.
+6. ``verify_trace`` of a trace of floats and ints, its levels in
+   ``array('d')`` columns, at ``tol >= 0``, checks ``audit._CHUNK`` slots
+   at a time in a column pass (see ``audit``), which clears each plain
+   slot and each balanced ledger row in C, and replays only the rest one
+   slot at a time.
 
 ``x - 0`` is ``x``, type and repr included, for every int, float and
 Fraction, so shortcuts 1 and 3 need no check of the types in hand.  Floats
@@ -70,7 +76,7 @@ for list columns.  On a repeat ``run`` copies the whole periods that fit
 before the segment's end, and the loop takes the rest, less than a period,
 from the live state objects, which the next segment starts from: a float
 column may have turned an int level into a float.  ``verify_trace`` still
-replays every slot, the copied ones included.
+checks every slot, the copied ones included.
 
 Shortcut 5 is exact because a plain slot applies the slot rule's own
 operations to each level, in the rule's order, and the stretch ends at the
@@ -84,6 +90,12 @@ point.  A batch costs more than the slots it skips when the stretch is
 short, so one starts only where the stretch predicted from the leads and
 the per-slot rates reaches ``batch._BREAK_EVEN`` slots; ``Fraction`` runs,
 whose additions are Python calls either way, take every slot.
+
+Shortcut 6 is exact because the pass clears a slot only where it has
+recomputed, with the slot rule's and the ledger's own operations in their
+order, what the per-slot check would find there; every slot or ledger row
+it does not clear goes through that check, in slot order, so the list of
+problems is the same.  It makes no use of shortcut 5, which it checks.
 
 A trace file has one layout, ``_trace_header(n)`` over one row per slot
 from 0: ``write_trace_csv`` writes it, and ``read_trace_csv`` accepts no
@@ -104,6 +116,7 @@ from fractions import Fraction
 from itertools import chain, compress, cycle, islice, pairwise, repeat
 from typing import Callable, Optional, Sequence
 
+from .audit import _CHUNK, _column_pass
 from .batch import _plain_stretch
 from .model import (
     FRACTIONAL,
@@ -559,11 +572,13 @@ def energy_ledger(trace: Trace):
     return list(_ledger_rows(trace, trace.inputs()[0]))
 
 
-def _ledger_rows(trace: Trace, harvest):
+def _ledger_rows(trace: Trace, harvest, slots=None):
     """The rows of ``energy_ledger``, one at a time; ``harvest`` holds the
     slots' harvest rates.  An absent charge (the status of a suppressed
     node, the handover of a slot without one, the spend of an idle node, a
-    cost of int 0) is left out rather than subtracted."""
+    cost of int 0) is left out rather than subtracted.  ``slots``, a list
+    of ascending slots before the last, takes only their rows, with
+    ``harvest`` holding their rates."""
     p = trace.params
     c, status, switch = p.packet_energy, p.status_energy, p.switch_energy
     cap = p.battery_capacity
@@ -572,9 +587,16 @@ def _ledger_rows(trace: Trace, harvest):
         status = None
     if _int_zero(switch):
         switch = None
-    for slot, (a, b), v, switched, packets, mask, e in zip(
-            trace.slots, pairwise(zip(*trace.battery_pre)), trace.active,
-            trace.switched, trace.packets, trace.suppressed, harvest):
+    columns = (trace.active, trace.switched, trace.packets, trace.suppressed)
+    if slots is None:
+        rows = zip(trace.slots, pairwise(zip(*trace.battery_pre)), *columns,
+                   harvest)
+    else:
+        after = [k + 1 for k in slots]
+        rows = zip(slots, zip(zip(*_at(trace.battery_pre, slots)),
+                              zip(*_at(trace.battery_pre, after))),
+                   *_at(columns, slots), harvest)
+    for slot, (a, b), v, switched, packets, mask, e in rows:
         handover = switch if switched else None
         for u in nodes:
             charge = None if mask >> u & 1 else status
@@ -589,17 +611,32 @@ def _ledger_rows(trace: Trace, harvest):
             yield slot, u, (b[u] - a[u]) - expect, b[u] == cap
 
 
+def _at(columns, slots: list) -> list:
+    """For each of ``columns``, an iterator over its entries ``slots``."""
+    return [map(column.__getitem__, slots) for column in columns]
+
+
 def verify_trace(trace: Trace, *, tol: float = 1e-9) -> list[str]:
     """Audit a finished trace against the model rules.
 
     Replays every slot from its own recorded levels and checks the handover
     decision, control charges, packet count and resulting levels, plus
     battery bounds and the energy balance.  Returns human-readable
-    violation strings; an empty list means the trace follows the model.
+    violation strings, the replay's in slot order and then the energy
+    balance's; an empty list means the trace follows the model.
     The run's context comes from the trace alone: ``params``,
     ``packet_mode``, ``initial_active`` and ``profile``.  A trace that
     lacks one of the first three, such as a re-read one, raises a
     ``ValueError``.  ``Trace`` has checked the columns' shape and context.
+
+    A trace of floats and ints, its levels in ``array('d')`` and its flags
+    in ``array('B')`` columns as ``run`` and ``read_trace_csv`` store them,
+    audited at ``tol >= 0``, first goes through a column pass a chunk of
+    slots at a time (shortcut 6, see ``audit``): it clears the plain slots
+    and the balanced ledger rows in C, and only the rest are replayed and
+    balanced one at a time.  ``Fraction`` runs, traces built from lists and
+    audits at a negative ``tol`` take the per-slot check alone.  The list
+    is the same either way, string for string and in the same order.
     """
     missing = [name for name in ("params", "packet_mode", "initial_active")
                if getattr(trace, name) is None]
@@ -607,7 +644,7 @@ def verify_trace(trace: Trace, *, tol: float = 1e-9) -> list[str]:
         raise ValueError(f"trace lacks its run's {', '.join(missing)}; put "
                          f"the context back with dataclasses.replace")
     p = trace.params
-    problems = []
+    problems, unbalanced = [], []
     report = problems.append
     nodes = range(p.n_nodes)
     low, high = -tol, p.battery_capacity + tol
@@ -616,43 +653,61 @@ def verify_trace(trace: Trace, *, tol: float = 1e-9) -> list[str]:
     # for types whose values are finite
     finite = _FINITE if tol >= 0 else ()
 
-    prev_active = trace.initial_active
-    harvest, rates = trace.inputs()
-    for slot, pre, post, v, switched, packets, mask, e, g in zip(
-            trace.slots, zip(*trace.battery_pre), zip(*trace.battery_post),
-            trace.active, trace.switched, trace.packets, trace.suppressed,
-            harvest, rates):
-        for u in nodes:
-            if pre[u] < low or pre[u] > high:
-                report(f"slot {slot}: node {u + 1} level {pre[u]} outside "
-                       f"[0, capacity]")
-        want_post, _, want_v, want_switched, want_packets, want_quiet = \
-            slot_rule(pre, prev_active, e, g)
-        if want_switched != switched or want_v != v:
-            report(f"slot {slot}: handover decision does not follow from "
-                   f"the recorded levels")
-        if want_quiet << prev_active != mask:
-            report(f"slot {slot}: status suppression flags differ")
-        if not (type(packets) in finite
-                and (want_packets is packets or want_packets == packets)
-                or abs(want_packets - packets) <= tol):
-            report(f"slot {slot}: packets {packets} != recomputed "
-                   f"{want_packets}")
-        for u in nodes:
-            want, got = want_post[u], post[u]
-            if not (type(got) in finite and (want is got or want == got)
-                    or abs(want - got) <= tol):
-                report(f"slot {slot}: node {u + 1} post-exchange level "
-                       f"mismatch")
-        prev_active = v
+    def replay(rows):
+        for slot, prev_active, pre, post, v, switched, packets, mask, e, g \
+                in rows:
+            for u in nodes:
+                if pre[u] < low or pre[u] > high:
+                    report(f"slot {slot}: node {u + 1} level {pre[u]} "
+                           f"outside [0, capacity]")
+            want_post, _, want_v, want_switched, want_packets, want_quiet = \
+                slot_rule(pre, prev_active, e, g)
+            if want_switched != switched or want_v != v:
+                report(f"slot {slot}: handover decision does not follow "
+                       f"from the recorded levels")
+            if want_quiet << prev_active != mask:
+                report(f"slot {slot}: status suppression flags differ")
+            if not (type(packets) in finite
+                    and (want_packets is packets or want_packets == packets)
+                    or abs(want_packets - packets) <= tol):
+                report(f"slot {slot}: packets {packets} != recomputed "
+                       f"{want_packets}")
+            for u in nodes:
+                want, got = want_post[u], post[u]
+                if not (type(got) in finite and (want is got or want == got)
+                        or abs(want - got) <= tol):
+                    report(f"slot {slot}: node {u + 1} post-exchange level "
+                           f"mismatch")
 
-    for slot, u, resid, at_cap in _ledger_rows(trace, trace.inputs()[0]):
-        if resid == 0 <= tol or abs(resid) <= tol:
-            continue
-        if at_cap and resid < 0:
-            continue          # surplus harvest discarded at the ceiling
-        report(f"slot {slot}: node {u + 1} energy balance off by {resid}")
-    return problems
+    def balance(rows):
+        for slot, u, resid, at_cap in rows:
+            if resid == 0 <= tol or abs(resid) <= tol:
+                continue
+            if at_cap and resid < 0:
+                continue          # surplus harvest discarded at the ceiling
+            unbalanced.append(f"slot {slot}: node {u + 1} energy balance off "
+                              f"by {resid}")
+
+    pre, post = trace.battery_pre, trace.battery_post
+    columns = (trace.active, trace.switched, trace.packets, trace.suppressed)
+    audit = _column_pass(trace, tol)
+    if audit is None:
+        harvest, rates = trace.inputs()
+        replay(zip(trace.slots, chain((trace.initial_active,), trace.active),
+                   zip(*pre), zip(*post), *columns, harvest, rates))
+        balance(_ledger_rows(trace, trace.inputs()[0]))
+        return problems + unbalanced
+    start = 0
+    for e, g, length in trace.input_segments():
+        for i in range(start, start + length, _CHUNK):
+            redo, rebalance = audit(i, min(i + _CHUNK, start + length), e, g)
+            prev = [trace.active[k - 1] if k else trace.initial_active
+                    for k in redo]
+            replay(zip(redo, prev, zip(*_at(pre, redo)), zip(*_at(post, redo)),
+                       *_at(columns, redo), repeat(e), repeat(g)))
+            balance(_ledger_rows(trace, repeat(e), rebalance))
+        start += length
+    return problems + unbalanced
 
 
 # ---------------------------------------------------------------------------

@@ -527,6 +527,31 @@ def test_a_packet_total_beyond_the_float_range_is_refused():
         classify_regime_diamond(diamond(g=20.0, h=(6.2e306, 5e306)))
 
 
+def test_a_load_whose_square_overflows_is_refused():
+    # 2 * (c * g) ** 2 overflows, so every phase, and with them the packet
+    # total, would come out 0.0 and the split would divide by it
+    with pytest.raises(ValueError, match="packet total overflows a float"):
+        away_cycle_three(three(g=1e300, es=True))
+    # the largest load short of that still gives a cycle
+    s = away_cycle_three(three(g=1.185e155, es=True))
+    assert s.cycle_packets_total > 0
+    # an exact load of that size is exact
+    exact = three(e=(F(1, 10), F(7, 10), F(4, 5)), g=F(10) ** 300,
+                  c=F(2, 25), h=(F(5), F(10), F(10)), cap=F(100), es=True)
+    assert away_cycle_three(exact).cycle_packets_total > 0
+
+
+@pytest.mark.parametrize("rates, node", [
+    ((0, 0.5), 0), ((0.5, 0), 1), ((F(0), F(1, 2)), 0), ((0.5, 0.0), 1)])
+def test_deficit_regimes_refuse_a_zero_harvest_rate(rates, node):
+    # a node that harvests nothing is drained for good and never takes the
+    # role back; the deficit regimes' phases divide by its rate
+    params = diamond(e=rates, g=20.0, h=(5.0, 5.0))
+    with pytest.raises(ValueError,
+                       match=rf"^harvest_rates\[{node}\] is 0: the deficit"):
+        classify_regime_diamond(params)
+
+
 def test_an_exact_packet_total_is_never_too_large():
     # a load a hair above the harvest imbalance stretches node 1's phase
     # far past the float range; a Fraction total is exact, so it stands,

@@ -673,6 +673,50 @@ def test_sweep_refusal_past_the_first_chunk(tmp_path, capsys, overrides, lo,
     assert not (out / "sweep.csv").exists()
 
 
+# three-node comparison config A, earliest switch
+CONFIG_A = dict(policy="es3", harvest_rates=[0.1, 0.7, 0.8], input_rate=20.0,
+                packet_energy=0.08, status_energy=0, switch_energy=0,
+                thresholds=[5, 10, 10])
+
+
+def test_analytic_refuses_a_load_whose_square_overflows(tmp_path, capsys):
+    # 2 * (c * g) ** 2 overflows; every phase would come out 0.0
+    cfg = write_config(tmp_path / "c.json", **{**CONFIG_A,
+                                               "input_rate": 1e300})
+    assert main(["analytic", "--config", cfg]) == 1
+    assert capsys.readouterr() == (
+        "", "error: the cycle's packet total overflows a float\n")
+
+
+def test_sweep_refuses_the_first_load_whose_square_overflows(tmp_path,
+                                                             capsys):
+    # 2 * (c * g) ** 2 overflows from g = 1.186e155 on, point 1185 of the
+    # axis, in the sweep's second chunk; the points before it pass
+    cfg = write_config(tmp_path / "c.json", **CONFIG_A)
+    err = "the cycle's packet total overflows a float"
+    assert main(["sweep", "--config", cfg, "--axis",
+                 f"g=1e152:{1e152 + 1184 * 1e152!r}:1e152"]) == 0
+    capsys.readouterr()
+    spec = f"g=1e152:{1e152 + 4000 * 1e152!r}:1e152"
+    with open(cfg, encoding="utf-8") as fh:
+        with pytest.raises(ValueError, match=err):
+            reference_sweep(json.load(fh), spec)
+    assert main(["sweep", "--config", cfg, "--axis", spec]) == 1
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("rates, node", [([0, 0.5], 0), ([0.5, 0], 1)])
+def test_analytic_refuses_a_zero_harvest_rate_in_deficit(tmp_path, capsys,
+                                                         rates, node):
+    cfg = write_config(tmp_path / "c.json", harvest_rates=rates,
+                       input_rate=20, status_energy=0, switch_energy=0,
+                       thresholds=[5, 5])
+    assert main(["analytic", "--config", cfg]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: harvest_rates[{node}] is 0: the deficit regimes need "
+            f"both harvest rates above 0\n")
+
+
 def reference_sweep(cfg, spec):
     """``hdrsim sweep`` text as a loop of one point at a time gives it:
     each row one ``",".join`` of ``_fmt`` cells, and the steady rate taken

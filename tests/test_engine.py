@@ -799,6 +799,21 @@ def test_verify_trace_memory_is_bounded():
     assert peak / 10_000 <= 4
 
 
+def test_verify_trace_memory_of_the_column_pass_is_bounded():
+    # the es3 run tiles nowhere, so nearly every slot goes through the
+    # column pass, which holds a chunk of each column at a time
+    trace = run(three(es=True), n_slots=10_000)
+    assert trace.cycles == ()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert verify_trace(trace) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 10_000 <= 4
+
+
 def test_read_trace_csv_memory_is_bounded(tmp_path):
     # rows are converted a chunk at a time: the peak is the finished
     # columns plus one chunk of text, not the whole file as text.  The

@@ -17,7 +17,9 @@ each batch that repeats its first slot.  The readers of those claims,
 ``write_trace_csv`` and ``summarize``, must give what they give without
 them, and a claim that does not hold must cost them only speed; the writer
 must also match ``reference_csv``, which formats every cell.  The audit
-these shortcuts rest on must catch a change to any one cell.
+these shortcuts rest on must catch a change to any one cell, and its
+column pass must list what the per-slot audit lists, mutated traces,
+``nan`` and infinite cells included.
 """
 
 import dataclasses
@@ -976,3 +978,79 @@ def test_audit_catches_every_single_cell_change(system, k, step, data):
     for column, change in mutants(trace, k, step, shift, bit):
         bad = dataclasses.replace(trace, **change)
         assert verify_trace(bad), f"{column} at slot {k}"
+
+
+def audit_outcome(trace, tol):
+    """What ``verify_trace`` gives: its list, or the type and text of the
+    error it raises, as ``math.floor`` does on a nan packet count."""
+    try:
+        return verify_trace(trace, tol=tol)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_audits_agree(trace, tol=1e-9):
+    """The audit gives what it gives without its column pass, every slot
+    replayed and every ledger row checked one at a time: the problems
+    string for string, with chunks of a few slots and of the default
+    size."""
+    with mock.patch.object(engine, "_column_pass", lambda trace, tol: None):
+        want = audit_outcome(trace, tol)
+    for chunk in (5, engine._CHUNK):
+        with mock.patch.object(engine, "_CHUNK", chunk):
+            assert audit_outcome(trace, tol) == want, (chunk, tol)
+
+
+# the single-cell steps of the audit test, one-ulp steps, and cells made
+# nan or infinite
+CELL_STEPS = (1, -1, F(1, 1000), F(-1, 1000), 1e-6, -1e-6, 5e-324, -5e-324,
+              math.nan, math.inf, -math.inf)
+
+
+@given(systems(kinds=("float", "int")), st.integers(0, 299),
+       st.sampled_from(CELL_STEPS), st.data())
+@settings(max_examples=30, deadline=None)
+def test_the_column_pass_lists_what_the_per_slot_audit_lists(system, k, step,
+                                                             data):
+    params, kwargs = system
+    trace = run(params, 300, **kwargs)
+    assert engine._column_pass(trace, 1e-9) is not None
+    # a re-read trace holds its packets as floats in whole-packet mode too
+    reread = dataclasses.replace(trace, packets=array("d", trace.packets))
+    for t in (trace, reread):
+        for tol in (1e-9, 0):
+            assert_audits_agree(t, tol)
+    # the pass is off at a negative tol, where equal values fail
+    assert engine._column_pass(trace, -1) is None
+    assert_audits_agree(trace, -1)
+    shift = data.draw(st.integers(1, trace.n_nodes - 1))
+    bit = data.draw(st.integers(0, trace.n_nodes - 1))
+    for _, change in mutants(trace, k, step, shift, bit):
+        assert_audits_agree(dataclasses.replace(trace, **change))
+
+
+@given(profiled_systems(), st.integers(0, 10**6), st.data())
+@settings(max_examples=20, deadline=None)
+def test_the_column_pass_on_profiles_and_steered_runs(system, k, data):
+    params, profile, n_slots, kwargs = system
+    trace = run(params, n_slots, profile, **kwargs)
+    swaps = data.draw(st.sets(st.integers(0, 40), max_size=3))
+    steer, _ = recording_steer(params.input_rate, swaps)
+    steered = run(params, n_slots, profile, steer=steer, **kwargs)
+    # Fraction runs keep list columns and take the per-slot path
+    floats = isinstance(trace.battery_pre[0], array)
+    assert (engine._column_pass(trace, 1e-9) is None) is not floats
+    assert_audits_agree(trace)
+    assert_audits_agree(steered)
+    step = data.draw(st.sampled_from(CELL_STEPS))
+    for _, change in mutants(steered, k % n_slots, step, 1, 0):
+        assert_audits_agree(dataclasses.replace(steered, **change))
+
+
+def test_the_audit_replays_only_what_the_column_pass_leaves(slot_calls):
+    # long_trace's es3 config: the pass clears every slot but those that
+    # hand over, which the per-slot replay takes
+    trace = run(three(es=True), 5000, initial_batteries=(40.0, 60.0, 20.0))
+    slot_calls[0] = 0
+    assert verify_trace(trace) == []
+    assert slot_calls[0] == sum(trace.switched) > 0

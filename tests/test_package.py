@@ -1,6 +1,8 @@
-"""Packaging promises: hdrsim runs on the standard library alone, and the
-README's Python API section matches the package."""
+"""Packaging promises: hdrsim runs on the standard library alone, the
+README's Python API section matches the package, and ``python -m hdrsim``
+runs the CLI."""
 
+import os
 import pathlib
 import re
 import subprocess
@@ -46,3 +48,12 @@ def test_readme_entry_points_exist():
     names = re.findall(r"`(\w+)`", listed)
     assert names
     assert [n for n in names if not hasattr(hdrsim, n)] == []
+
+
+def test_python_m_hdrsim_runs_the_cli():
+    # a subprocess, so the test imports nothing into this interpreter
+    proc = subprocess.run([sys.executable, "-m", "hdrsim", "--help"],
+                          capture_output=True, text=True, encoding="utf-8",
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ")

@@ -50,7 +50,9 @@ an identity on the operands in hand:
    ``array('d')`` columns, at ``tol >= 0``, checks ``audit._CHUNK`` slots
    at a time in a column pass (see ``audit``), which clears each plain
    slot and each balanced ledger row in C, and replays only the rest one
-   slot at a time.
+   slot at a time.  It leaves out the copied periods of each claim of
+   ``trace.cycles`` it confirms, and audits them all only where it finds
+   a problem.
 
 ``x - 0`` is ``x``, type and repr included, for every int, float and
 Fraction, so shortcuts 1 and 3 need no check of the types in hand.  Floats
@@ -75,8 +77,9 @@ differently.  ``_same_levels`` is that test; ``_claim_holds`` uses it too,
 for list columns.  On a repeat ``run`` copies the whole periods that fit
 before the segment's end, and the loop takes the rest, less than a period,
 from the live state objects, which the next segment starts from: a float
-column may have turned an int level into a float.  ``verify_trace`` still
-checks every slot, the copied ones included.
+column may have turned an int level into a float.  ``verify_trace`` checks
+every slot of a ``Fraction`` trace, the copied ones included; shortcut 6
+skips them in float traces.
 
 Shortcut 5 is exact because a plain slot applies the slot rule's own
 operations to each level, in the rule's order, and the stretch ends at the
@@ -96,6 +99,13 @@ recomputed, with the slot rule's and the ledger's own operations in their
 order, what the per-slot check would find there; every slot or ledger row
 it does not clear goes through that check, in slot order, so the list of
 problems is the same.  It makes no use of shortcut 5, which it checks.
+The copied slots it leaves out are those of claims that hold, lie within
+one input segment and enter their first copy with the forwarder that
+entered their first period (``_copied_slots``): each such slot has the
+bits, previous forwarder, inputs and ledger row of a slot one period
+earlier, so the full audit finds a problem only where the short one finds
+one too, and on any problem ``verify_trace`` returns the full audit's
+list.  ``Fraction`` traces take every slot, claims or not.
 
 A trace file has one layout, ``_trace_header(n)`` over one row per slot
 from 0: ``write_trace_csv`` writes it, and ``read_trace_csv`` accepts no
@@ -112,8 +122,10 @@ from __future__ import annotations
 import math
 import operator
 from array import array
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain, compress, cycle, islice, pairwise, repeat
+from itertools import (accumulate, chain, compress, cycle, islice, pairwise,
+                       repeat)
 from typing import Callable, Optional, Sequence
 
 from .audit import _CHUNK, _column_pass
@@ -457,15 +469,21 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
                  suppressed=suppressed, cycles=tuple(cycles))
 
 
+# the unsigned memoryview format of each array item size, for comparing
+# array entries by their bits
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def _claim_holds(trace: Trace, claim) -> bool:
     """Whether ``claim``, one of ``trace.cycles``, is borne out by the
     columns: ``(start, period, stop)`` ints with ``0 <= start``, ``period
     >= 1`` and ``start + period <= stop <= len(trace)``, and every column,
     each ``len(trace)`` entries long as ``Trace`` ensures, equal from entry
     ``start + period`` to ``stop`` to itself ``period`` entries earlier.
-    Arrays are
-    compared by their bytes, since ``-0.0 == 0.0``; other columns entry by
-    entry, by identity or else by type and repr (see ``_same_levels``).  A
+    Arrays are compared by their bits, since ``-0.0 == 0.0``: as
+    ``memoryview(col).cast("B")`` byte slices, taken a word of the item
+    size at a time; other columns entry by entry, by identity or else by
+    type and repr (see ``_same_levels``).  Neither copies a column, and a
     claim that fails costs its reader only speed."""
     if not (type(claim) is tuple and len(claim) == 3
             and all(type(x) is int for x in claim)):
@@ -475,15 +493,42 @@ def _claim_holds(trace: Trace, claim) -> bool:
         return False
     for column in (*trace.battery_pre, *trace.battery_post, trace.active,
                    trace.switched, trace.packets, trace.suppressed):
-        tail = column[start + period:stop]
-        shifted = column[start:stop - period]
         if isinstance(column, array):
-            if tail.tobytes() != shifted.tobytes():
+            words = memoryview(column).cast("B").cast(
+                _WORDS[column.itemsize])
+            if words[start + period:stop] != words[start:stop - period]:
                 return False
-        elif not (all(map(operator.is_, tail, shifted))
-                  or _same_levels(tail, shifted)):
+        elif not (all(map(operator.is_, islice(column, start + period, stop),
+                          islice(column, start, stop - period)))
+                  or _same_levels(column[start + period:stop],
+                                  column[start:stop - period])):
             return False
     return True
+
+
+def _copied_slots(trace: Trace, segments) -> list:
+    """For each of ``segments``, the trace's ``input_segments()``, the
+    ``(start + period, stop - 1)`` slot ranges of the claims of
+    ``trace.cycles`` whose copied slots the audit may leave out: the claim
+    holds (``_claim_holds``), slots ``start`` to ``stop`` lie in the
+    segment, and the forwarder entering slot ``start + period`` is the one
+    entering ``start``.  Each slot of such a range then repeats slot for
+    slot, previous forwarder and inputs included, one a period earlier,
+    and so does its ledger row; slot ``stop - 1`` keeps its own, since that
+    row reads ``battery_pre[stop]``."""
+    ends = list(accumulate(length for _, _, length in segments))
+    skips = [[] for _ in segments]
+    active = trace.active
+    for claim in trace.cycles:
+        if not _claim_holds(trace, claim):
+            continue
+        start, period, stop = claim
+        i = bisect_right(ends, start)       # the segment of slot start
+        before = active[start - 1] if start else trace.initial_active
+        if (stop <= ends[i] and active[start + period - 1] == before
+                and start + period < stop - 1):
+            skips[i].append((start + period, stop - 1))
+    return skips
 
 
 # ---------------------------------------------------------------------------
@@ -634,9 +679,14 @@ def verify_trace(trace: Trace, *, tol: float = 1e-9) -> list[str]:
     audited at ``tol >= 0``, first goes through a column pass a chunk of
     slots at a time (shortcut 6, see ``audit``): it clears the plain slots
     and the balanced ledger rows in C, and only the rest are replayed and
-    balanced one at a time.  ``Fraction`` runs, traces built from lists and
-    audits at a negative ``tol`` take the per-slot check alone.  The list
-    is the same either way, string for string and in the same order.
+    balanced one at a time.  The pass leaves out the copied slots of each
+    claim in ``trace.cycles`` that ``_copied_slots`` confirms, all but the
+    first period of the stretch and its last slot; if that short audit
+    finds any problem, the full one runs and gives the list.
+    ``Fraction`` runs, traces built from lists and audits at a negative
+    ``tol`` take the per-slot check alone, every slot of it.  The list is
+    the same either way, string for string and in the same order.  A
+    non-finite level is reported as outside ``[0, capacity]``.
     """
     missing = [name for name in ("params", "packet_mode", "initial_active")
                if getattr(trace, name) is None]
@@ -657,11 +707,17 @@ def verify_trace(trace: Trace, *, tol: float = 1e-9) -> list[str]:
         for slot, prev_active, pre, post, v, switched, packets, mask, e, g \
                 in rows:
             for u in nodes:
-                if pre[u] < low or pre[u] > high:
+                # a nan level fails both comparisons, so it is reported too
+                if not low <= pre[u] <= high:
                     report(f"slot {slot}: node {u + 1} level {pre[u]} "
                            f"outside [0, capacity]")
-            want_post, _, want_v, want_switched, want_packets, want_quiet = \
-                slot_rule(pre, prev_active, e, g)
+            try:
+                want_post, _, want_v, want_switched, want_packets, \
+                    want_quiet = slot_rule(pre, prev_active, e, g)
+            except ValueError:
+                # whole-packet mode cannot floor the nan packet count of a
+                # nan level, reported above, so the slot has no replay
+                continue
             if want_switched != switched or want_v != v:
                 report(f"slot {slot}: handover decision does not follow "
                        f"from the recorded levels")
@@ -697,17 +753,37 @@ def verify_trace(trace: Trace, *, tol: float = 1e-9) -> list[str]:
                    zip(*pre), zip(*post), *columns, harvest, rates))
         balance(_ledger_rows(trace, trace.inputs()[0]))
         return problems + unbalanced
-    start = 0
-    for e, g, length in trace.input_segments():
-        for i in range(start, start + length, _CHUNK):
-            redo, rebalance = audit(i, min(i + _CHUNK, start + length), e, g)
-            prev = [trace.active[k - 1] if k else trace.initial_active
-                    for k in redo]
-            replay(zip(redo, prev, zip(*_at(pre, redo)), zip(*_at(post, redo)),
-                       *_at(columns, redo), repeat(e), repeat(g)))
-            balance(_ledger_rows(trace, repeat(e), rebalance))
-        start += length
-    return problems + unbalanced
+
+    def audited(skips):
+        """The column pass over every slot outside the ``(a, b)`` ranges
+        of ``skips``, a list per segment, and the per-slot check over what
+        it leaves."""
+        problems.clear()
+        unbalanced.clear()
+        start = 0
+        for (e, g, length), skipped in zip(segments, skips):
+            end = start + length
+            done = start
+            for a, b in chain(sorted(skipped), ((end, end),)):
+                for i in range(done, a, _CHUNK):
+                    redo, rebalance = audit(i, min(i + _CHUNK, a), e, g)
+                    prev = [trace.active[k - 1] if k else trace.initial_active
+                            for k in redo]
+                    replay(zip(redo, prev, zip(*_at(pre, redo)),
+                               zip(*_at(post, redo)), *_at(columns, redo),
+                               repeat(e), repeat(g)))
+                    balance(_ledger_rows(trace, repeat(e), rebalance))
+                done = max(done, b)
+            start = end
+        return problems + unbalanced
+
+    segments = trace.input_segments()
+    skips = _copied_slots(trace, segments)
+    found = audited(skips)
+    if found and any(skips):
+        # the full audit lists each problem of a copied slot too
+        found = audited([()] * len(segments))
+    return found
 
 
 # ---------------------------------------------------------------------------

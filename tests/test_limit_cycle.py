@@ -19,7 +19,9 @@ them, and a claim that does not hold must cost them only speed; the writer
 must also match ``reference_csv``, which formats every cell.  The audit
 these shortcuts rest on must catch a change to any one cell, and its
 column pass must list what the per-slot audit lists, mutated traces,
-``nan`` and infinite cells included.
+``nan`` and infinite cells included.  On a tiled float trace the audit
+leaves out the copies of the claims it confirms, and must list what it
+lists without the claims.
 """
 
 import dataclasses
@@ -1047,6 +1049,21 @@ def test_the_column_pass_on_profiles_and_steered_runs(system, k, data):
         assert_audits_agree(dataclasses.replace(steered, **change))
 
 
+@pytest.mark.parametrize("mode", ["whole", "fractional"])
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_level_is_listed_outside_its_bounds(mode, level):
+    # whole-packet mode cannot floor the packet count of a nan forwarder
+    # level; the audit lists the level instead of raising
+    trace = run(diamond(), 50, packet_mode=mode)
+    u = trace.active[9]
+    pre = list(trace.battery_pre)
+    pre[u] = bump(pre[u], 10, level)
+    bad = dataclasses.replace(trace, battery_pre=tuple(pre))
+    assert (f"slot 10: node {u + 1} level {level} outside [0, capacity]"
+            in verify_trace(bad))
+    assert_audits_agree(bad)
+
+
 def test_the_audit_replays_only_what_the_column_pass_leaves(slot_calls):
     # long_trace's es3 config: the pass clears every slot but those that
     # hand over, which the per-slot replay takes
@@ -1054,3 +1071,173 @@ def test_the_audit_replays_only_what_the_column_pass_leaves(slot_calls):
     slot_calls[0] = 0
     assert verify_trace(trace) == []
     assert slot_calls[0] == sum(trace.switched) > 0
+
+
+# ---------------------------------------------------------------------------
+# the audit of a float trace takes each claimed stretch's copies once
+# ---------------------------------------------------------------------------
+
+def assert_claims_cost_the_audit_only_speed(trace):
+    """``verify_trace`` lists what it lists without the trace's claims,
+    with chunks of a few slots and of the default size."""
+    for chunk in (5, engine._CHUNK):
+        with mock.patch.object(engine, "_CHUNK", chunk):
+            assert verify_trace(trace) == verify_trace(
+                dataclasses.replace(trace, cycles=())), (chunk, trace.cycles)
+
+
+def copied(trace):
+    """The ``(a, b)`` slot ranges the audit leaves out of ``trace``."""
+    return [r for ranges in engine._copied_slots(trace,
+                                                 trace.input_segments())
+            for r in ranges]
+
+
+@st.composite
+def claimed_float_traces(draw):
+    """A float or int run that the audit takes in part: plain, on a profile
+    of several segments, or steered, whose claims are of period 1."""
+    how = draw(st.sampled_from(("plain", "profile", "steered")))
+    if how == "plain":
+        params, kwargs = draw(systems(kinds=("float", "int")))
+        trace = run(params, draw(st.integers(200, 600)), **kwargs)
+    else:
+        params, profile, n_slots, kwargs = draw(profiled_systems().filter(
+            lambda s: type(s[0].packet_energy) is not F))
+        steer = (lambda *a: params.input_rate) if how == "steered" else None
+        trace = run(params, n_slots, profile, steer=steer, **kwargs)
+    assume(copied(trace))
+    return trace
+
+
+def forged_claims(trace, claim):
+    """Claims beside ``claim`` that the audit must not take as they are:
+    across the next segment boundary, with fields that are not ints or
+    that lie out of range."""
+    start, period, stop = claim
+    ends = list(accumulate(k for _, _, k in trace.input_segments()))
+    beyond = [end for end in ends if end > stop]
+    forged = [(start, period, beyond[0])] if beyond else []
+    return forged + [
+        (float(start), period, stop), (start, period, True), [start, period,
+                                                              stop],
+        (start, period), (start, period, stop, 0), (-1, period, stop),
+        (start, 0, stop), (start, period, len(trace) + 1),
+        (stop, period, stop + period)]
+
+
+@given(claimed_float_traces(), st.sampled_from(CELL_STEPS), st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_short_audit_lists_what_the_full_audit_lists(trace, step, data):
+    assert_claims_cost_the_audit_only_speed(trace)
+    claim = data.draw(st.sampled_from(trace.cycles))
+    start, period, stop = claim
+    forged = dataclasses.replace(trace, cycles=(
+        *trace.cycles, *forged_claims(trace, claim)))
+    assert_claims_cost_the_audit_only_speed(forged)
+    # one cell in the transient, in the first period, at its last slot, in
+    # the copies, at the stretch's last slot and just after it; the trace
+    # keeps its claims, which some of these changes make stale
+    places = [start + period - 1, stop - 1, stop]
+    if start:
+        places.append(data.draw(st.integers(0, start - 1)))
+    places.append(data.draw(st.integers(start, start + period - 1)))
+    if start + period < stop:
+        places.append(data.draw(st.integers(start + period, stop - 1)))
+    k = data.draw(st.sampled_from([k for k in places if k < len(trace)]))
+    shift = data.draw(st.integers(1, trace.n_nodes - 1))
+    bit = data.draw(st.integers(0, trace.n_nodes - 1))
+    for _, change in mutants(trace, k, step, shift, bit):
+        assert_claims_cost_the_audit_only_speed(
+            dataclasses.replace(trace, **change))
+    # the forwarder entering the stretch changed, so the claim holds but
+    # its first period is not entered as its copies are
+    if start:
+        other = (trace.active[start - 1] + shift) % trace.n_nodes
+        bad = dataclasses.replace(trace, active=bump(trace.active, start - 1,
+                                                     other))
+    else:
+        bad = dataclasses.replace(trace, initial_active=(
+            trace.initial_active + shift) % trace.n_nodes)
+    assert engine._claim_holds(bad, claim)
+    assert_claims_cost_the_audit_only_speed(bad)
+
+
+def test_the_audit_leaves_out_only_claims_it_can_confirm():
+    # two segments of the same inputs: the run tiles each, and a claim over
+    # both holds bit for bit but spans a boundary
+    params = diamond(**README_POINT)
+    rates = params.harvest_rates, params.input_rate
+    trace = run(params, profile=Profile([(*rates, 4000), (*rates, 4000)]))
+    (a, period, end), (b, _, stop) = trace.cycles
+    assert (end, stop) == (4000, 8000)
+    assert copied(trace) == [(a + period, end - 1), (b + period, stop - 1)]
+    across = (a, period, stop)
+    assert engine._claim_holds(trace, across)
+    spanning = dataclasses.replace(trace, cycles=(across,))
+    assert copied(spanning) == []
+    assert verify_trace(spanning) == []
+    # a claim holds, but the forwarder entering its first period is not
+    # the one entering its first copy
+    shifted = dataclasses.replace(trace, active=bump(
+        trace.active, a - 1, 1 - trace.active[a - 1]))
+    assert engine._claim_holds(shifted, trace.cycles[0])
+    assert copied(shifted) == [(b + period, stop - 1)]
+    for claim in forged_claims(trace, trace.cycles[0]):
+        assert copied(dataclasses.replace(trace, cycles=(claim,))) == []
+    # a claim made stale by a changed cell, in a copy or in the first
+    # period
+    for k in (a + 2 * period, a):
+        stale = dataclasses.replace(trace, packets=bump(
+            trace.packets, k, trace.packets[k] + 1))
+        assert copied(stale) == [(b + period, stop - 1)]
+        assert verify_trace(stale) == verify_trace(
+            dataclasses.replace(stale, cycles=()))
+        assert f"slot {k}: packets" in verify_trace(stale)[0]
+
+
+def test_the_audit_takes_each_copied_stretch_once():
+    trace = run(diamond(**README_POINT), 50_000)
+    (start, period, stop), = trace.cycles
+    taken = [0]
+    column_pass = engine._column_pass
+
+    def counted(trace, tol):
+        audit = column_pass(trace, tol)
+
+        def counting(i, j, e, g):
+            taken[0] += j - i
+            return audit(i, j, e, g)
+        return counting
+
+    with mock.patch.object(engine, "_column_pass", counted):
+        assert verify_trace(trace) == []
+    assert start + period < taken[0] <= start + period + engine._CHUNK
+    # a problem the short audit finds, where the claim still holds, sends
+    # every slot through the full one
+    taken[0] = 0
+    bad = dataclasses.replace(trace, battery_post=(
+        bump(trace.battery_post[0], 10, 0.0), trace.battery_post[1]))
+    with mock.patch.object(engine, "_column_pass", counted):
+        problems = verify_trace(bad)
+    assert engine._claim_holds(bad, trace.cycles[0])
+    assert problems == ["slot 10: node 1 post-exchange level mismatch"]
+    assert taken[0] == start + period + 1 + len(trace)
+
+
+@given(systems(kinds=("float", "int")), st.integers(0, 399),
+       st.sampled_from((1, -1, F(1, 1000), F(-1, 1000), 1e-6, -1e-6)),
+       st.data())
+@settings(max_examples=30, deadline=None)
+def test_the_short_audit_catches_every_single_cell_change(system, k, step,
+                                                          data):
+    params, kwargs = system
+    trace = run(params, 400, **kwargs)
+    # the run tiles within its length, so the audit leaves copies out
+    assume(copied(trace) and verify_trace(trace) == [])
+    n = trace.n_nodes
+    shift = data.draw(st.integers(1, n - 1))
+    bit = data.draw(st.integers(0, n - 1))
+    for column, change in mutants(trace, k, step, shift, bit):
+        bad = dataclasses.replace(trace, **change)
+        assert verify_trace(bad), f"{column} at slot {k}"

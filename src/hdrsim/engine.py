@@ -110,11 +110,13 @@ list.  ``Fraction`` traces take every slot, claims or not.
 A trace file has one layout, ``_trace_header(n)`` over one row per slot
 from 0: ``write_trace_csv`` writes it, and ``read_trace_csv`` accepts no
 other.  The writer formats ``_CSV_CHUNK`` rows per ``%`` call, each
-distinct packets value of a float chunk once, and copies the text of each
-stretch ``_claim_holds`` confirms.  The reader splits the rows itself, with
-no ``csv`` module, and parses each distinct row text once per chunk of
+distinct packets value of a float chunk once, the levels of a float chunk
+once where the exchange left them all unchanged, and copies the text of
+each stretch ``_claim_holds`` confirms.  The reader splits the rows itself,
+with no ``csv`` module, parses each distinct row text once per chunk of
 lines, so the rows of a copied stretch cost it little more than their slot
-numbers.
+numbers, and takes a post column with its pre column's text from the pre
+values.
 """
 
 from __future__ import annotations
@@ -805,23 +807,38 @@ def _trace_header(n: int) -> list[str]:
 def write_trace_csv(trace: Trace, path) -> None:
     """Node indices are 1-based in the file; floats keep full precision
     (``%.17g``).  Every column holds one entry per row, as ``Trace``
-    ensures.
+    ensures.  A trace of more than 8 nodes (or of none), whose file
+    ``read_trace_csv`` would refuse, raises a ``ValueError`` before the
+    file is opened.
 
     The rows are formatted ``_CSV_CHUNK`` at a time, each chunk one ``%``
     call on the row template repeated.  A packets ``array('d')`` is
     formatted once per distinct value in a chunk, values told apart by
     their 64 bits, since ``-0.0 == 0.0``; a list column keeps its
-    ``%.17g`` cell.  For each claim of ``trace.cycles`` that holds
-    (``_claim_holds``) and starts past the stretch before it, the rows of
-    its first period are formatted so: each later row up to its stop is its
-    slot number and the text of the row one period earlier.  The file is
-    the same either way."""
+    ``%.17g`` cell.  Where the exchange left every level of a chunk as it
+    was, its ``array('d')`` post columns holding the bytes of its pre
+    columns (with no status cost, every chunk), the pre levels are
+    formatted once, by one ``%`` call over the chunk, and each row's text
+    fills both its pre and its post block.  For each claim of
+    ``trace.cycles`` that holds (``_claim_holds``) and starts past the
+    stretch before it, the rows of its first period are formatted so:
+    each later row up to its stop is its slot number and the text of the
+    row one period earlier.  The file is the same either way."""
     n = trace.n_nodes
+    if not 1 <= n <= 8:
+        # the reader's flag columns are array('B'), one bit per node
+        raise ValueError(f"{path}: a trace file holds 1 to 8 nodes, not {n}")
     # packets by distinct value only where the 64 bits are a double's
     keyed = isinstance(trace.packets, array) and trace.packets.typecode == "d"
+    # levels shared by the pre and post blocks only where both are doubles
+    doubles = all(isinstance(col, array) and col.typecode == "d"
+                  for col in (*trace.battery_pre, *trace.battery_post))
+    packets = "%s" if keyed else "%.17g"
     # the same text as csv.writer with %.17g floats
-    row = ",".join(["%d"] * 3 + ["%s" if keyed else "%.17g"]
-                   + ["%.17g"] * (2 * n)) + ",%s\r\n"
+    row = ",".join(["%d"] * 3 + [packets] + ["%.17g"] * (2 * n)) + ",%s\r\n"
+    # a row whose pre and post levels are one text each, and that text
+    shared = ",".join(["%d"] * 3 + [packets, "%s", "%s", "%s"]) + "\r\n"
+    levels = ",".join(["%.17g"] * n) + "\n"
     flags = [",".join(str(m >> u & 1) for u in range(n))
              for m in range(1 << n)]
     columns = (trace.active, trace.switched, trace.packets,
@@ -840,7 +857,17 @@ def write_trace_csv(trace: Trace, path) -> None:
                                             texts.values())))
                 cells[2] = map(texts.__getitem__, keys)
             cells[-1] = map(flags.__getitem__, cells[-1])
-            yield (row * (j - i)) % tuple(
+            pre, post = cells[3:3 + n], cells[3 + n:3 + 2 * n]
+            # bits, not values: -0.0 == 0.0 prints apart, nan != nan
+            if doubles and all(p.tobytes() == q.tobytes()
+                               for p, q in zip(pre, post)):
+                both = ((levels * (j - i)) % tuple(
+                    chain.from_iterable(zip(*pre))))[:-1].split("\n")
+                cells[3:3 + 2 * n] = both, both
+                template = shared
+            else:
+                template = row
+            yield (template * (j - i)) % tuple(
                 chain.from_iterable(zip(range(i, j), *cells)))
 
     done = 0                    # entries written
@@ -972,8 +999,11 @@ def read_trace_csv(path) -> Trace:
     held whole.  In each chunk the rows less their slot numbers are
     collected with ``dict.fromkeys``, and only the distinct ones are split
     into cells and parsed: the rows of a stretch the writer copied (see
-    ``trace.cycles``) are parsed once per chunk.  The columns then take
-    each row's values by its index among them.
+    ``trace.cycles``) are parsed once per chunk.  A post column whose
+    cells there have the text of its pre column's takes the pre values, so
+    a level the exchange left unchanged is parsed once too.  The columns
+    then take each row's values by its index among them; the post columns
+    are arrays of their own either way.
 
     Every row must be as wide as the header, levels and packets numbers
     ``float`` reads and finite, active nodes written as ``1`` to ``n`` and
@@ -1004,7 +1034,11 @@ def read_trace_csv(path) -> Trace:
             named = list(zip(columns, names))
             values = [_node_cells(path, columns[0], n),
                       _flag_cells(path, *named[1])]
-            values += [_finite_cells(path, *c) for c in named[2:3 + 2 * n]]
+            values += [_finite_cells(path, *c) for c in named[2:3 + n]]
+            # a post column with its pre column's text has its values
+            values += [values[j - n] if columns[j] == columns[j - n]
+                       else _finite_cells(path, *named[j])
+                       for j in range(3 + n, 3 + 2 * n)]
             # bit u of each slot's mask is node u's suppressed flag
             masks = repeat(0)
             for u, c in enumerate(named[3 + 2 * n:]):

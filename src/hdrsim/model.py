@@ -344,13 +344,14 @@ class SlotRecord(NamedTuple):
     suppressed: tuple
 
 
-def _names_nodes(active, n: int) -> bool:
-    """Whether every entry of ``active`` is an int below ``n`` and at
+def _all_below(column, bound: int) -> bool:
+    """Whether every entry of ``column`` is an int below ``bound`` and at
     least 0.  An ``array('B')`` column, a run's, is checked through its
     bytes in C."""
-    if isinstance(active, array) and active.typecode == "B":
-        return not bytes(active).translate(None, bytes(range(min(n, 256))))
-    return all(type(v) is int and 0 <= v < n for v in active)
+    if isinstance(column, array) and column.typecode == "B":
+        return not bytes(column).translate(None,
+                                           bytes(range(min(bound, 256))))
+    return all(type(v) is int and 0 <= v < bound for v in column)
 
 
 @dataclass(frozen=True)
@@ -374,7 +375,8 @@ class Trace:
     of the context that does not fit the columns: ``params`` or
     ``profile`` for another node count, a profile shorter than the trace,
     an unknown ``packet_mode``, an ``initial_active`` or an ``active``
-    entry not naming a node.
+    entry not naming a node, or a ``suppressed`` entry with a bit for no
+    node.
 
     Float runs keep levels and packets in ``array('d')`` columns and the
     flags in ``array('B')`` columns (so at most 8 nodes).  Runs with a
@@ -444,11 +446,14 @@ class Trace:
         if first is not None and not (type(first) is int and 0 <= first < n):
             problems.append(f"initial_active {first!r} is not an int "
                             f"below {n}")
-        if not _names_nodes(self.active, n):
-            k, v = next((k, v) for k, v in enumerate(self.active)
-                        if not (type(v) is int and 0 <= v < n))
-            problems.append(f"active entry {k} is {v!r}, not an int below "
-                            f"{n}")
+        # an active entry names a node, a suppressed mask sets node bits
+        for name, bound in (("active", n), ("suppressed", 1 << n)):
+            column = getattr(self, name)
+            if not _all_below(column, bound):
+                k, v = next((k, v) for k, v in enumerate(column)
+                            if not (type(v) is int and 0 <= v < bound))
+                problems.append(f"{name} entry {k} is {v!r}, not an int "
+                                f"below {bound}")
         if problems:
             raise ValueError(f"inconsistent trace: {'; '.join(problems)}")
 

@@ -18,6 +18,7 @@ from hdrsim import (
     Hysteresis2,
     Profile,
     ThresholdPolicy,
+    Trace,
     detect_cycles,
     energy_ledger,
     load_profile,
@@ -513,6 +514,19 @@ def test_read_trace_csv_refuses_nine_nodes(tmp_path):
         read_trace_csv(path)
 
 
+def test_write_trace_csv_refuses_nine_nodes(tmp_path):
+    # the constructor allows nine nodes, but the reader would refuse the
+    # file, so the writer refuses the trace before it opens the file
+    levels = tuple([1.0] for _ in range(9))
+    trace = Trace(battery_pre=levels, battery_post=levels, active=[8],
+                  switched=[0], packets=[0.0], suppressed=[1 << 8])
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="trace.csv: a trace file holds 1 "
+                                         "to 8 nodes, not 9"):
+        write_trace_csv(trace, path)
+    assert not path.exists()
+
+
 def rewrite_slots(path, slots):
     header, *rows = path.read_text(encoding="utf-8").splitlines()
     rows = [",".join([str(k), row.split(",", 1)[1]])
@@ -597,11 +611,20 @@ def bump(column, k, value):
      "active entry 3 is True, not an int below 2"),
     ({"active": bump(list(run(diamond(), n_slots=200).active), 3, 1.0)},
      "active entry 3 is 1.0, not an int below 2"),
+    # a suppressed mask sets bit u for node u, so two nodes allow 0 to 3
+    ({"suppressed": bump(run(diamond(), n_slots=200).suppressed, 10, 4)},
+     "suppressed entry 10 is 4, not an int below 4"),
+    ({"suppressed": bump(run(diamond(), n_slots=200).suppressed, 199, 255)},
+     "suppressed entry 199 is 255, not an int below 4"),
+    ({"suppressed": bump(list(run(diamond(), n_slots=200).suppressed), 3,
+                         -1)},
+     "suppressed entry 3 is -1, not an int below 4"),
 ], ids=["params-3-nodes", "profile-3-nodes", "short-profile", "bogus-mode",
         "capitalised-mode", "active-negative", "active-5", "active-bool",
         "active-entry-5", "last-active-entry-2", "listed-active-entry-5",
         "listed-active-entry-negative", "listed-active-entry-bool",
-        "listed-active-entry-float"])
+        "listed-active-entry-float", "suppressed-entry-4",
+        "last-suppressed-entry-255", "listed-suppressed-entry-negative"])
 def test_a_context_that_does_not_fit_the_columns_is_refused(change,
                                                             problem):
     trace = run(diamond(), n_slots=200)
@@ -614,6 +637,19 @@ def test_a_trace_whose_active_nodes_fit_is_accepted():
     assert set(trace.active) == {0, 1, 2}
     listed = dataclasses.replace(trace, active=list(trace.active))
     assert verify_trace(listed) == []
+    # every node's suppressed bit set is a mask of three nodes
+    dataclasses.replace(trace, suppressed=bump(trace.suppressed, 0, 7))
+
+
+def test_a_suppressed_bit_for_no_node_is_refused():
+    # the writer and the records look a row's flags up by its mask, so a
+    # bit past the last node is refused when the trace is built
+    levels = ([1.0], [2.0])
+    with pytest.raises(ValueError, match=re.escape(
+            "inconsistent trace: suppressed entry 0 is 4, not an int below "
+            "4")):
+        Trace(battery_pre=levels, battery_post=levels, active=[0],
+              switched=[0], packets=[0.0], suppressed=[4])
 
 
 def test_the_constructor_lists_every_problem_at_once():

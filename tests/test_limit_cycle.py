@@ -900,6 +900,144 @@ def test_the_writer_matches_a_writer_of_one_cell_at_a_time(trace):
     assert written(trace) == reference_csv(trace)
 
 
+# ---------------------------------------------------------------------------
+# a level the exchange leaves unchanged is formatted and parsed once
+# ---------------------------------------------------------------------------
+
+@st.composite
+def exchanged_runs(draw):
+    """A float run of the diamond or the three relays whose status cost is
+    int 0 or 0.0, which leave every level as it was, or positive.  Its
+    batteries may start low, so that a forwarder below the control floor
+    withholds its status and keeps its level while the other nodes pay.
+    Its claims are its own."""
+    status = draw(st.sampled_from((0, 0.0, 0.01, 0.3)))
+    n = draw(st.sampled_from((2, 3)))
+    params = (diamond(ct=status, cr=draw(st.sampled_from((0, 0.05))))
+              if n == 2 else three(ct=status, es=draw(st.booleans())))
+    batteries = tuple(draw(st.sampled_from((0.0, 0.1, 0.25, 30.0, 99.5)))
+                      for _ in range(n))
+    n_slots = draw(st.sampled_from((CHUNK - 1, CHUNK + 1))
+                   | st.integers(1, 2 * CHUNK + 60))
+    return run(params, n_slots, initial_batteries=batteries,
+               initial_active=draw(st.integers(0, n - 1)))
+
+
+@st.composite
+def exchanged_tables(draw):
+    """A drawn float trace of 1 to 3 nodes and up to 60 slots, its levels
+    from a small pool with 0.0, -0.0 and a denormal in it.  Each node's
+    post column copies its pre column, copies it with the sign of some
+    zeros flipped, differs from it in some entries, or is drawn on its
+    own; it is an ``array('d')`` or, at times, a list.  Packets are an
+    ``array('d')`` or a list of ints.  The rows may repeat a period from
+    a drawn start, claimed in ``cycles``."""
+    n = draw(st.integers(1, 3))
+    size = draw(st.integers(1, 60))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = [0.0, -0.0, 5e-324, 1.5, -2.25, 1e300, 0.1]
+    modes = [draw(st.sampled_from(("same", "signs", "some", "own")))
+             for _ in range(n)]
+
+    def post(level, mode):
+        if mode == "own" or (mode == "some" and rng.random() < 0.05):
+            return rng.choice(pool)
+        if mode == "signs" and level == 0 and rng.random() < 0.3:
+            return -level
+        return level
+
+    rows = []
+    for _ in range(size):
+        pre = [rng.choice(pool) for _ in range(n)]
+        rows.append((rng.randrange(n), rng.randrange(2), rng.randrange(4),
+                     *pre, *map(post, pre, modes), rng.randrange(1 << n)))
+    start = draw(st.integers(0, size - 1))
+    period = draw(st.integers(1, size - start))
+    stop = draw(st.integers(start + period, size))
+    for k in range(start + period, stop):
+        rows[k] = rows[k - period]
+    active, switched, packets, *levels, suppressed = map(list, zip(*rows))
+    listed = draw(st.booleans()) and draw(st.booleans())
+    return Trace(
+        battery_pre=tuple(array("d", col) for col in levels[:n]),
+        battery_post=tuple(col if listed else array("d", col)
+                           for col in levels[n:]),
+        active=array("B", active), switched=array("B", switched),
+        packets=packets if draw(st.booleans()) else array("d", packets),
+        suppressed=array("B", suppressed),
+        cycles=((start, period, stop),) if draw(st.booleans()) else ())
+
+
+def parsed_columns(text: bytes, n: int) -> list:
+    """The columns of the trace file ``text`` as ``read_trace_csv`` returns
+    them, parsed one cell at a time: levels and packets by ``float``, the
+    active node less one, and each slot's suppressed bits as one mask."""
+    rows = [row.split(",") for row in text.decode().split("\r\n")[1:-1]]
+    cells = list(zip(*rows))
+    return [array("d", map(float, cells[4 + u])) for u in range(2 * n)] + [
+        array("d", map(float, cells[3])),
+        array("B", [int(cell) - 1 for cell in cells[1]]),
+        array("B", map(int, cells[2])),
+        array("B", [sum(int(row[4 + 2 * n + u]) << u for u in range(n))
+                    for row in rows])]
+
+
+@given(exchanged_runs() | exchanged_tables(), st.sampled_from((5, CHUNK)),
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_shared_levels_write_and_read_as_one_cell_at_a_time(
+        tmp_path_factory, trace, chunk, claimed):
+    # a chunk whose post levels have their pre levels' bits takes one text
+    # for both blocks, and a post column with its pre column's text takes
+    # its values; the file and the re-read columns are the same bytes as
+    # one %.17g and one float per cell give, chunk by chunk or not
+    if not claimed:
+        trace = dataclasses.replace(trace, cycles=())
+    path = tmp_path_factory.mktemp("shared") / "trace.csv"
+    with mock.patch.object(engine, "_CSV_CHUNK", chunk):
+        write_trace_csv(trace, path)
+        back = read_trace_csv(path)
+    want = reference_csv(trace)
+    assert path.read_bytes() == want
+    got = (*back.battery_pre, *back.battery_post, back.packets, back.active,
+           back.switched, back.suppressed)
+    for column, cells in zip(got, parsed_columns(want, trace.n_nodes),
+                             strict=True):
+        assert column.typecode == cells.typecode
+        assert column.tobytes() == cells.tobytes()
+    # the re-read post columns are arrays of their own
+    for pre, post in zip(back.battery_pre, back.battery_post):
+        assert pre is not post
+
+
+@pytest.mark.parametrize("columns, named", [
+    (("battery_post2",), "battery_post2"),
+    (("battery_pre1", "battery_post1"), "battery_pre1"),
+    (("battery_post1", "battery_post2"), "battery_post1"),
+], ids=["post-only", "pre-and-post", "two-posts"])
+@pytest.mark.parametrize("value", ["nan", "abc"])
+def test_a_bad_level_is_named_by_its_first_column(tmp_path, columns, named,
+                                                   value):
+    # with no status cost every post cell has its pre cell's text, so the
+    # reader takes each post column's values from its pre column wherever
+    # their texts agree; a post column with a text of its own is parsed
+    # and checked, and a bad cell in both is named in the pre column first
+    trace = run(diamond(), n_slots=1100)
+    assert all(pre == post for pre, post in zip(trace.battery_pre,
+                                                trace.battery_post))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    cells = dict(zip(header.split(","), lines[1099].split(",")))
+    for column in columns:
+        cells[column] = value
+    lines[1099] = ",".join(cells.values())
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"trace.csv: column '{named}' "
+                                         f"holds a value that is not"):
+        read_trace_csv(path)
+
+
 def rotation_stats(trace, warmup):
     """Count and mean length of the rotations, from ``detect_cycles``."""
     cycles = detect_cycles(trace, warmup=warmup)

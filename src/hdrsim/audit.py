@@ -25,7 +25,7 @@ from bisect import bisect_left
 from itertools import compress, repeat
 from operator import ge, gt, itemgetter, lt, mul, ne, sub
 
-from .model import WHOLE, Trace, _int_zero
+from .model import WHOLE, Trace, _int_zero, _number_types
 
 __all__: list = []
 
@@ -94,10 +94,7 @@ def _column_pass(trace: Trace, tol):
     packets column that is a list is spent entry by entry, as held."""
     p = trace.params
     flags = (trace.active, trace.switched, trace.suppressed)
-    kinds = set(map(type, p._scalars()))
-    if trace.profile is not None:
-        kinds |= trace.profile._cell_types
-    if not (tol >= 0 and kinds <= {float, int}
+    if not (tol >= 0 and _number_types(p, trace.profile) <= {float, int}
             and all(type(col) is array and col.typecode == "d"
                     for col in (*trace.battery_pre, *trace.battery_post))
             and all(type(col) is array and col.typecode == "B"

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from functools import reduce
 from itertools import accumulate, compress, count, repeat
 
-from .model import SystemParams, _int_zero, _same_levels
+from .model import SystemParams, _int_zero
 
 __all__: list = []
 
@@ -36,7 +36,7 @@ _REACH = 1024
 def _plain_stretch(params: SystemParams, whole: bool):
     """The stretches of plain slots of a run of floats and ints, as a
     function ``stretch(pre, v, e, g, limit) -> (m, wait, levels, posts,
-    packets, mover)``.
+    packets)``.
 
     A slot is plain when node ``v`` forwards in it and before it: no idle
     node's lead reaches its bar, ``v`` reports its status and carries the
@@ -52,18 +52,19 @@ def _plain_stretch(params: SystemParams, whole: bool):
     ``m`` counts the plain slots from the state ``(pre, v)`` on, at most
     ``limit``.  ``levels[u]`` holds node ``u``'s ``m + 1`` levels entering
     them and the slot after, ``posts[u]`` its ``m`` levels after each
-    exchange, and every plain slot carries ``packets``.  ``levels[mover]``
-    is strictly monotone, so no two of the states the batch enters repeat;
-    ``mover`` is None when every state it enters is the one it starts from.
-    Each condition of a plain slot is monotone along such columns, so the
-    stretch ends at the first slot that fails one, found near the predicted
-    end, except a lead between two levels that move the same way, which is
-    scanned.
+    exchange, and every plain slot carries ``packets``.  Some level moves
+    in the last slot, and so in every slot, since a slot that leaves a
+    level as it was leaves it so in every later one: no state the batch
+    enters is a fixed point.  Each condition of a plain slot is monotone
+    along such columns, so the stretch ends at the first slot that fails
+    one, found near the predicted end, except a lead between two levels
+    that move the same way, which is scanned.
 
     ``m`` is 0, and ``wait`` the slots to wait before asking again, when
     the stretch predicted from the leads and the rates of the first slot is
     shorter than ``_BREAK_EVEN``, when the load is not a float or an int,
-    or when the columns show no plain slot.
+    or when the columns show no plain slot, or no level that moves in the
+    last one.
     """
     n = params.n_nodes
     policy = params.thresholds
@@ -77,12 +78,12 @@ def _plain_stretch(params: SystemParams, whole: bool):
     pay_floor = not _int_zero(floor)
     nodes = range(n)
     add = operator.add
-    refused = (None,) * 4
+    refused = (None,) * 3
     # the harvest and load that the tables below were made for, and the
     # tables
     inputs = [None, None, None]
 
-    def movers(gain, v):
+    def trends(gain, v):
         """The leads that close on forwarder ``v`` with the rate each
         closes at, and the levels that rise, each with its gain."""
         return ([(u, gain[u] - gain[v]) for u in successors[v]
@@ -93,7 +94,7 @@ def _plain_stretch(params: SystemParams, whole: bool):
         """For each forwarder ``v`` under harvest ``e`` and load ``g``: its
         load and packets in a plain slot, each node's operations in such a
         slot, the level ``v`` needs, nearly, to run it, and each node's
-        gain in it, nearly, with its ``movers``; None for a load that is
+        gain in it, nearly, with its ``trends``; None for a load that is
         not a float or an int."""
         if type(g) not in (float, int):
             return None
@@ -111,7 +112,7 @@ def _plain_stretch(params: SystemParams, whole: bool):
             gain = [x - status for x in e]
             gain[v] -= spend
             need = floor + status + (demand - ev if demand > ev else 0)
-            out.append((demand, packets, ops, need, gain, *movers(gain, v)))
+            out.append((demand, packets, ops, need, gain, *trends(gain, v)))
         return out
 
     def stretch(pre, v, e, g, limit):
@@ -134,7 +135,7 @@ def _plain_stretch(params: SystemParams, whole: bool):
         if cap in pre:
             # a level pinned at the cap does not gain
             gain = [0 if x == cap and y > 0 else y for x, y in zip(pre, gain)]
-            closing, rising = movers(gain, v)
+            closing, rising = trends(gain, v)
         # the plain slots ahead, as the rates predict them
         reach = limit if limit < _REACH else _REACH
         for u, rate in closing:
@@ -212,12 +213,9 @@ def _plain_stretch(params: SystemParams, whole: bool):
         levels = [seq[:(m + 1) * w:w] for seq, w in zip(seqs, widths)]
         start = 1 if pay_status else 0
         posts = [seq[start:m * w:w] for seq, w in zip(seqs, widths)]
-        mover = next((u for u, col in enumerate(levels)
-                      if col[m] != col[m - 1]), None)
-        if mover is None and not _same_levels([col[0] for col in levels],
-                                              [col[1] for col in levels]):
-            # a level that stopped moving within the batch
+        if all(col[m] == col[m - 1] for col in levels):
+            # a fixed point within the batch, left to the slot rule
             return (0, 2) + refused
-        return m, 0, levels, posts, packets, mover
+        return m, 0, levels, posts, packets
 
     return stretch

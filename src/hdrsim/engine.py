@@ -35,17 +35,14 @@ an identity on the operands in hand:
 3. The audit (``verify_trace``, ``_ledger_rows``) leaves int-zero terms
    out of the energy balance, and passes equal values at ``tol >= 0``
    without computing ``abs(want - got)`` when they are ints or Fractions.
-4. ``run`` without ``steer`` stops calling the slot rule once a segment
-   is on its limit cycle, fills every column with copies of its period,
-   as many as fit before the segment's end, and records the stretch to
-   that end on the trace as a claim ``(start, period, stop)`` in
-   ``trace.cycles``.
+4. ``run`` stops calling the slot rule once a segment is on its limit
+   cycle, fills every column with copies of its period, as many as fit
+   before the segment's end, and records the stretch to that end on the
+   trace as a claim ``(start, period, stop)`` in ``trace.cycles``.
 5. ``run`` of floats and ints, steered or not, advances a stretch of plain
    slots as whole columns, one ``itertools.accumulate`` per node (see
    ``batch``), and sends only the slot that ends it through the slot
-   rule.  A steered batch of two or more slots whose every state is the
-   one it starts from, both nodes pinned at the cap say, repeats its first
-   slot, and ``run`` records it as a claim ``(start, 1, stop)`` too.
+   rule.
 6. ``verify_trace`` of a trace of floats and ints, its levels in
    ``array('d')`` columns, at ``tol >= 0``, checks ``audit._CHUNK`` slots
    at a time in a column pass (see ``audit``), which clears each plain
@@ -63,36 +60,40 @@ Shortcut 4 is exact because a slot's outcome depends only on the state
 entering it, the levels and the active node, while the harvest and load
 are constant: when that state recurs within a segment, every later slot of
 the segment repeats the slots since its first visit.  ``run`` looks for the
-recurrence only where no batch of shortcut 5 can be.  After each handover
-it keeps the state entering the next slot in a dict of the segment, keyed
-by ``(active, *levels)``, so an orbit that hands over is found where it
-first comes back; the dict holds at most ``_KEPT_STATES`` states and is
-emptied when full, which bounds its memory on a run that never repeats.  A
-slot that hands nothing over and leaves every level as it was is a fixed
-point, found in that slot.  An orbit of period 2 or more without a
-handover is not found, and the run simulates it.  Two states match only
-when their levels are equal in type and bits, not just in value: ``-0.0 ==
-0.0`` and ``5 == Fraction(5)``, but each pair prints and computes
-differently.  ``_same_levels`` is that test; ``_claim_holds`` uses it too,
-for list columns.  On a repeat ``run`` copies the whole periods that fit
-before the segment's end, and the loop takes the rest, less than a period,
-from the live state objects, which the next segment starts from: a float
-column may have turned an int level into a float.  ``verify_trace`` checks
-every slot of a ``Fraction`` trace, the copied ones included; shortcut 6
-skips them in float traces.
+recurrence only where no batch of shortcut 5 can be.  A slot that hands
+nothing over and leaves every level as it was is a fixed point, found in
+that slot.  ``steer`` is called only after a handover, so a fixed point
+repeats to the segment's end in a steered run too, under one offered load.
+Without ``steer``, after each handover ``run`` keeps the state entering
+the next slot in a dict of the segment, keyed by ``(active, *levels)``, so
+an orbit that hands over is found where it first comes back; the dict
+holds at most ``_KEPT_STATES`` states and is emptied when full, which
+bounds its memory on a run that never repeats.  A controller has state of
+its own, so a steered orbit that hands over is not looked for, and neither
+is an orbit of period 2 or more without a handover: the run simulates
+them.  Two states match only when their levels are equal in type and
+bits, not just in value: ``-0.0 == 0.0`` and ``5 == Fraction(5)``, but each
+pair prints and computes differently.  ``_same_levels`` is that test;
+``_claim_holds`` uses it too, for list columns.  On a repeat ``run`` copies
+the whole periods that fit before the segment's end, and the loop takes
+the rest, less than a period, from the live state objects, which the next
+segment starts from: a float column may have turned an int level into a
+float.  ``verify_trace`` checks every slot of a ``Fraction`` trace, the
+copied ones included; shortcut 6 skips them in float traces.
 
 Shortcut 5 is exact because a plain slot applies the slot rule's own
 operations to each level, in the rule's order, and the stretch ends at the
 first slot whose state the columns show is not plain; that slot takes the
 slot rule.  A plain slot hands nothing over, so no batch calls ``steer``,
 which ``run`` calls only after a handover, and the load stays the same
-across a batch.  It also leaves shortcut 4 as it is: no state a moving
-batch enters is a fixed point or follows a handover, and an unsteered run
-leaves a constant batch to the slot rule, whose first slot is the fixed
-point.  A batch costs more than the slots it skips when the stretch is
-short, so one starts only where the stretch predicted from the leads and
-the per-slot rates reaches ``batch._BREAK_EVEN`` slots; ``Fraction`` runs,
-whose additions are Python calls either way, take every slot.
+across a batch.  It also leaves shortcut 4 as it is: no state a batch
+enters follows a handover or is a fixed point, since ``_plain_stretch``
+refuses a batch whose last slot moves no level and leaves the fixed point
+to the slot rule.  A batch costs more than the slots it skips when the
+stretch is short, so one starts only where the stretch predicted from the
+leads and the per-slot rates reaches ``batch._BREAK_EVEN`` slots;
+``Fraction`` runs, whose additions are Python calls either way, take every
+slot.
 
 Shortcut 6 is exact because the pass clears a slot only where it has
 recomputed, with the slot rule's and the ledger's own operations in their
@@ -143,6 +144,7 @@ from .model import (
     Trace,
     _int_zero,
     _left_sum,
+    _number_types,
     _run_segments,
     _same_levels,
     default_state,
@@ -166,15 +168,6 @@ _FINITE = frozenset((int, Fraction))
 # the most handover states a segment of a run keeps for shortcut 4; a full
 # set is dropped, which bounds its memory on a run that never repeats
 _KEPT_STATES = 4096
-
-
-def _number_types(params: SystemParams, profile, levels) -> set:
-    """The types of the numbers in ``params``, ``profile`` and ``levels``."""
-    kinds = set(map(type, params._scalars()))
-    kinds.update(map(type, levels))
-    if profile is not None:
-        kinds |= profile._cell_types
-    return kinds
 
 
 def _level_column(floats: bool = True):
@@ -312,21 +305,18 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     run whose inputs are all floats or ints stores floats, so there a
     steered load must be a float or an int.  Loads are checked at the end.
 
-    Without ``steer`` the inputs are constant over each profile segment
-    (a run without a profile is one segment).  Once the state after a
-    handover comes back within a segment, or a slot without one leaves
-    every level as it was, ``run`` copies the whole periods that fit
-    before the segment's end instead of simulating them, and records the
-    stretch to that end in ``trace.cycles`` (shortcut 4 in the module
-    docstring).  A run of floats and ints, with
-    ``steer`` or without, advances each long stretch of plain slots, with
-    a fixed forwarder and no handover, part duty or clip, as whole columns
-    (shortcut 5); a plain slot hands nothing over, so no batch calls
-    ``steer``.  A steered run never tiles, but each batch of two or more
-    slots that leaves every level as it was, as when both nodes sit at the
-    cap, goes into ``trace.cycles`` as a claim of period 1, so
-    ``write_trace_csv`` copies its rows.  Either way the trace is the one
-    the per-slot loop gives, bit for bit.  ``n_slots`` must be an int.
+    The inputs are constant over each profile segment (a run without a
+    profile is one segment), but for the loads ``steer`` returns after a
+    handover.  Once a slot without a handover leaves every level as it
+    was, or, without ``steer``, the state after a handover comes back
+    within a segment, ``run`` copies the whole periods that fit before the
+    segment's end instead of simulating them, and records the stretch to
+    that end in ``trace.cycles`` (shortcut 4 in the module docstring).  A
+    run of floats and ints, with ``steer`` or without, advances each long
+    stretch of plain slots, with a fixed forwarder and no handover, part
+    duty or clip, as whole columns (shortcut 5); a plain slot hands
+    nothing over, so no batch calls ``steer``.  Either way the trace is the
+    one the per-slot loop gives, bit for bit.  ``n_slots`` must be an int.
     """
     levels, first = default_state(params, packet_mode, initial_batteries,
                                   initial_active)
@@ -368,7 +358,7 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     columns = ((pre_flat, n), (post_flat, n), (packets, 1), (active, 1),
                (switched, 1), (suppressed, 1))
 
-    # (start, period, stop) of each tiled stretch and constant steered batch
+    # (start, period, stop) of each tiled stretch
     cycles = []
     pre, v = levels, first
     start = 0
@@ -377,8 +367,8 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
         if steer is None:
             g = load
         since = start           # first slot of the current steered load
-        # shortcut 4: the state entering the slot after each handover, by
-        # (active, *levels), with that slot
+        # shortcut 4: the state entering the slot after each handover of an
+        # unsteered run, by (active, *levels), with that slot
         seen = {}
         # shortcut 5: after slot try_at, the plain slots that follow may be
         # batched
@@ -394,20 +384,20 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
             add_suppressed(quiet << v)
             v = w
             at = None           # where the state entering slot k + 1 was
-            if steer is not None:
-                if sw:
-                    new = steer(k, v, e)
-                    if new is not g:
-                        offered.append((e, g, k + 1 - since))
-                        since, g = k + 1, new
-            elif sw:
+            if not sw:
+                if nxt == pre and _same_levels(nxt, pre):
+                    at = k      # a fixed point
+            elif steer is None:
                 if len(seen) == _KEPT_STATES:
                     seen.clear()
                 at, was = seen.setdefault((v, *nxt), (k + 1, nxt))
                 if was is nxt or not _same_levels(was, nxt):
                     at = None
-            elif nxt == pre and _same_levels(nxt, pre):
-                at = k          # a fixed point
+            else:
+                new = steer(k, v, e)
+                if new is not g:
+                    offered.append((e, g, k + 1 - since))
+                    since, g = k + 1, new
             pre = nxt
             if at is not None and k + 1 < end:
                 # the segment repeats slots at to k from slot k + 1 on:
@@ -423,31 +413,23 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
                 continue
             if k < try_at:
                 continue
-            m, wait, states, posts, pk, mover = stretch(pre, v, e, g,
-                                                        end - k - 1)
+            m, wait, states, posts, pk = stretch(pre, v, e, g, end - k - 1)
             if not m:
                 try_at = k + wait
                 continue
-            if steer is not None:
-                if mover is None and m >= 2:
-                    # a constant batch repeats its first slot
-                    cycles.append((k + 1, 1, k + 1 + m))
-            elif mover is None:
-                m = 0
-            if m:
-                block = [0] * (m * n)
-                for u, col in enumerate(states):
-                    block[u::n] = col[:m]
-                pre_flat.extend(block)
-                for u, col in enumerate(posts):
-                    block[u::n] = col[:m]
-                post_flat.extend(block)
-                packets.extend([pk] * m)
-                active.frombytes(bytes((v,)) * m)
-                switched.frombytes(bytes(m))
-                suppressed.frombytes(bytes(m))
-                pre = [col[m] for col in states]
-                next(islice(slots, m, m), None)
+            block = [0] * (m * n)
+            for u, col in enumerate(states):
+                block[u::n] = col[:m]
+            pre_flat.extend(block)
+            for u, col in enumerate(posts):
+                block[u::n] = col[:m]
+            post_flat.extend(block)
+            packets.extend([pk] * m)
+            active.frombytes(bytes((v,)) * m)
+            switched.frombytes(bytes(m))
+            suppressed.frombytes(bytes(m))
+            pre = [col[m] for col in states]
+            next(islice(slots, m, m), None)
             try_at = k + m + 1
         start = end
         if steer is not None and since < start:
@@ -807,9 +789,9 @@ def _trace_header(n: int) -> list[str]:
 def write_trace_csv(trace: Trace, path) -> None:
     """Node indices are 1-based in the file; floats keep full precision
     (``%.17g``).  Every column holds one entry per row, as ``Trace``
-    ensures.  A trace of more than 8 nodes (or of none), whose file
-    ``read_trace_csv`` would refuse, raises a ``ValueError`` before the
-    file is opened.
+    ensures.  A trace of more than 8 nodes (or of none), or of no slot,
+    whose file ``read_trace_csv`` would refuse, raises a ``ValueError``
+    before the file is opened.
 
     The rows are formatted ``_CSV_CHUNK`` at a time, each chunk one ``%``
     call on the row template repeated.  A packets ``array('d')`` is
@@ -828,6 +810,8 @@ def write_trace_csv(trace: Trace, path) -> None:
     if not 1 <= n <= 8:
         # the reader's flag columns are array('B'), one bit per node
         raise ValueError(f"{path}: a trace file holds 1 to 8 nodes, not {n}")
+    if not len(trace):
+        raise ValueError(f"{path}: a trace file holds at least one slot")
     # packets by distinct value only where the 64 bits are a double's
     keyed = isinstance(trace.packets, array) and trace.packets.typecode == "d"
     # levels shared by the pre and post blocks only where both are doubles

@@ -396,10 +396,9 @@ class Trace:
     as a tuple; the constructor stores any sequence it is given as one.
 
     ``cycles`` holds one claim, ``(start, period, stop)``, per stretch
-    that ``run`` tiled and per batch of a steered run that repeats its
-    first slot (``()`` when there is none): from entry ``start + period``
-    up to ``stop`` every column repeats its entries ``period`` slots
-    earlier.  Readers check a claim before they use it and never
+    that ``run`` tiled (``()`` when there is none): from entry ``start +
+    period`` up to ``stop`` every column repeats its entries ``period``
+    slots earlier.  Readers check a claim before they use it and never
     trust it (see ``engine._claim_holds``), so a stale one, say from a
     ``dataclasses.replace`` that changed a column, or a bogus one costs
     only speed.  Equality ignores them: a float run's trace, re-read with
@@ -609,3 +608,12 @@ class Profile:
     @property
     def n_nodes(self) -> int:
         return len(self.segments[0][0])
+
+
+def _number_types(params: SystemParams, profile, levels=()) -> set:
+    """The types of the numbers in ``params``, ``profile`` and ``levels``."""
+    kinds = set(map(type, params._scalars()))
+    kinds.update(map(type, levels))
+    if profile is not None:
+        kinds |= profile._cell_types
+    return kinds

@@ -1035,7 +1035,7 @@ def test_scenario_seeded_profile_golden(tmp_path, capsys, feedback):
 # `hdrsim scenario --feedback --window 1000` on the first six ranges of
 # the benchmark's seeded profile at seed 1, with control costs.  From about
 # slot 3556 to the last range, both nodes sit at the cap under a held
-# controller load, so the steered run claims its constant batches and the
+# controller load, so the steered run tiles its fixed points and the
 # writer copies their rows.  stdout byte for byte and the sha256 of
 # trace.csv and windows.csv, captured before steered runs made claims.
 PINNED_PROFILE = (

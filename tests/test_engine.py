@@ -527,6 +527,20 @@ def test_write_trace_csv_refuses_nine_nodes(tmp_path):
     assert not path.exists()
 
 
+def test_write_trace_csv_refuses_a_trace_of_no_slot(tmp_path):
+    # the constructor allows empty columns, but the reader refuses a file
+    # of a header alone, so the writer refuses the trace before it opens
+    # the file
+    trace = Trace(battery_pre=(array("d"),), battery_post=(array("d"),),
+                  active=array("B"), switched=array("B"),
+                  packets=array("d"), suppressed=array("B"))
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="trace.csv: a trace file holds at "
+                                         "least one slot"):
+        write_trace_csv(trace, path)
+    assert not path.exists()
+
+
 def rewrite_slots(path, slots):
     header, *rows = path.read_text(encoding="utf-8").splitlines()
     rows = [",".join([str(k), row.split(",", 1)[1]])

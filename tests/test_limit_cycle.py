@@ -1,10 +1,10 @@
 """The shortcuts of ``run`` that skip slot-rule calls.  Within each
 stretch of constant inputs, a profile segment or a whole run without a
-profile, a run stops simulating once the state after a handover comes
-back, or a slot leaves every level as it was, and repeats the slots in
-between up to the end of the stretch.  A run of floats and ints also
-advances each stretch of plain slots as whole columns, steered runs
-included.
+profile, a run stops simulating once a slot leaves every level as it was,
+or, without ``steer``, once the state after a handover comes back, and
+repeats the slots in between up to the end of the stretch.  A run of
+floats and ints also advances each stretch of plain slots as whole
+columns, steered runs included.
 
 The reference, ``reference_run``, steps the slot rule one slot at a time
 with neither shortcut.  Every column must come out with the same repr, and
@@ -12,16 +12,15 @@ float columns with the same bytes, so a level that differs only in type
 (``5`` against ``Fraction(5)``) or in the sign of a zero shows; a steered
 run must also offer the same loads and call ``steer`` alike.
 
-A tiled run records each tiled stretch on the trace, and a steered run
-each batch that repeats its first slot.  The readers of those claims,
-``write_trace_csv`` and ``summarize``, must give what they give without
-them, and a claim that does not hold must cost them only speed; the writer
-must also match ``reference_csv``, which formats every cell.  The audit
-these shortcuts rest on must catch a change to any one cell, and its
-column pass must list what the per-slot audit lists, mutated traces,
-``nan`` and infinite cells included.  On a tiled float trace the audit
-leaves out the copies of the claims it confirms, and must list what it
-lists without the claims.
+A tiled run records each tiled stretch on the trace.  The readers of
+those claims, ``write_trace_csv`` and ``summarize``, must give what they
+give without them, and a claim that does not hold must cost them only
+speed; the writer must also match ``reference_csv``, which formats every
+cell.  The audit these shortcuts rest on must catch a change to any one
+cell, and its column pass must list what the per-slot audit lists,
+mutated traces, ``nan`` and infinite cells included.  On a tiled float
+trace the audit leaves out the copies of the claims it confirms, and must
+list what it lists without the claims.
 """
 
 import dataclasses
@@ -254,7 +253,7 @@ def assert_batching_is_exact(params, n_slots, profile, kwargs, swaps):
     keeps its load object and by one that swaps it after each handover in
     ``swaps``, and under the feedback controller: the same columns, loads
     offered, ``steer`` calls and feedback log.  The run tiles the same
-    stretches as without batches."""
+    stretches as without batches, steered or not."""
     tiled = assert_tiling_is_exact(params, n_slots, profile, **kwargs)
     with mock.patch.object(batch, "_BREAK_EVEN", math.inf):
         assert run(params, n_slots, profile, **kwargs).cycles == tiled.cycles
@@ -271,14 +270,14 @@ def assert_batching_is_exact(params, n_slots, profile, kwargs, swaps):
         with mock.patch.object(batch, "_BREAK_EVEN", math.inf):
             steer, _ = recording_steer(params.input_rate, cut)
             assert run(params, n_slots, profile, steer=steer,
-                       **kwargs).cycles == ()
+                       **kwargs).cycles == steered.cycles
     got = feedback_outcome(params, n_slots, profile, kwargs)
     with mock.patch.object(scenarios, "run", reference_run):
         assert got == feedback_outcome(params, n_slots, profile, kwargs)
 
 
 def assert_steered_claims_hold(trace):
-    """A steered run claims only constant batches: each claim holds, has
+    """A steered run claims only fixed points: each claim holds, has
     period 1 and lies within one offered-load segment, and the file is the
     one written without the claims."""
     bounds = list(accumulate((k for _, _, k in trace.profile.segments),
@@ -349,24 +348,23 @@ def test_batches_keep_the_knife_edges_of_the_slot_rule(params, kwargs,
     assert_tiling_is_exact(params, 60, **kwargs)
 
 
-def test_a_batch_whose_level_stops_moving_is_refused(monkeypatch):
+def test_a_batch_whose_level_stops_moving_is_refused():
     # node 2 harvests 0.5 a slot from 2**52 - 8, where a float's step
-    # grows to 1.0: its level stops at 2**52 well below the cap, and so
-    # does node 1's just under it.  A batch that reaches that point is
-    # neither moving nor constant, and is refused
+    # grows to 1.0: its level stops at 2**52 well below the cap after 16
+    # slots, and node 1's stops a slot earlier just under it.  A batch of
+    # 16 slots still moves a level in its last slot; one that reaches the
+    # fixed point moves none there, and is refused
     params = diamond(e=(1.0, 0.5), g=8.0, c=0.0625, h=(5.0, 5.0),
                      cap=2.0**60)
-    outcomes = []
-    same = batch._same_levels
-
-    def recorded(a, b):
-        outcomes.append(same(a, b))
-        return outcomes[-1]
-
-    monkeypatch.setattr(batch, "_same_levels", recorded)
+    stretch = batch._plain_stretch(params, False)
+    pre, e, g = [2.0**52 - 8] * 2, params.harvest_rates, params.input_rate
+    m, wait, levels, _, _ = stretch(pre, 0, e, g, 16)
+    assert (m, wait) == (16, 0)
+    assert [col[16] == col[15] for col in levels] == [True, False]
+    for limit in (17, 99):
+        assert stretch(pre, 0, e, g, limit) == (0, 2, None, None, None)
     trace = assert_tiling_is_exact(params, 100,
                                    initial_batteries=(2**52 - 8,) * 2)
-    assert False in outcomes
     # the stopped levels are a fixed point, found by the slot rule
     assert [period for _, period, _ in trace.cycles] == [1]
 
@@ -570,28 +568,30 @@ def test_runs_that_do_not_tile_make_no_claim():
     assert run(params, 2000).cycles == ()           # still in transit
     assert run(params, 2000,
                profile=constant_profile(params, 2000)).cycles == ()
-    # steered runs never tile: the README point's orbit moves every slot,
-    # so a steered run of it claims nothing
+    # steered runs tile only fixed points: the README point's orbit moves
+    # every slot, so a steered run of it claims nothing
     assert run(params, 10**4).cycles != ()
     assert run(params, 10**4,
                steer=lambda *a: params.input_rate).cycles == ()
 
 
-def test_steered_runs_claim_their_constant_batches():
+def test_steered_runs_tile_their_fixed_points():
     # both nodes harvest more than the forwarder spends, so both end up
-    # pinned at the cap, where every slot repeats the one before
+    # pinned at the cap, where every slot repeats the one before.  steer
+    # is called only after a handover, so the first such slot is tiled to
+    # the end of the run, with batches or without
     params = diamond(e=(0.9, 0.8), g=6.0, h=(10.0, 10.0), ct=0.01, cr=0.05)
-    trace = run(params, 5000, steer=lambda *a: params.input_rate)
-    assert trace.cycles and all(period == 1 for _, period, _ in trace.cycles)
-    assert trace.cycles[-1][2] == 5000
-    claimed = sum(stop - start - 1 for start, _, stop in trace.cycles)
-    assert claimed > 4000
+
+    def hold(*args):
+        return params.input_rate
+
+    trace = run(params, 5000, steer=hold)
+    (start, period, stop), = trace.cycles
+    assert (period, stop) == (1, 5000) and stop - start > 4000
     assert_steered_claims_hold(trace)
-    # a batch holds at most batch._REACH + 2 slots, so the pinned stretch
-    # takes a claim per batch, with one slot of the slot rule in between
-    starts = [start for start, _, _ in trace.cycles]
-    stops = [stop for _, _, stop in trace.cycles]
-    assert all(b == a + 1 for a, b in zip(stops, starts[1:]))
+    assert columns(trace) == columns(reference_run(params, 5000, steer=hold))
+    with mock.patch.object(batch, "_BREAK_EVEN", math.inf):
+        assert run(params, 5000, steer=hold).cycles == trace.cycles
 
 
 def test_claims_cost_the_writer_only_speed(claimed):

@@ -113,11 +113,14 @@ from 0: ``write_trace_csv`` writes it, and ``read_trace_csv`` accepts no
 other.  The writer formats ``_CSV_CHUNK`` rows per ``%`` call, each
 distinct packets value of a float chunk once, the levels of a float chunk
 once where the exchange left them all unchanged, and copies the text of
-each stretch ``_claim_holds`` confirms.  The reader splits the rows itself,
-with no ``csv`` module, parses each distinct row text once per chunk of
-lines, so the rows of a copied stretch cost it little more than their slot
-numbers, and takes a post column with its pre column's text from the pre
-values.
+each stretch ``_claim_holds`` confirms, ``_CSV_CHUNK`` rows per
+``_copies`` call.  The reader splits the rows itself, with no ``csv``
+module, ``_CSV_CHUNK`` lines at a time, and undoes those copies: after a
+parsed chunk that ends in two periods of equal row texts, a chunk whose
+text is ``_copies`` of that period is not parsed, and every column repeats
+its period over it (``_tile``).  The parser, the only source of errors,
+reads a column of one text once, and a post column with its pre column's
+text from the pre values.
 """
 
 from __future__ import annotations
@@ -774,8 +777,8 @@ def verify_trace(trace: Trace, *, tol: float = 1e-9) -> list[str]:
 # trace persistence
 # ---------------------------------------------------------------------------
 
-# rows write_trace_csv formats in one % call, and lines read_trace_csv holds
-# as text at once
+# rows write_trace_csv formats or copies in one % call, and lines
+# read_trace_csv holds as text, and parses or compares with copies, at once
 _CSV_CHUNK = 1024
 
 
@@ -784,6 +787,16 @@ def _trace_header(n: int) -> list[str]:
     return ["slot", "active", "switched", "packets"] + [
         f"{name}{u}" for name in ("battery_pre", "battery_post", "suppressed")
         for u in range(1, n + 1)]
+
+
+def _copies(rows: list, base: int, first: int, stop: int) -> str:
+    """The text of slots ``first`` to ``stop`` of a stretch that repeats
+    ``rows``, the rows from slot ``base`` on, each a ``%d`` template for
+    its slot number: slot ``k`` takes ``rows[(k - base) % len(rows)]``.
+    One ``%`` call formats the whole text."""
+    phase = (first - base) % len(rows)
+    return "".join(islice(cycle(rows), phase, phase + stop - first)) % tuple(
+        range(first, stop))
 
 
 def write_trace_csv(trace: Trace, path) -> None:
@@ -805,7 +818,8 @@ def write_trace_csv(trace: Trace, path) -> None:
     ``trace.cycles`` that holds (``_claim_holds``) and starts past the
     stretch before it, the rows of its first period are formatted so:
     each later row up to its stop is its slot number and the text of the
-    row one period earlier.  The file is the same either way."""
+    row one period earlier, written ``_CSV_CHUNK`` rows per ``_copies``
+    call.  The file is the same either way."""
     n = trace.n_nodes
     if not 1 <= n <= 8:
         # the reader's flag columns are array('B'), one bit per node
@@ -864,13 +878,12 @@ def write_trace_csv(trace: Trace, path) -> None:
             fh.writelines(text(done, start))
             first = "".join(text(start, start + period))
             fh.write(first)
-            # each row less its slot number, the comma after it kept
-            bodies = [line[line.index(","):] + "\r\n"
-                      for line in first.split("\r\n")[:-1]]
-            fh.writelines(map(operator.add,
-                              map("%d".__mod__,
-                                  trace.slots[start + period:stop]),
-                              cycle(bodies)))
+            # each row a %d template: its slot number goes before the
+            # comma after it, so each later row repeats it
+            rows = ["%d" + line[line.index(","):]
+                    for line in first.splitlines(keepends=True)]
+            for i in range(start + period, stop, _CSV_CHUNK):
+                fh.write(_copies(rows, start, i, min(i + _CSV_CHUNK, stop)))
             done = stop
         fh.writelines(text(done, len(trace)))
 
@@ -880,31 +893,40 @@ def _not_a(path, column: str, kind: str, cell) -> ValueError:
                       f"{kind}: {cell!r}")
 
 
-def _finite_cells(path, cells, column: str) -> list:
-    """A level or packets column as floats.  Every cell must be a number
-    as ``float`` reads it, less what ``float`` also skips and ``%.17g``
-    never writes (whitespace, ``_`` and non-ASCII digits), and finite."""
+def _finite_cells(path, cells, column: str, plain: bool) -> array:
+    """A level or packets column as an ``array('d')``.  Every cell must be
+    a number as ``float`` reads it, less what ``float`` also skips and
+    ``%.17g`` never writes (whitespace, ``_`` and non-ASCII digits), and
+    finite; ``plain`` says that the chunk of the cells holds none of those.
+    A column of one text is parsed once."""
+    same = cells == cells[:1] * len(cells)
+    distinct = cells[:1] if same else cells
     try:
-        values = list(map(float, cells))
-        plain = _plain("".join(cells))
+        values = list(map(float, distinct))
+        plain = plain or _plain("".join(distinct))
     except ValueError:
         plain = False
     if not plain:
-        bad = next(cell for cell in cells
+        bad = next(cell for cell in distinct
                    if not (_plain(cell) and _is_float(cell)))
         raise _not_a(path, column, "a number", bad)
-    if not all(map(math.isfinite, values)):
+    # an inf or a nan makes the sum inf or nan; finite values may overflow
+    if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
         raise ValueError(f"{path}: column {column!r} holds a value that is "
                          f"not finite")
-    return values
+    values = array("d", values)
+    return values * len(cells) if same else values
 
 
-# the ASCII characters float() skips: whitespace, and "_" between digits
-_SKIPPED = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f_"
+# the ASCII characters float() skips: whitespace, and "_" between digits; no
+# cell holds a newline, so a chunk of rows is plain if it holds none of the
+# others
+_SKIPPED = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f_"
 
 
 def _plain(text: str) -> bool:
-    """Whether ``text`` is ASCII without a character ``float`` skips."""
+    """Whether ``text`` is ASCII without a character ``float`` skips, the
+    newline aside."""
     return text.isascii() and not any(map(text.__contains__, _SKIPPED))
 
 
@@ -924,54 +946,98 @@ def _is_int(cell: str) -> bool:
         return False
 
 
-def _flag_cells(path, cells, column: str) -> list:
-    """A switched or suppressed column as ints 0 and 1, read from the
-    cells ``0`` and ``1`` only."""
-    try:
-        return list(map(_BITS.__getitem__, cells))
-    except KeyError:
+# bytes.translate tables from the flag cells' bytes to bit u, for each node u
+_BITS = [bytes.maketrans(b"01", bytes((0, 1 << u))) for u in range(8)]
+
+
+def _flag_bytes(path, cells, column: str, u: int = 0) -> bytes:
+    """A switched or suppressed column, read from the cells ``0`` and ``1``
+    only, as one byte per cell: 0, or ``1 << u`` for a ``1``."""
+    zeros = cells.count("0")
+    if zeros == len(cells):
+        return bytes(zeros)
+    if zeros + cells.count("1") != len(cells):
         raise ValueError(f"{path}: column {column!r} holds a value other "
-                         f"than 0 or 1") from None
+                         f"than 0 or 1")
+    return "".join(cells).encode().translate(_BITS[u])
 
 
-_BITS = {"0": 0, "1": 1}
+# the active cells of nodes 0 to 7, and a bytes.translate table from their
+# bytes to the node indices
+_NODES = tuple(map(str, range(1, 9)))
+_NODE_BYTES = bytes.maketrans("".join(_NODES).encode(), bytes(range(8)))
 
 
-def _node_cells(path, cells, n: int) -> list:
-    """An active column as node indices from 0, read from the cells ``1``
-    to ``n`` only."""
-    nodes = {str(u + 1): u for u in range(n)}
-    try:
-        return list(map(nodes.__getitem__, cells))
-    except KeyError:
-        bad = next(cell for cell in cells if cell not in nodes)
+def _node_bytes(path, cells, n: int) -> bytes:
+    """An active column as node indices from 0, one byte per cell, read
+    from the cells ``1`` to ``n`` only."""
+    nodes = _NODES[:n]
+    if sum(map(cells.count, nodes)) == len(cells):
+        return "".join(cells).encode().translate(_NODE_BYTES)
+    bad = next(cell for cell in cells if cell not in nodes)
     if _is_int(bad):
         raise ValueError(f"{path}: active node number out of range")
     raise _not_a(path, "active", "a node number", bad)
 
 
-def _chunk_bodies(path, lines, first: int, width: int) -> tuple:
-    """The rows of ``lines``, numbered from slot ``first``, each less its
-    slot number and the comma after it, with the newline kept; every row
-    must hold ``width`` cells after its slot number, and the slots count up
-    by one."""
-    slots, _, bodies = zip(*map(str.partition, lines, repeat(",")))
-    distinct = dict.fromkeys(bodies)
-    if not {width - 1}.issuperset(map(str.count, distinct, repeat(","))):
+def _chunk_cells(path, lines, text: str, first: int, width: int) -> list:
+    """The cells of the rows ``lines``, numbered from slot ``first`` and
+    joined in ``text``, one list per column after the slot number; every
+    row must hold ``width`` cells after its slot number, and the slots
+    count up by one."""
+    k = len(lines)
+    # split at the commas only: the last cell of row r and the slot number
+    # of row r + 1 share cell (r + 1) * width, a newline between them, so
+    # every row is as wide as the header where each of these k cells holds
+    # one of the k newlines
+    cells = text.split(",")
+    joints = cells[width::width]
+    if len(cells) != k * width + 1 or not all(
+            map(operator.contains, joints, repeat("\n"))):
         k, line = next((k, line) for k, line in enumerate(lines)
                        if line.count(",") != width)
-        text = line.rstrip("\n")
-        cells = text.count(",") + 1 if text else 0
+        line = line.rstrip("\n")
+        cells = line.count(",") + 1 if line else 0
         raise ValueError(f"{path}: line {first + k + 2} has {cells} cells "
                          f"where the header has {width + 1}")
-    if slots != tuple(map(str, range(first, first + len(lines)))):
-        due, got = next((due, got) for due, got in enumerate(slots, first)
-                        if got != str(due))
+    # each last cell, then the next row's slot number; "" after the last
+    ends = "\n".join(joints).split("\n")
+    if cells[0] + "\n" + "\n".join(ends[1::2]) != "%d\n" * k % tuple(
+            range(first, first + k)):
+        due, got = next((due, got) for due, got in enumerate(
+            [cells[0], *ends[1:-1:2]], first) if got != str(due))
         if not _is_int(got):
             raise _not_a(path, "slot", "a slot number", got)
         raise ValueError(f"{path}: slot {got} where slot {due} is due; "
                          f"slots count up by one from 0")
-    return bodies, distinct
+    return [cells[j::width] for j in range(1, width)] + [ends[::2]]
+
+
+def _last_period(lines, text: str) -> list:
+    """The last ``p`` rows of ``lines`` as ``%d`` templates for their slot
+    numbers (see ``_copies``), where ``p`` is the fewest rows back to a
+    row with the last row's text after its slot number, at most half the
+    rows, and the ``p`` rows before them have their texts too; else none.
+    Each row holds as many commas, so a match of the last row's text from
+    its first comma on starts at a row's first comma.  The rows were
+    parsed, so they hold no ``%``."""
+    last = lines[-1]
+    body = last[last.index(","):]
+    end = len(text) - len(last)
+    # the last match in the rows of the last half before the last row, so
+    # two periods fit in the chunk; str.find scans a long text faster than
+    # str.rfind does
+    at = text.find(body, end - sum(map(len, lines[-1 - len(lines) // 2:-1])),
+                   end)
+    if at < 0:
+        return []
+    while (after := text.find(body, at + 1, end)) >= 0:
+        at = after
+    p = len(lines) - 1 - text.count("\n", 0, at)
+    bodies = [line[line.index(","):] for line in lines[-2 * p:]]
+    if bodies[:p] != bodies[p:]:
+        return []
+    return ["%d" + body for body in bodies[p:]]
 
 
 def read_trace_csv(path) -> Trace:
@@ -980,21 +1046,24 @@ def read_trace_csv(path) -> Trace:
     ``array('B')``), and the slots count up by one from 0.
 
     The file is read ``_CSV_CHUNK`` lines at a time, so its text is never
-    held whole.  In each chunk the rows less their slot numbers are
-    collected with ``dict.fromkeys``, and only the distinct ones are split
-    into cells and parsed: the rows of a stretch the writer copied (see
-    ``trace.cycles``) are parsed once per chunk.  A post column whose
-    cells there have the text of its pre column's takes the pre values, so
-    a level the exchange left unchanged is parsed once too.  The columns
-    then take each row's values by its index among them; the post columns
-    are arrays of their own either way.
+    held whole.  Where a chunk ends in two periods of rows whose texts
+    after their slot numbers are equal (``_last_period``), as a stretch
+    the writer copied does, the next chunk's text is compared with that
+    period under the next slot numbers, formatted as the writer formats
+    its copies (``_copies``); where they are equal, every column repeats
+    its last period over the chunk, and no cell is parsed.  Every other
+    chunk is split into cells and parsed: a column of one text is parsed
+    once, and a post column whose cells have its pre column's text takes
+    the pre values, into an array of its own.  The same text gives the
+    same bits either way.
 
     Every row must be as wide as the header, levels and packets numbers
     ``float`` reads and finite, active nodes written as ``1`` to ``n`` and
     flags ``0`` or ``1``; a file that breaks one of these rules raises a
     ``ValueError`` naming the file, and the column where a cell is at
-    fault.  The trace is bare: the file holds no ``params``,
-    ``packet_mode``, ``initial_active`` or ``profile``."""
+    fault; a copied chunk repeats rows that passed.  The trace is bare:
+    the file holds no ``params``, ``packet_mode``, ``initial_active`` or
+    ``profile``."""
     packets = _level_column()
     active, switched, suppressed = (array("B") for _ in range(3))
     with open(path, encoding="utf-8") as fh:
@@ -1004,41 +1073,37 @@ def read_trace_csv(path) -> Trace:
             raise ValueError(f"{path}: header {','.join(header)!r} is not a "
                              f"trace header for 1 to 8 nodes")
         levels = tuple(_level_column() for _ in range(2 * n))
+        columns = (active, switched, packets, *levels, suppressed)
         names = header[1:]
         width = len(names)          # cells after the slot number
+        rows, base = [], 0          # the period the next chunk may repeat
         for lines in iter(lambda: list(islice(fh, _CSV_CHUNK)), []):
             if not lines[-1].endswith("\n"):
                 lines[-1] += "\n"
-            bodies, distinct = _chunk_bodies(path, lines, len(active),
-                                             width)
-            # the cells of the distinct rows, row after row, and one "" at
-            # the end; column j holds every width-th cell from cell j
-            cells = "".join(distinct).replace("\n", ",").split(",")
-            columns = [cells[j:-1:width] for j in range(width)]
-            named = list(zip(columns, names))
-            values = [_node_cells(path, columns[0], n),
-                      _flag_cells(path, *named[1])]
-            values += [_finite_cells(path, *c) for c in named[2:3 + n]]
+            first, stop = len(active), len(active) + len(lines)
+            text = "".join(lines)
+            if rows and text == _copies(rows, base, first, stop):
+                for column in columns:
+                    _tile(column, first - len(rows), first, stop)
+                continue
+            cells = _chunk_cells(path, lines, text, first, width)
+            named = list(zip(cells, names))
+            plain = _plain(text)
+            active.frombytes(_node_bytes(path, cells[0], n))
+            switched.frombytes(_flag_bytes(path, *named[1]))
+            values = [_finite_cells(path, *c, plain) for c in named[2:3 + n]]
             # a post column with its pre column's text has its values
-            values += [values[j - n] if columns[j] == columns[j - n]
-                       else _finite_cells(path, *named[j])
+            values += [values[j - n - 2] if cells[j] == cells[j - n]
+                       else _finite_cells(path, *named[j], plain)
                        for j in range(3 + n, 3 + 2 * n)]
             # bit u of each slot's mask is node u's suppressed flag
-            masks = repeat(0)
-            for u, c in enumerate(named[3 + 2 * n:]):
-                masks = map(operator.or_, masks,
-                            map(operator.lshift, _flag_cells(path, *c),
-                                repeat(u)))
-            values.append(list(masks))
-            if len(distinct) < len(bodies):
-                # each row's values, by its index among the distinct rows
-                pick = operator.itemgetter(*map(
-                    dict(zip(distinct, range(len(distinct)))).__getitem__,
-                    bodies))
-                values = list(map(pick, values))
-            for column, got in zip((active, switched, packets, *levels,
-                                    suppressed), values):
-                column.fromlist(list(got))
+            masks = sum(int.from_bytes(_flag_bytes(path, *c, u), "little")
+                        for u, c in enumerate(named[3 + 2 * n:]))
+            for column, got in zip((packets, *levels), values):
+                column.extend(got)
+            suppressed.frombytes(masks.to_bytes(len(lines), "little"))
+            rows = _last_period(lines, text)
+            base = stop - len(rows)
     if not active:
         raise ValueError(f"{path}: empty trace")
     return Trace(battery_pre=levels[:n], battery_post=levels[n:],

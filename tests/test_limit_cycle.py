@@ -747,20 +747,26 @@ CHUNK = engine._CSV_CHUNK
 
 
 @st.composite
-def tiled_traces(draw):
+def tiled_traces(draw, chunk=CHUNK, blocks=0):
     """A float trace of 1 to 3 nodes whose columns repeat one period from
     ``start`` up to ``stop``, claimed in ``cycles``.  The stretch starts
-    before, at or after a chunk boundary of the reader, or anywhere in the
-    first three chunks; the period may be longer than a chunk.  Cells come
+    before, at or after a boundary of the reader's chunks of ``chunk``
+    lines, or anywhere in the first three chunks; the period may be longer
+    than a chunk.  The stretch holds one to four periods, or, with
+    ``blocks``, two periods and up to ``blocks`` chunks more.  Cells come
     from a small pool of finite floats, -0.0 and denormals among them, or
     are drawn at random, so rows outside the stretch repeat too."""
     n = draw(st.integers(1, 3))
-    start = draw(st.sampled_from((CHUNK - 1, CHUNK, CHUNK + 1))
-                 | st.integers(0, 3 * CHUNK))
-    period = draw(st.sampled_from((1, 19, CHUNK - 1, CHUNK + 7))
-                  | st.integers(1, 2 * CHUNK))
-    stop = start + period * draw(st.integers(1, 3)) + draw(
-        st.integers(0, period))
+    start = draw(st.sampled_from((chunk - 1, chunk, chunk + 1))
+                 | st.integers(0, 3 * chunk))
+    period = draw(st.sampled_from((1, 19, chunk - 1, chunk + 7))
+                  | st.integers(1, 2 * chunk))
+    if blocks:
+        stop = start + 2 * period + draw(st.just(blocks * chunk)
+                                         | st.integers(0, blocks * chunk))
+    else:
+        stop = start + period * draw(st.integers(1, 3)) + draw(
+            st.integers(0, period))
     size = stop + draw(st.integers(0, 40))
     pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                          min_size=1, max_size=6)) + [-0.0, 5e-324]
@@ -1008,6 +1014,130 @@ def test_shared_levels_write_and_read_as_one_cell_at_a_time(
     # the re-read post columns are arrays of their own
     for pre, post in zip(back.battery_pre, back.battery_post):
         assert pre is not post
+
+
+# ---------------------------------------------------------------------------
+# the reader copies a repeated period a chunk at a time, as the writer does
+# ---------------------------------------------------------------------------
+
+# the reader's chunk in these tests, so that a stretch spans many of them
+BLOCK = 40
+
+
+@st.composite
+def copied_traces(draw):
+    """A trace of ``tiled_traces`` at chunks of ``BLOCK`` lines, its
+    stretch up to eight chunks past its first two periods.  Each row of a
+    period has a packets cell of its own, so the reader finds the period
+    where the rows of two periods end a chunk."""
+    trace = draw(tiled_traces(BLOCK, blocks=8))
+    start, period, stop = trace.cycles[0]
+    packets = array("d", trace.packets)
+    for k in range(start, stop):
+        packets[k] = (k - start) % period + 0.25
+    return dataclasses.replace(trace, packets=packets)
+
+
+def copied_blocks(trace) -> range:
+    """The first slots of the chunks of ``BLOCK`` lines that the reader
+    must copy rather than parse: the chunks within the stretch of
+    ``trace.cycles[0]`` that come after two of its periods, where a
+    period is at most half a chunk."""
+    start, period, stop = trace.cycles[0]
+    if 2 * period > BLOCK:
+        return range(0)
+    return range(-(-(start + 2 * period) // BLOCK) * BLOCK, stop - BLOCK + 1,
+                 BLOCK)
+
+
+def read_in_blocks(path):
+    """``read_trace_csv(path)`` at chunks of ``BLOCK`` lines, and the
+    number of rows it parsed."""
+    with mock.patch.object(engine, "_CSV_CHUNK", BLOCK), mock.patch.object(
+            engine, "_chunk_cells", wraps=engine._chunk_cells) as parse:
+        back = read_trace_csv(path)
+    return back, sum(len(call.args[1]) for call in parse.call_args_list)
+
+
+def assert_parsed_columns(back, text: bytes):
+    """Every column of ``back`` has the bytes of ``parsed_columns``."""
+    got = (*back.battery_pre, *back.battery_post, back.packets, back.active,
+           back.switched, back.suppressed)
+    for column, cells in zip(got, parsed_columns(text, back.n_nodes),
+                             strict=True):
+        assert column.typecode == cells.typecode
+        assert column.tobytes() == cells.tobytes()
+
+
+@given(copied_traces(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_a_repeated_period_is_read_a_chunk_at_a_time(tmp_path_factory, trace,
+                                                     claimed):
+    # periods of 1, 19, about a chunk and longer, from before, at or after
+    # a chunk boundary: the file is the same with the claim or without it,
+    # each chunk after two periods is copied, and every column comes back
+    # with the bits of one float per cell
+    blocks = copied_blocks(trace)
+    if not claimed:
+        trace = dataclasses.replace(trace, cycles=())
+    path = tmp_path_factory.mktemp("copied") / "trace.csv"
+    with mock.patch.object(engine, "_CSV_CHUNK", BLOCK):
+        write_trace_csv(trace, path)
+    text = path.read_bytes()
+    assert text == reference_csv(trace)
+    back, parsed = read_in_blocks(path)
+    assert_parsed_columns(back, text)
+    assert parsed <= len(trace) - BLOCK * len(blocks)
+
+
+def same_number(cell: str) -> str:
+    """Another text of the number ``cell``: ``17.5`` as ``17.50``, ``-1e-07``
+    as ``-01e-07``."""
+    if "." in cell and "e" not in cell:
+        return cell + "0"
+    return "-0" + cell[1:] if cell.startswith("-") else "0" + cell
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda cells, k: cells[:4] + [same_number(cells[4])] + cells[5:], None),
+    (lambda cells, k: cells[:4] + ["nan"] + cells[5:],
+     "column 'battery_pre1' holds a value that is not finite"),
+    (lambda cells, k: cells[:2] + ["2"] + cells[3:],
+     "column 'switched' holds a value other than 0 or 1"),
+    (lambda cells, k: cells[:-1],
+     "line {line} has {width} cells where the header has {header}"),
+    (lambda cells, k: [str(k + 1)] + cells[1:],
+     "slot {next} where slot {k} is due"),
+], ids=["same-number", "nan", "flag-2", "short-row", "slot-number"])
+@given(trace=copied_traces(), data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_a_changed_row_deep_in_a_copied_stretch(tmp_path_factory, change,
+                                                message, trace, data):
+    # a row three or more chunks into the copied chunks, or anywhere in
+    # the stretch where there are fewer, is changed, or it and the rows
+    # one and two periods after it: another text of the same number reads
+    # back as one float per cell reads it, and a bad cell is refused as it
+    # is where nothing is copied
+    start, period, stop = trace.cycles[0]
+    blocks = copied_blocks(trace)
+    rows = (st.integers(blocks[2], stop - 1) if len(blocks) > 2
+            else st.integers(start, stop - 1))
+    k = data.draw(rows)
+    path = tmp_path_factory.mktemp("changed") / "trace.csv"
+    header, *lines = reference_csv(trace).decode().split("\r\n")
+    for j in range(k, min(k + period * data.draw(st.sampled_from((1, 3))),
+                          stop), period):
+        lines[j] = ",".join(change(lines[j].split(","), j))
+    text = "\r\n".join([header, *lines]).encode()
+    path.write_bytes(text)
+    if message is None:
+        assert_parsed_columns(read_in_blocks(path)[0], text)
+        return
+    width = header.count(",")
+    message = message.format(line=k + 2, width=width, header=width + 1, k=k,
+                             next=k + 1)
+    with pytest.raises(ValueError, match=f"trace.csv: {message}"):
+        read_in_blocks(path)
 
 
 @pytest.mark.parametrize("columns, named", [

@@ -6,15 +6,25 @@ status and carries the full load.  For such a slot the replay of
 ``engine._slot_rule`` comes down to a few operations on the recorded
 levels, the same ones for every plain slot of one forwarder under one
 harvest and load, and so does each row of the energy balance of
-``engine._ledger_rows``.  ``_column_pass`` applies those operations to a
-chunk of slots at a time, one ``map`` or ``min``/``max`` per operation, in
-the rule's and the ledger's own order, and clears a slot or a ledger row
-only where it finds what the per-slot check would find there.  Every slot
-and row it does not clear goes through the per-slot check, so the audit
-lists the same problems with the pass as without it.
+``engine._ledger_rows``.  A handover slot with no quiet node comes down to
+a few more: the new forwarder's lead against the others' and the old
+forwarder's bar, and the switch charge.  ``_column_pass`` applies those
+operations to a chunk of slots at a time, one ``map`` or ``min``/``max``
+per operation, in the rule's and the ledger's own order, and clears a slot
+or a ledger row only where it finds what the per-slot check would find
+there.  Every slot and row it does not clear goes through the per-slot
+check, in slot order, so the audit lists the same problems with the pass
+as without it.
 
-The pass restates the conditions of a plain slot and does not call
-``batch._plain_stretch``, whose batches it checks.
+The pass restates the conditions of a plain slot and of a handover and
+does not call ``batch._plain_stretch``, whose batches it checks.  The
+copied slots ``engine.verify_trace`` leaves out are those of claims that
+hold, lie within one input segment and enter their first copy with the
+forwarder that entered their first period (``engine._copied_slots``): each
+such slot has the bits, previous forwarder, inputs and ledger row of a
+slot one period earlier, so the full audit finds a problem only where the
+short one finds one too, and on any problem ``verify_trace`` returns the
+full audit's list.  ``Fraction`` traces take every slot, claims or not.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ import math
 from array import array
 from bisect import bisect_left
 from itertools import compress, repeat
-from operator import ge, gt, itemgetter, lt, mul, ne, sub
+from operator import ge, gt, itemgetter, le, lt, mul, ne, or_, sub
 
 from .model import WHOLE, Trace, _int_zero, _number_types
 
@@ -81,6 +91,16 @@ def _column_pass(trace: Trace, tol):
     values pass the per-slot comparisons at any ``tol >= 0``.  The tests
     of ``v``'s level are monotone in it, so the least level of ``v``'s
     slots decides them for all.
+
+    A handover slot's replay is cleared when the flags show a handover
+    from ``p``, the forwarder before it, to another node ``v`` and no quiet
+    node, every level lies within the audit's bounds, ``p`` reports
+    (``pre[p] >= floor``), ``v`` is a candidate whose lead ``pre[v] -
+    pre[p]`` reaches ``p``'s bar, each candidate ahead of ``v`` in order
+    has a smaller lead and each behind it none larger, every post-exchange
+    level is ``pre[u] - status - switch``, each term left out where the
+    rule leaves it out, and the packets equal the full-duty value, which
+    is the rule's handover count ``g`` (floored in whole-packet mode).
 
     A ledger row is cleared when ``abs(resid) <= tol``, with ``resid``
     taken as ``_ledger_rows`` takes it, ``(b - a) - expect``, and
@@ -159,9 +179,10 @@ def _column_pass(trace: Trace, tol):
                               if x < low or x > high)
             levels.append(seq)
 
-        # handovers, quiet nodes and forwarders that change without a
-        # handover go to the per-slot replay, and slots whose ledger rows
-        # carry a charge to the per-slot ledger
+        # a handover to another forwarder with no quiet node is checked
+        # below; other handovers, quiet nodes and forwarders that change
+        # without a handover go to the per-slot replay, and slots whose
+        # ledger rows carry a charge to the per-slot ledger
         act = active[i:j].tobytes()
         before = (active[i - 1:j - 1].tobytes() if i
                   else bytes((first,)) + active[:j - 1].tobytes())
@@ -169,19 +190,25 @@ def _column_pass(trace: Trace, tol):
         quiet = _mask(suppressed[i:j].tobytes())
         moved = _mask((int.from_bytes(act, "little") ^ int.from_bytes(
             before, "little")).to_bytes(size, "little"))
-        skip = handovers | quiet | moved
+        turns = handovers & moved & ~quiet
+        skip = (handovers | quiet | moved) & ~turns
         skipped = list(compress(chunk, skip.to_bytes(size, "little")))
+        turned = (list(compress(chunk, turns.to_bytes(size, "little")))
+                  if pay_switch else ())
         replay.update(skipped)
         if pay_status and quiet:
             # a quiet node's rows leave its status out
             ledger.update(compress(chunk, quiet.to_bytes(size, "little")))
         for seq, col in zip(levels, post):
             got = col[i:j]
-            if not pay_status and seq[:size].tobytes() == got.tobytes():
+            if not (pay_status or turned) and (
+                    seq[:size].tobytes() == got.tobytes()):
                 continue
             got = got.tolist()
             want = (list(map(sub, seq[:size], repeat(status))) if pay_status
                     else seq[:size].tolist())
+            for k in turned:
+                want[k] = want[k] - switch
             if want != got:
                 # skipped slots have posts of their own
                 for k in skipped:
@@ -193,12 +220,50 @@ def _column_pass(trace: Trace, tol):
         demand = c * g
         forwarders = [int.from_bytes(act.translate(mark), "little")
                       for mark in marks]
+        if turns:
+            # each handover from p to v: p reports, and v's lead is the
+            # largest at or over p's bar, a tie going to the candidate
+            # first in order
+            for p in nodes:
+                mine = turns & int.from_bytes(before.translate(marks[p]),
+                                              "little")
+                if not mine:
+                    continue
+                bar = bars[p]
+                for v in successors[p]:
+                    to = mine & forwarders[v]
+                    if not to:
+                        continue
+                    mine &= ~to
+                    slots = list(compress(chunk, to.to_bytes(size, "little")))
+                    get = _getter(slots)
+                    pp = get(levels[p])
+                    lead = list(map(sub, get(levels[v]), pp))
+                    if not (min(pp) >= floor and min(lead) >= bar):
+                        replay.update(compress(slots, map(
+                            or_, map(lt, pp, repeat(floor)),
+                            map(lt, lead, repeat(bar)))))
+                    ahead = True
+                    for u in successors[p]:
+                        if u == v:
+                            ahead = False
+                            continue
+                        other = list(map(sub, get(levels[u]), pp))
+                        if not all(map(lt if ahead else le, other, lead)):
+                            replay.update(compress(slots, map(
+                                ge if ahead else gt, other, lead)))
+                        del other
+                    del slots, get, pp, lead
+                if mine:
+                    # a handover to a node that is no candidate
+                    replay.update(compress(chunk, mine.to_bytes(size,
+                                                                "little")))
         fulls = []
         for v in nodes:
             ev = e[v]
             full = 1 * g + 0 * ev / c
             fulls.append(math.floor(full) if whole else full)
-            mine = forwarders[v] & ~skip
+            mine = forwarders[v] & ~(skip | turns)
             if not mine:
                 continue
             slots = list(compress(chunk, mine.to_bytes(size, "little")))

@@ -39,17 +39,19 @@ an identity on the operands in hand:
    cycle, fills every column with copies of its period, as many as fit
    before the segment's end, and records the stretch to that end on the
    trace as a claim ``(start, period, stop)`` in ``trace.cycles``.
-5. ``run`` of floats and ints, steered or not, advances a stretch of plain
-   slots as whole columns, one ``itertools.accumulate`` per node (see
-   ``batch``), and sends only the slot that ends it through the slot
-   rule.
+5. ``run`` of floats and ints, steered or not, advances its slots in
+   batches (see ``batch``): a stretch of plain slots as whole columns, one
+   ``itertools.accumulate`` per node, led by the handover slot before it
+   where that slot leaves no level at or below the floor or over the cap.
+   Only the slots no batch takes go through the slot rule.
 6. ``verify_trace`` of a trace of floats and ints, its levels in
    ``array('d')`` columns, at ``tol >= 0``, checks ``audit._CHUNK`` slots
    at a time in a column pass (see ``audit``), which clears each plain
-   slot and each balanced ledger row in C, and replays only the rest one
-   slot at a time.  It leaves out the copied periods of each claim of
-   ``trace.cycles`` it confirms, and audits them all only where it finds
-   a problem.
+   slot, each handover whose target, packets and post levels it
+   recomputes, and each balanced ledger row in C, and replays only the
+   rest one slot at a time.  It leaves out the copied periods of each
+   claim of ``trace.cycles`` it confirms, and audits them all only where
+   it finds a problem.
 
 ``x - 0`` is ``x``, type and repr included, for every int, float and
 Fraction, so shortcuts 1 and 3 need no check of the types in hand.  Floats
@@ -81,32 +83,7 @@ segment starts from: a float column may have turned an int level into a
 float.  ``verify_trace`` checks every slot of a ``Fraction`` trace, the
 copied ones included; shortcut 6 skips them in float traces.
 
-Shortcut 5 is exact because a plain slot applies the slot rule's own
-operations to each level, in the rule's order, and the stretch ends at the
-first slot whose state the columns show is not plain; that slot takes the
-slot rule.  A plain slot hands nothing over, so no batch calls ``steer``,
-which ``run`` calls only after a handover, and the load stays the same
-across a batch.  It also leaves shortcut 4 as it is: no state a batch
-enters follows a handover or is a fixed point, since ``_plain_stretch``
-refuses a batch whose last slot moves no level and leaves the fixed point
-to the slot rule.  A batch costs more than the slots it skips when the
-stretch is short, so one starts only where the stretch predicted from the
-leads and the per-slot rates reaches ``batch._BREAK_EVEN`` slots;
-``Fraction`` runs, whose additions are Python calls either way, take every
-slot.
-
-Shortcut 6 is exact because the pass clears a slot only where it has
-recomputed, with the slot rule's and the ledger's own operations in their
-order, what the per-slot check would find there; every slot or ledger row
-it does not clear goes through that check, in slot order, so the list of
-problems is the same.  It makes no use of shortcut 5, which it checks.
-The copied slots it leaves out are those of claims that hold, lie within
-one input segment and enter their first copy with the forwarder that
-entered their first period (``_copied_slots``): each such slot has the
-bits, previous forwarder, inputs and ledger row of a slot one period
-earlier, so the full audit finds a problem only where the short one finds
-one too, and on any problem ``verify_trace`` returns the full audit's
-list.  ``Fraction`` traces take every slot, claims or not.
+Shortcuts 5 and 6 are exact for the reasons ``batch`` and ``audit`` give.
 
 A trace file has one layout, ``_trace_header(n)`` over one row per slot
 from 0: ``write_trace_csv`` writes it, and ``read_trace_csv`` accepts no
@@ -116,11 +93,11 @@ once where the exchange left them all unchanged, and copies the text of
 each stretch ``_claim_holds`` confirms, ``_CSV_CHUNK`` rows per
 ``_copies`` call.  The reader splits the rows itself, with no ``csv``
 module, ``_CSV_CHUNK`` lines at a time, and undoes those copies: after a
-parsed chunk that ends in two periods of equal row texts, a chunk whose
-text is ``_copies`` of that period is not parsed, and every column repeats
-its period over it (``_tile``).  The parser, the only source of errors,
-reads a column of one text once, and a post column with its pre column's
-text from the pre values.
+parsed chunk that ends in two periods of equal row texts, the next chunk
+is read as one text of the length of ``_copies`` of that period, and where
+it is that text, every column repeats its period over it (``_tile``).  The
+parser, the only source of errors, reads a column of one text once, and a
+post column with its pre column's text from the pre values.
 """
 
 from __future__ import annotations
@@ -315,11 +292,13 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     within a segment, ``run`` copies the whole periods that fit before the
     segment's end instead of simulating them, and records the stretch to
     that end in ``trace.cycles`` (shortcut 4 in the module docstring).  A
-    run of floats and ints, with ``steer`` or without, advances each long
+    run of floats and ints, with ``steer`` or without, advances each
     stretch of plain slots, with a fixed forwarder and no handover, part
-    duty or clip, as whole columns (shortcut 5); a plain slot hands
-    nothing over, so no batch calls ``steer``.  Either way the trace is the
-    one the per-slot loop gives, bit for bit.  ``n_slots`` must be an int.
+    duty or clip, as whole columns, together with the handover before it
+    where that leaves every level above the floor and none over the cap
+    (shortcut 5); such a batch calls ``steer`` for its handover.  Either
+    way the trace is the one the per-slot loop gives, bit for bit.
+    ``n_slots`` must be an int.
     """
     levels, first = default_state(params, packet_mode, initial_batteries,
                                   initial_active)
@@ -356,6 +335,7 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
     active, switched, suppressed = (array("B") for _ in range(3))
     add_pre, add_post, add_packets = (pre_flat.extend, post_flat.extend,
                                       packets.append)
+    add_batch = packets.fromlist if type(packets) is array else packets.extend
     add_active, add_switched, add_suppressed = (
         active.append, switched.append, suppressed.append)
     columns = ((pre_flat, n), (post_flat, n), (packets, 1), (active, 1),
@@ -373,67 +353,68 @@ def run(params: SystemParams, n_slots: Optional[int] = None,
         # shortcut 4: the state entering the slot after each handover of an
         # unsteered run, by (active, *levels), with that slot
         seen = {}
-        # shortcut 5: after slot try_at, the plain slots that follow may be
-        # batched
+        # shortcut 5: from slot try_at on, the slots ahead may be batched
         try_at = start if stretch else end
-        slots = iter(range(start, end))
-        for k in slots:
-            add_pre(pre)
-            post, nxt, w, sw, pk, quiet = slot(pre, v, e, g)
-            add_post(post)
-            add_packets(pk)
-            add_active(w)
-            add_switched(sw)
-            add_suppressed(quiet << v)
-            v = w
+        k = start
+        while k < end:
+            m = 0               # the slots of a batch from slot k
+            if k >= try_at:
+                m, wait, batch = stretch(pre, v, e, g, end - k, steer, k)
+                try_at = k + wait
+            if m:
+                w, pres, posts, pks, nxt, last, new = batch
+                sw = w != v     # the batch's first slot hands over
+            else:
+                add_pre(pre)
+                post, nxt, w, sw, pk, quiet = slot(pre, v, e, g)
+                add_post(post)
+                add_packets(pk)
+                add_active(w)
+                add_switched(sw)
+                add_suppressed(quiet << v)
+                if sw and steer is not None:
+                    new = steer(k, w, e)
             at = None           # where the state entering slot k + 1 was
             if not sw:
-                if nxt == pre and _same_levels(nxt, pre):
+                if not m and nxt == pre and _same_levels(nxt, pre):
                     at = k      # a fixed point
             elif steer is None:
                 if len(seen) == _KEPT_STATES:
                     seen.clear()
-                at, was = seen.setdefault((v, *nxt), (k + 1, nxt))
+                at, was = seen.setdefault((w, *nxt), (k + 1, nxt))
                 if was is nxt or not _same_levels(was, nxt):
                     at = None
+                elif m:
+                    # the batch ends with its handover
+                    m, pres, posts, pks, last = (1, pres[:n], posts[:n],
+                                                 pks[:1], nxt)
+            elif new is not g:
+                offered.append((e, g, k + 1 - since))
+                since, g = k + 1, new
+            v = w
+            if m:
+                pre_flat.fromlist(pres)
+                post_flat.fromlist(posts)
+                add_batch(pks)
+                active.frombytes(bytes((w,)) * m)
+                switched.append(sw)
+                switched.frombytes(bytes(m - 1))
+                suppressed.frombytes(bytes(m))
+                pre = last
             else:
-                new = steer(k, v, e)
-                if new is not g:
-                    offered.append((e, g, k + 1 - since))
-                    since, g = k + 1, new
-            pre = nxt
-            if at is not None and k + 1 < end:
-                # the segment repeats slots at to k from slot k + 1 on:
+                pre = nxt
+                m = 1
+            k += m
+            if at is not None and k < end:
+                # the segment repeats slots at to k - 1 from slot k on:
                 # whole periods are copied, and the loop takes the rest
-                period = k + 1 - at
-                skip = (end - k - 1) // period * period
+                period = k - at
+                skip = (end - k) // period * period
                 for column, width in columns:
-                    _tile(column, at * width, (k + 1) * width,
-                          (k + 1 + skip) * width)
+                    _tile(column, at * width, k * width, (k + skip) * width)
                 cycles.append((at, period, end))
                 seen.clear()
-                next(islice(slots, skip, skip), None)
-                continue
-            if k < try_at:
-                continue
-            m, wait, states, posts, pk = stretch(pre, v, e, g, end - k - 1)
-            if not m:
-                try_at = k + wait
-                continue
-            block = [0] * (m * n)
-            for u, col in enumerate(states):
-                block[u::n] = col[:m]
-            pre_flat.extend(block)
-            for u, col in enumerate(posts):
-                block[u::n] = col[:m]
-            post_flat.extend(block)
-            packets.extend([pk] * m)
-            active.frombytes(bytes((v,)) * m)
-            switched.frombytes(bytes(m))
-            suppressed.frombytes(bytes(m))
-            pre = [col[m] for col in states]
-            next(islice(slots, m, m), None)
-            try_at = k + m + 1
+                k += skip
         start = end
         if steer is not None and since < start:
             offered.append((e, g, start - since))
@@ -1048,14 +1029,15 @@ def read_trace_csv(path) -> Trace:
     The file is read ``_CSV_CHUNK`` lines at a time, so its text is never
     held whole.  Where a chunk ends in two periods of rows whose texts
     after their slot numbers are equal (``_last_period``), as a stretch
-    the writer copied does, the next chunk's text is compared with that
-    period under the next slot numbers, formatted as the writer formats
-    its copies (``_copies``); where they are equal, every column repeats
-    its last period over the chunk, and no cell is parsed.  Every other
-    chunk is split into cells and parsed: a column of one text is parsed
-    once, and a post column whose cells have its pre column's text takes
-    the pre values, into an array of its own.  The same text gives the
-    same bits either way.
+    the writer copied does, as many characters as that period under the
+    next slot numbers (``_copies``) are read in one call; where they are
+    that text, every column repeats its last period over the chunk, and no
+    cell is parsed.  Else they are split at each newline, the last line
+    read to its end, and the chunk is the same lines as ever, any past it
+    kept for the next.  Every other chunk is split into cells and parsed:
+    a column of one text is parsed once, and a post column whose cells
+    have its pre column's text takes the pre values, into an array of its
+    own.  The same text gives the same bits either way.
 
     Every row must be as wide as the header, levels and packets numbers
     ``float`` reads and finite, active nodes written as ``1`` to ``n`` and
@@ -1077,10 +1059,32 @@ def read_trace_csv(path) -> Trace:
         names = header[1:]
         width = len(names)          # cells after the slot number
         rows, base = [], 0          # the period the next chunk may repeat
-        for lines in iter(lambda: list(islice(fh, _CSV_CHUNK)), []):
+        ahead = []                  # lines read past the last chunk
+        while True:
+            first = len(active)
+            if rows and not ahead:
+                # a chunk of copies is read and compared as one text
+                copies = _copies(rows, base, first, first + _CSV_CHUNK)
+                text = fh.read(len(copies))
+                if text == copies:
+                    for column in columns:
+                        _tile(column, first - len(rows), first,
+                              first + _CSV_CHUNK)
+                    continue
+                # the parser takes the same lines as ever: those read are
+                # split at each newline, the last one finished
+                *ahead, rest = text.split("\n")
+                ahead = [line + "\n" for line in ahead]
+                if rest:
+                    ahead.append(rest + fh.readline())
+            lines = ahead[:_CSV_CHUNK]
+            del ahead[:_CSV_CHUNK]
+            lines += islice(fh, _CSV_CHUNK - len(lines))
+            if not lines:
+                break
             if not lines[-1].endswith("\n"):
                 lines[-1] += "\n"
-            first, stop = len(active), len(active) + len(lines)
+            stop = first + len(lines)
             text = "".join(lines)
             if rows and text == _copies(rows, base, first, stop):
                 for column in columns:

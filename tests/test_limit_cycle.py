@@ -348,6 +348,36 @@ def test_batches_keep_the_knife_edges_of_the_slot_rule(params, kwargs,
     assert_tiling_is_exact(params, 60, **kwargs)
 
 
+@pytest.mark.parametrize("params, kwargs", [
+    (diamond(e=(0.05, 0.05), g=17.5, c=0.08, h=(0.5, 0.5), ct=0.01,
+             cr=0.01), dict(initial_batteries=(0.5, 2.0))),
+    (three(e=(2, 3, 2), g=6, c=1, h=(3, 4, 2), ct=1, cap=20, es=True),
+     dict(packet_mode="whole", initial_batteries=(7, 0, 20))),
+], ids=["float-probe", "int-probe"])
+def test_runs_that_leave_the_battery_range_match_the_reference(params,
+                                                               kwargs):
+    # a handover slot charges the new forwarder with no floor check, and
+    # these runs drive levels below zero that way; a batch takes no
+    # handover that leaves a level at or below the floor, so the slot rule
+    # alone decides them
+    assert_tiling_is_exact(params, 3000, **kwargs)
+
+
+@pytest.mark.parametrize("batteries", [None, (25.632, 21.701, 70.146)],
+                         ids=["default", "long-trace-draw"])
+def test_handovers_go_by_in_batches(slot_calls, batteries):
+    # config A under the earliest-switch rule, and long_trace's first es3
+    # start at seed 1, hand over about every 11 slots over 4 400 times and
+    # never tile: each handover leads the batch of the stint after it, so
+    # the slot rule is hardly called
+    trace = assert_tiling_is_exact(three(es=True), 50_000,
+                                   initial_batteries=batteries)
+    assert trace.cycles == () and sum(trace.switched) > 4400
+    slot_calls[0] = 0
+    run(three(es=True), 50_000, initial_batteries=batteries)
+    assert slot_calls[0] <= 20
+
+
 def test_a_batch_whose_level_stops_moving_is_refused():
     # node 2 harvests 0.5 a slot from 2**52 - 8, where a float's step
     # grows to 1.0: its level stops at 2**52 well below the cap after 16
@@ -358,11 +388,11 @@ def test_a_batch_whose_level_stops_moving_is_refused():
                      cap=2.0**60)
     stretch = batch._plain_stretch(params, False)
     pre, e, g = [2.0**52 - 8] * 2, params.harvest_rates, params.input_rate
-    m, wait, levels, _, _ = stretch(pre, 0, e, g, 16)
+    m, wait, (_, pres, _, _, _, last, _) = stretch(pre, 0, e, g, 16)
     assert (m, wait) == (16, 0)
-    assert [col[16] == col[15] for col in levels] == [True, False]
+    assert [x == y for x, y in zip(last, pres[30:])] == [True, False]
     for limit in (17, 99):
-        assert stretch(pre, 0, e, g, limit) == (0, 2, None, None, None)
+        assert stretch(pre, 0, e, g, limit) == (0, 2, None)
     trace = assert_tiling_is_exact(params, 100,
                                    initial_batteries=(2**52 - 8,) * 2)
     # the stopped levels are a fixed point, found by the slot rule
@@ -1098,40 +1128,78 @@ def same_number(cell: str) -> str:
     return "-0" + cell[1:] if cell.startswith("-") else "0" + cell
 
 
-@pytest.mark.parametrize("change, message", [
-    (lambda cells, k: cells[:4] + [same_number(cells[4])] + cells[5:], None),
+def zero_levels(cells, k):
+    """The row with every level written as ``0``, shorter than before."""
+    levels = 2 * (len(cells) - 4) // 3
+    return cells[:4] + ["0"] * levels + cells[4 + levels:]
+
+
+def other_text(cells, k):
+    """The row with its first level written as another text of its number."""
+    return cells[:4] + [same_number(cells[4])] + cells[5:]
+
+
+def short_row(cells, k):
+    """The row without its last cell."""
+    return cells[:-1]
+
+
+SHORT_ROW = "line {line} has {width} cells where the header has {header}"
+
+
+@pytest.mark.parametrize("change, message, place", [
+    (other_text, None, "any"),
     (lambda cells, k: cells[:4] + ["nan"] + cells[5:],
-     "column 'battery_pre1' holds a value that is not finite"),
+     "column 'battery_pre1' holds a value that is not finite", "any"),
     (lambda cells, k: cells[:2] + ["2"] + cells[3:],
-     "column 'switched' holds a value other than 0 or 1"),
-    (lambda cells, k: cells[:-1],
-     "line {line} has {width} cells where the header has {header}"),
+     "column 'switched' holds a value other than 0 or 1", "any"),
+    (short_row, SHORT_ROW, "any"),
     (lambda cells, k: [str(k + 1)] + cells[1:],
-     "slot {next} where slot {k} is due"),
-], ids=["same-number", "nan", "flag-2", "short-row", "slot-number"])
+     "slot {next} where slot {k} is due", "any"),
+    (other_text, None, "chunk-end"),
+    (short_row, SHORT_ROW, "chunk-end"),
+    (zero_levels, None, "any"),
+    (None, None, "any"),
+], ids=["same-number", "nan", "flag-2", "short-row", "slot-number",
+        "chunk-end-same-number", "chunk-end-short-row", "shorter-row",
+        "file-ends"])
 @given(trace=copied_traces(), data=st.data())
 @settings(max_examples=15, deadline=None)
 def test_a_changed_row_deep_in_a_copied_stretch(tmp_path_factory, change,
-                                                message, trace, data):
+                                                message, place, trace, data):
     # a row three or more chunks into the copied chunks, or anywhere in
-    # the stretch where there are fewer, is changed, or it and the rows
-    # one and two periods after it: another text of the same number reads
-    # back as one float per cell reads it, and a bad cell is refused as it
-    # is where nothing is copied
+    # the stretch where there are fewer, or the last row of such a chunk,
+    # is changed, or it and the rows one and two periods after it: another
+    # text of the same number, or rows shorter than those they replace, so
+    # that the text read for a chunk of copies runs into the rows after
+    # it, read back as one float per cell reads them, and a bad cell is
+    # refused as it is where nothing is copied.  A file that ends at that
+    # row, with or without its last newline, reads back as one float per
+    # cell reads it
     start, period, stop = trace.cycles[0]
     blocks = copied_blocks(trace)
-    rows = (st.integers(blocks[2], stop - 1) if len(blocks) > 2
-            else st.integers(start, stop - 1))
-    k = data.draw(rows)
+    first = blocks[2] if len(blocks) > 2 else start
+    if place == "chunk-end":
+        ends = [j for j in range(first, stop) if (j + 1) % BLOCK == 0]
+        k = data.draw(st.sampled_from(ends or [stop - 1]))
+    else:
+        k = data.draw(st.integers(first, stop - 1))
     path = tmp_path_factory.mktemp("changed") / "trace.csv"
     header, *lines = reference_csv(trace).decode().split("\r\n")
+    if change is None:
+        text = "\r\n".join([header, *lines[:k + 1]])
+        path.write_bytes((text + data.draw(st.sampled_from(("\r\n", ""))))
+                         .encode())
+        assert_parsed_columns(read_in_blocks(path)[0],
+                              (text + "\r\n").encode())
+        return
     for j in range(k, min(k + period * data.draw(st.sampled_from((1, 3))),
                           stop), period):
         lines[j] = ",".join(change(lines[j].split(","), j))
-    text = "\r\n".join([header, *lines]).encode()
-    path.write_bytes(text)
+    text = "\r\n".join([header, *lines])
+    path.write_bytes(text.encode())
     if message is None:
-        assert_parsed_columns(read_in_blocks(path)[0], text)
+        assert_parsed_columns(read_in_blocks(path)[0], text.encode())
         return
     width = header.count(",")
     message = message.format(line=k + 2, width=width, header=width + 1, k=k,
@@ -1297,6 +1365,68 @@ def test_the_column_pass_lists_what_the_per_slot_audit_lists(system, k, step,
     bit = data.draw(st.integers(0, trace.n_nodes - 1))
     for _, change in mutants(trace, k, step, shift, bit):
         assert_audits_agree(dataclasses.replace(trace, **change))
+    turns = [k for k in trace.slots if trace.switched[k]]
+    if turns:
+        k = data.draw(st.sampled_from(turns))
+        for change in handover_mutants(trace, k, step):
+            assert_audits_agree(dataclasses.replace(trace, **change))
+
+
+@pytest.mark.parametrize("params", [
+    three(es=True), three(es=True, ct=0.01, cr=0.02), three(),
+    diamond(**README_POINT),
+], ids=["es3", "es3-costs", "rr3", "readme-point"])
+@pytest.mark.parametrize("step", [1, -1e-6, 5e-324, math.nan])
+def test_the_column_pass_checks_handovers_as_the_per_slot_audit(params,
+                                                                 step):
+    # the first handovers of runs that hand over from each node, each one
+    # changed in one cell, or in a lead and the post level that follows
+    trace = run(params, 300)
+    turns = [k for k in trace.slots if trace.switched[k]]
+    assert len(turns) > 4
+    for k in turns[:5]:
+        for change in handover_mutants(trace, k, step):
+            assert_audits_agree(dataclasses.replace(trace, **change))
+
+
+def handover_mutants(trace, k, step):
+    """Copies of ``trace`` with its handover slot ``k`` changed, as changes
+    to ``dataclasses.replace``: another target; the target's lead the last
+    float under the bar, and the first at or over it; each other
+    candidate's lead the target's; the old forwarder's level the last
+    float under the floor; the packets, and each post level, moved by
+    ``step``.  A level changed before the exchange takes the post level
+    the exchange gives it, so the post cells agree with it."""
+    params = trace.params
+    p = trace.active[k - 1] if k else trace.initial_active
+    v = trace.active[k]
+    bar = params.thresholds.threshold_from(p)
+    for u in range(trace.n_nodes):
+        if u != v:
+            yield {"active": bump(trace.active, k, u)}
+    pre, post = trace.battery_pre, trace.battery_post
+    base = pre[p][k]
+    under = base + bar
+    while under - base >= bar:
+        under = math.nextafter(under, -math.inf)
+    over = math.nextafter(under, math.inf)
+    while over - base < bar:
+        over = math.nextafter(over, math.inf)
+    levels = [(v, under), (v, over)] + [
+        (u, pre[v][k]) for u in params.thresholds.candidates(p) if u != v]
+    levels.append((p, math.nextafter(params.control_floor, -math.inf)))
+    for u, level in levels:
+        yield {"battery_pre": tuple(bump(col, k, level) if w == u else col
+                                    for w, col in enumerate(pre)),
+               "battery_post": tuple(
+                   bump(col, k, level - params.status_energy
+                        - params.switch_energy) if w == u else col
+                   for w, col in enumerate(post))}
+    yield {"packets": bump(trace.packets, k, trace.packets[k] + step)}
+    for u in range(trace.n_nodes):
+        yield {"battery_post": tuple(
+            bump(col, k, col[k] + step) if w == u else col
+            for w, col in enumerate(post))}
 
 
 @given(profiled_systems(), st.integers(0, 10**6), st.data())
@@ -1333,12 +1463,17 @@ def test_a_non_finite_level_is_listed_outside_its_bounds(mode, level):
 
 
 def test_the_audit_replays_only_what_the_column_pass_leaves(slot_calls):
-    # long_trace's es3 config: the pass clears every slot but those that
-    # hand over, which the per-slot replay takes
-    trace = run(three(es=True), 5000, initial_batteries=(40.0, 60.0, 20.0))
-    slot_calls[0] = 0
-    assert verify_trace(trace) == []
-    assert slot_calls[0] == sum(trace.switched) > 0
+    # long_trace's es3 config, and the README point with its status and
+    # switch costs in both packet modes, without its claim: the pass clears
+    # every slot, each handover included, so the per-slot replay takes none
+    traces = [run(three(es=True), 5000, initial_batteries=(40.0, 60.0, 20.0))]
+    traces += [dataclasses.replace(run(diamond(**README_POINT), 3000,
+                                       packet_mode=mode), cycles=())
+               for mode in ("fractional", "whole")]
+    for trace in traces:
+        slot_calls[0] = 0
+        assert verify_trace(trace) == []
+        assert slot_calls[0] == 0 < sum(trace.switched)
 
 
 # ---------------------------------------------------------------------------
